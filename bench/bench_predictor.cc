@@ -3,10 +3,8 @@
 // DNNBuilder greedy config — the paper's pitch that differentiable
 // accelerator search is cheap rests on these staying orders of magnitude
 // faster than RL-based search.
-//
-// bench_predictor_micro keeps the google-benchmark variants for ns-level
-// inspection; this binary produces the committed baseline the perf gate
-// diffs against (docs/BENCHMARKING.md).
+// This binary produces the committed baseline the perf gate diffs against
+// (docs/BENCHMARKING.md).
 #include <algorithm>
 #include <string>
 #include <vector>

@@ -17,7 +17,8 @@
 # registry, BENCH_*.json diffing, Chrome trace export — perf_test), the
 # fleet supervisor (protocol/frontier units plus the kill/hang/corrupt
 # resume e2e suite — fleet_test, fleet_resume_test), and finishes with an
-# end-to-end fault-injection smoke of cosearch_full --guard=heal, a fleet
+# end-to-end fault-injection smoke of cosearch_full --guard=heal (profiled,
+# with its Chrome trace checked by bench_report --chrome-check), a fleet
 # kill-one smoke (cosearch_fleet under A3CS_FLEET_KILL), plus a perf smoke
 # (bench_kernels in smoke mode, self-diffed through bench_report --check
 # and --chrome-check). The TSan pass
@@ -89,7 +90,9 @@ done
 # End-to-end guard smoke (ASan pass only): inject a persistent NaN weight
 # into a tiny real pipeline run and require the heal-mode guard to finish it
 # via checkpoint rollback (an abort would crash out non-zero). See
-# docs/ROBUSTNESS.md.
+# docs/ROBUSTNESS.md. Profiling and a Chrome trace ride along, so the pass
+# also covers the nested run scopes' teardown (docs/OBSERVABILITY.md); the
+# trace must come out balanced.
 if [ -n "$SMOKE" ] && [ "$status" -eq 0 ]; then
   echo "== guard fault-injection smoke ($SAN) =="
   CKPT_DIR="$(mktemp -d "${TMPDIR:-/tmp}/a3cs_guard_smoke.XXXXXX")"
@@ -97,7 +100,12 @@ if [ -n "$SMOKE" ] && [ "$status" -eq 0 ]; then
   A3CS_GUARD=heal A3CS_GUARD_SKIPS=1 A3CS_GUARD_SOFTENS=1 \
   A3CS_FAULT_NAN_PARAM=5 \
   A3CS_CKPT_DIR="$CKPT_DIR" A3CS_CKPT_EVERY_ITERS=2 A3CS_CKPT_KEEP=8 \
+  A3CS_PROFILE=1 A3CS_PROFILE_CHROME="$CKPT_DIR/chrome.json" \
     "$BUILD/examples/cosearch_full" Catch || status=$?
+  if [ "$status" -eq 0 ]; then
+    "$BUILD/tools/bench_report/bench_report" \
+      --chrome-check "$CKPT_DIR/chrome.json" || status=$?
+  fi
   rm -rf "$CKPT_DIR"
 fi
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -15,9 +16,9 @@
 #include "nn/module.h"
 #include "obs/exec_stats.h"
 #include "obs/metrics.h"
-#include "obs/perf/chrome_trace.h"
 #include "obs/perf/work_counters.h"
 #include "obs/profile.h"
+#include "obs/run_scope.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
@@ -98,6 +99,7 @@ IterStats CoSearchEngine::one_iteration(bool update_theta, bool update_alpha,
                                         bool heal) {
   A3CS_PROF_SCOPE("cosearch-iter");
   IterStats stats;
+  guard::HealthSignals& sig = stats.health;
   guard::FaultInjector& faults = guard::FaultInjector::global();
 
   // (1) Rollout with the sampled single-path policy.
@@ -110,9 +112,9 @@ IterStats CoSearchEngine::one_iteration(bool update_theta, bool update_alpha,
           std::chrono::duration<double, std::milli>(faults.stall_ms()));
     }
     rollout = collector_.collect(*net_, cfg_.a2c.rollout_len);
-    stats.rollout_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
+    sig.rollout_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
   }
   double reward_sum = 0.0;
   std::int64_t reward_n = 0;
@@ -120,8 +122,8 @@ IterStats CoSearchEngine::one_iteration(bool update_theta, bool update_alpha,
     for (const double r : step_rewards) reward_sum += r;
     reward_n += static_cast<std::int64_t>(step_rewards.size());
   }
-  stats.mean_reward = reward_n > 0 ? reward_sum / static_cast<double>(reward_n)
-                                   : 0.0;
+  sig.mean_reward = reward_n > 0 ? reward_sum / static_cast<double>(reward_n)
+                                 : 0.0;
 
   // (2) Accelerator step phi -> phi' on the network sampled during the
   // rollout (Alg. 1 line "Update phi in Eq. 9").
@@ -136,55 +138,25 @@ IterStats CoSearchEngine::one_iteration(bool update_theta, bool update_alpha,
   // gradients in one pass; which of them are applied is decided in step (5)
   // (both for one-level, alternating for bi-level).
   A3CS_PROF_SCOPE("a2c-update");
-  const auto boot = net_->forward(rollout.last_obs);
-  const Tensor batch_obs = rollout.stacked_obs();
-  const auto ac = net_->forward(batch_obs);
-  const rl::Targets targets =
-      rl::compute_targets(rollout.rewards, rollout.dones, ac.value,
-                          boot.value, cfg_.a2c.gamma, cfg_.a2c.advantage);
-
-  std::vector<int> actions;
-  for (const auto& step_actions : rollout.actions) {
-    actions.insert(actions.end(), step_actions.begin(), step_actions.end());
-  }
-
-  Tensor teacher_probs, teacher_values;
-  rl::LossCoefficients coef = cfg_.a2c.loss;
-  if (teacher_ != nullptr &&
-      (coef.distill_actor != 0.0 || coef.distill_critic != 0.0)) {
-    const auto tea = teacher_->forward(batch_obs);
-    teacher_probs = Tensor(tea.logits.shape());
-    tensor::softmax_rows(tea.logits, teacher_probs);
-    teacher_values = tea.value;
-  } else {
-    coef.distill_actor = 0.0;
-    coef.distill_critic = 0.0;
-  }
-
-  rl::LossInputs in;
-  in.logits = &ac.logits;
-  in.values = &ac.value;
-  in.actions = &actions;
-  in.advantages = &targets.advantages;
-  in.returns = &targets.returns;
-  if (coef.distill_actor != 0.0 || coef.distill_critic != 0.0) {
-    in.teacher_probs = &teacher_probs;
-    in.teacher_values = &teacher_values;
-  }
-  rl::HeadGradients grads = rl::task_loss(in, coef, &stats.loss);
-  stats.value_abs_max = static_cast<double>(ac.value.abs_max());
+  rl::RolloutLoss task = rl::rollout_loss(*net_, rollout, cfg_.a2c, teacher_);
+  stats.loss = task.stats;
+  sig.value_abs_max = static_cast<double>(task.value_abs_max);
   if (faults.should_fire(guard::FaultKind::kInfLoss, iter_)) {
     // Poison both the scalar stats and the head gradients — exactly what a
     // real overflow inside the loss would hand the rest of the iteration.
     stats.loss.total = std::numeric_limits<double>::infinity();
-    grads.dlogits.at(0) = std::numeric_limits<float>::infinity();
+    task.grads.dlogits.at(0) = std::numeric_limits<float>::infinity();
   }
+  sig.loss_total = stats.loss.total;
+  sig.loss_policy = stats.loss.policy;
+  sig.loss_value = stats.loss.value;
+  sig.entropy = stats.loss.entropy;
 
   net_->zero_grad();
   supernet_->zero_alpha_grads();
   {
     A3CS_PROF_SCOPE("backward");
-    net_->backward(grads.dlogits, grads.dvalue);
+    net_->backward(task.grads.dlogits, task.grads.dvalue);
   }
 
   // (4) Hardware-cost penalty on alpha (Eq. 8), using the choices of the
@@ -203,8 +175,8 @@ IterStats CoSearchEngine::one_iteration(bool update_theta, bool update_alpha,
     params.front()->grad.at(0) = std::numeric_limits<float>::quiet_NaN();
   }
   const nn::NormStats grad_stats = nn::grad_norm_stats(params);
-  stats.grad_norm = grad_stats.norm;
-  stats.grad_finite = grad_stats.finite;
+  sig.grad_norm = grad_stats.norm;
+  sig.grad_finite = grad_stats.finite;
 
   const bool unsafe = !std::isfinite(stats.loss.total) || !grad_stats.finite;
   if (heal && unsafe) {
@@ -231,8 +203,8 @@ IterStats CoSearchEngine::one_iteration(bool update_theta, bool update_alpha,
     params.front()->value.at(0) = std::numeric_limits<float>::quiet_NaN();
   }
   const nn::NormStats param_stats = nn::param_norm_stats(params);
-  stats.param_norm = param_stats.norm;
-  stats.param_finite = param_stats.finite;
+  sig.param_norm = param_stats.norm;
+  sig.param_finite = param_stats.finite;
   return stats;
 }
 
@@ -414,13 +386,13 @@ namespace {
 // One per-iteration JSONL event: the per-term loss decomposition, rollout
 // return, alpha/tau state, and the hardware-cost trajectory — everything the
 // DNAS literature plots to diagnose co-search (in)stability.
-void emit_iter_event(std::int64_t iter, std::int64_t frames, double tau,
-                     double das_tau, const IterStats& stats,
-                     const std::vector<double>& alpha_entropies) {
+void emit_iter_event(std::int64_t frames, double tau, double das_tau,
+                     const IterStats& stats) {
+  const guard::HealthSignals& sig = stats.health;
   auto ev = obs::trace_event("cosearch_iter");
-  ev.kv("iter", iter)
+  ev.kv("iter", sig.iter)
       .kv("frames", frames)
-      .kv("mean_reward", stats.mean_reward)
+      .kv("mean_reward", sig.mean_reward)
       .kv("loss_total", stats.loss.total)
       .kv("loss_policy", stats.loss.policy)
       .kv("loss_value", stats.loss.value)
@@ -431,18 +403,15 @@ void emit_iter_event(std::int64_t iter, std::int64_t frames, double tau,
       .kv("das_tau", das_tau)
       .kv("das_cost", stats.das_cost)
       .kv("cost_penalty", stats.cost_penalty)
-      .kv("grad_norm", stats.grad_norm)
-      .kv("param_norm", stats.param_norm)
-      .kv("value_abs_max", stats.value_abs_max);
+      .kv("grad_norm", sig.grad_norm)
+      .kv("param_norm", sig.param_norm)
+      .kv("value_abs_max", sig.value_abs_max);
   if (stats.update_skipped) ev.kv("update_skipped", true);
-  double alpha_h_sum = 0.0;
-  for (std::size_t cell = 0; cell < alpha_entropies.size(); ++cell) {
-    alpha_h_sum += alpha_entropies[cell];
-    ev.kv("alpha_H" + std::to_string(cell), alpha_entropies[cell]);
+  for (std::size_t cell = 0; cell < stats.alpha_entropies.size(); ++cell) {
+    ev.kv("alpha_H" + std::to_string(cell), stats.alpha_entropies[cell]);
   }
-  if (!alpha_entropies.empty()) {
-    ev.kv("alpha_H_mean",
-          alpha_h_sum / static_cast<double>(alpha_entropies.size()));
+  if (!stats.alpha_entropies.empty()) {
+    ev.kv("alpha_H_mean", sig.alpha_entropy_mean);
   }
   if (stats.hw_valid) {
     ev.kv("hw_cycles", stats.hw.ii_cycles)
@@ -453,91 +422,35 @@ void emit_iter_event(std::int64_t iter, std::int64_t frames, double tau,
   }
 }
 
+constexpr std::initializer_list<double> kMsBuckets = {
+    0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000};
+
 }  // namespace
 
-CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
-                                   Callback callback,
-                                   std::int64_t callback_every) {
-  const obs::ObsConfig obs_cfg = cfg_.obs.with_env_overrides();
-  if (obs_cfg.profile_enabled) obs::Profiler::set_enabled(true);
-  const util::ExecConfig exec_cfg = cfg_.exec.with_env_overrides();
-  util::ThreadPool::set_global_threads(exec_cfg.resolved_threads());
-  obs::MetricsRegistry::global().gauge("exec.threads")
-      .set(util::ThreadPool::global().threads());
+// Monitor and ladder state are deliberately per-run and NOT checkpointed: a
+// healthy run takes no guard actions, so bit-exact kill-and-resume is
+// preserved, and a run restored after a crash starts with a clean escalation
+// ladder (docs/ROBUSTNESS.md).
+struct CoSearchEngine::RunState {
+  const CoSearchConfig& cfg;
+  std::int64_t total_frames;
+  int trace_every;
 
-  // Training-health watchdog (docs/ROBUSTNESS.md). Monitor and ladder state
-  // are deliberately per-run and NOT checkpointed: a healthy run takes no
-  // guard actions, so bit-exact kill-and-resume is preserved, and a run
-  // restored after a crash starts with a clean escalation ladder.
-  const guard::GuardConfig guard_cfg = cfg_.guard.with_env_overrides();
-  guard::FaultInjector::global().arm_from_env();
-  guard::HealthMonitor monitor(guard_cfg.health);
-  guard::GuardPolicy guard_policy(guard_cfg);
-  const bool guard_on = guard_cfg.mode != guard::GuardMode::kOff;
-  const bool heal = guard_cfg.mode == guard::GuardMode::kHeal;
-
-  obs::TraceSession trace_session(obs_cfg);
-  obs::perf::ChromeTraceSession chrome_session(obs_cfg);
-  obs::trace_event("cosearch_start")
-      .kv("game", game_title_)
-      .kv("threads", util::ThreadPool::global().threads())
-      .kv("total_frames", total_frames)
-      .kv("num_cells", supernet_->num_cells())
-      .kv("hardware_aware", cfg_.hardware_aware)
-      .kv("bi_level", cfg_.optimization == Optimization::kBiLevel)
-      .kv("lambda", cfg_.lambda)
-      .kv("seed", static_cast<std::int64_t>(cfg_.seed))
-      .kv("guard", guard::guard_mode_name(guard_cfg.mode));
-  static obs::Counter& iters_counter =
-      obs::MetricsRegistry::global().counter("cosearch.iterations");
-  static obs::Counter& frames_counter =
-      obs::MetricsRegistry::global().counter("cosearch.frames");
-  obs::Histogram& iter_ms_hist = obs::MetricsRegistry::global().histogram(
-      "cosearch.iter_ms", {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
-  static obs::Counter& guard_warns =
-      obs::MetricsRegistry::global().counter("guard.verdicts.warn");
-  static obs::Counter& guard_errors =
-      obs::MetricsRegistry::global().counter("guard.verdicts.error");
-  static obs::Counter& guard_skips =
-      obs::MetricsRegistry::global().counter("guard.skips");
-  static obs::Counter& guard_softens =
-      obs::MetricsRegistry::global().counter("guard.softens");
-  static obs::Counter& guard_rollbacks =
-      obs::MetricsRegistry::global().counter("guard.rollbacks");
-  static obs::Counter& guard_aborts =
-      obs::MetricsRegistry::global().counter("guard.aborts");
-  static obs::Gauge& grad_norm_gauge =
-      obs::MetricsRegistry::global().gauge("train.grad_norm");
-  static obs::Gauge& param_norm_gauge =
-      obs::MetricsRegistry::global().gauge("train.param_norm");
-
-  const nn::LinearLrSchedule schedule(
-      cfg_.a2c.lr_start, cfg_.a2c.lr_end,
-      static_cast<std::int64_t>(cfg_.a2c.lr_hold_frac *
+  guard::GuardConfig guard_cfg = cfg.guard.with_env_overrides();
+  guard::HealthMonitor monitor{guard_cfg.health};
+  guard::GuardPolicy policy{guard_cfg};
+  nn::LinearLrSchedule schedule{
+      cfg.a2c.lr_start, cfg.a2c.lr_end,
+      static_cast<std::int64_t>(cfg.a2c.lr_hold_frac *
                                 static_cast<double>(total_frames)),
-      total_frames);
-
+      total_frames};
   // Checkpointing: periodic (iteration and/or wall-clock cadence) plus a
-  // final write on SIGINT/SIGTERM. The write happens BEFORE the user
-  // callback fires at the same boundary, so a crash inside the callback
-  // resumes from a state that has not advanced past it.
-  const ckpt::CkptConfig ckpt_cfg = cfg_.ckpt.with_env_overrides();
-  std::unique_ptr<ckpt::CheckpointManager> ckpt_mgr;
-  std::unique_ptr<ckpt::StopSignalGuard> stop_guard;
-  static obs::Counter& ckpt_writes =
-      obs::MetricsRegistry::global().counter("ckpt.writes");
-  static obs::Counter& ckpt_bytes =
-      obs::MetricsRegistry::global().counter("ckpt.bytes");
-  static obs::Counter& ckpt_restores =
-      obs::MetricsRegistry::global().counter("ckpt.restores");
-  obs::Histogram& ckpt_write_ms = obs::MetricsRegistry::global().histogram(
-      "ckpt.write_ms", {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
-
-  // iter_ / alpha_turn_ are cumulative engine state (restore_checkpoint may
-  // already have positioned them); only the callback cadence is per-run.
-  next_callback_ = callback_every;
-  auto last_ckpt = std::chrono::steady_clock::now();
-
+  // final write on SIGINT/SIGTERM. The manager is null when it is off.
+  ckpt::CkptConfig ckpt_cfg = cfg.ckpt.with_env_overrides();
+  std::unique_ptr<ckpt::CheckpointManager> ckpt_mgr{};
+  std::unique_ptr<ckpt::StopSignalGuard> stop_guard{};
+  std::chrono::steady_clock::time_point last_ckpt =
+      std::chrono::steady_clock::now();
   // Soften state: a multiplicative LR scale (theta and alpha) plus a Gumbel
   // temperature boost, in force until the cooldown window expires.
   double soften_scale = 1.0;
@@ -547,305 +460,342 @@ CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
   // pre-first-iteration state count as healthy).
   bool last_iter_healthy = true;
 
-  const auto write_ckpt = [&](const char* reason) {
-    const auto t0 = std::chrono::steady_clock::now();
-    ckpt::SectionWriter writer;
-    save_checkpoint(writer);
-    writer.set_healthy(last_iter_healthy);
-    const std::size_t bytes = ckpt_mgr->commit(iter_, writer);
-    if (guard::FaultInjector::global().should_fire(
-            guard::FaultKind::kTruncCkpt, iter_)) {
-      // Torn-tip fault: halve the file AFTER the atomic commit, simulating
-      // the disk filling up / the machine dying mid-write in a world without
-      // the tmp+rename protocol. load_newest_valid must fall back past it.
-      const std::string path = ckpt_mgr->path_for(iter_);
-      std::error_code ec;
-      const auto size = std::filesystem::file_size(path, ec);
-      if (!ec && size > 0) {
-        std::filesystem::resize_file(path, size / 2, ec);
-        A3CS_LOG(WARN) << "fault injection: truncated checkpoint " << path
-                       << " to " << size / 2 << " bytes";
-      }
-    }
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    ckpt_writes.inc();
-    ckpt_bytes.inc(static_cast<std::int64_t>(bytes));
-    ckpt_write_ms.record(ms);
-    last_ckpt = std::chrono::steady_clock::now();
-    if (obs::trace_active()) {
-      obs::trace_event("ckpt_write")
-          .kv("iter", iter_)
-          .kv("frames", collector_.frames())
-          .kv("bytes", static_cast<std::int64_t>(bytes))
-          .kv("write_ms", ms)
-          .kv("reason", reason)
-          .kv("healthy", last_iter_healthy);
-    }
-  };
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  obs::Counter& iters = reg.counter("cosearch.iterations");
+  obs::Counter& frames = reg.counter("cosearch.frames");
+  obs::Histogram& iter_ms = reg.histogram("cosearch.iter_ms", kMsBuckets);
+  obs::Counter& warns = reg.counter("guard.verdicts.warn");
+  obs::Counter& errors = reg.counter("guard.verdicts.error");
+  obs::Counter& skips = reg.counter("guard.skips");
+  obs::Counter& softens = reg.counter("guard.softens");
+  obs::Counter& rollbacks = reg.counter("guard.rollbacks");
+  obs::Counter& aborts = reg.counter("guard.aborts");
+  obs::Gauge& grad_norm = reg.gauge("train.grad_norm");
+  obs::Gauge& param_norm = reg.gauge("train.param_norm");
+  obs::Counter& ckpt_writes = reg.counter("ckpt.writes");
+  obs::Counter& ckpt_bytes = reg.counter("ckpt.bytes");
+  obs::Counter& ckpt_restores = reg.counter("ckpt.restores");
+  obs::Histogram& ckpt_write_ms = reg.histogram("ckpt.write_ms", kMsBuckets);
+};
 
-  // Abort rung: dump the complete (diverged) engine state for post-mortem
-  // debugging, then surface the failure as a typed exception. The dump is
-  // tagged unhealthy so no resume path will ever restore from it.
-  const auto abort_run = [&](const std::string& why) {
-    guard_aborts.inc();
-    std::string dump_path;
-    if (ckpt_mgr) {
-      ckpt::SectionWriter dump;
-      save_checkpoint(dump);
-      dump.set_healthy(false);
-      dump_path = ckpt_cfg.dir + "/abort-dump.a3ck";
-      dump.write(dump_path);
-    }
-    if (obs::trace_active()) {
-      obs::trace_event("guard_event")
-          .kv("kind", "abort_dump")
-          .kv("iter", iter_)
-          .kv("detail", why)
-          .kv("dump", dump_path);
-    }
-    A3CS_LOG(ERROR) << "guard: aborting co-search at iteration " << iter_
-                    << ": " << why
-                    << (dump_path.empty() ? std::string()
-                                          : "; diagnostic dump at " +
-                                                dump_path);
-    throw guard::GuardAbort("co-search aborted at iteration " +
-                                std::to_string(iter_) + ": " + why,
-                            iter_);
-  };
+CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
+                                   Callback callback,
+                                   std::int64_t callback_every) {
+  const obs::RunScope scope(cfg_.obs, "co-search");
+  util::ThreadPool::set_global_threads(
+      cfg_.exec.with_env_overrides().resolved_threads());
+  obs::MetricsRegistry::global().gauge("exec.threads")
+      .set(util::ThreadPool::global().threads());
+  guard::FaultInjector::global().arm_from_env();
+  RunState rs{cfg_, total_frames, scope.config().trace_every};
+  obs::trace_event("cosearch_start")
+      .kv("game", game_title_)
+      .kv("threads", util::ThreadPool::global().threads())
+      .kv("total_frames", total_frames)
+      .kv("num_cells", supernet_->num_cells())
+      .kv("hardware_aware", cfg_.hardware_aware)
+      .kv("bi_level", cfg_.optimization == Optimization::kBiLevel)
+      .kv("lambda", cfg_.lambda)
+      .kv("seed", static_cast<std::int64_t>(cfg_.seed))
+      .kv("guard", guard::guard_mode_name(rs.guard_cfg.mode));
 
-  if (ckpt_cfg.enabled()) {
-    ckpt_mgr = std::make_unique<ckpt::CheckpointManager>(ckpt_cfg);
-    stop_guard = std::make_unique<ckpt::StopSignalGuard>();
-    if (ckpt_cfg.resume) {
-      ckpt::SectionReader reader;
-      int fallbacks = 0;
-      const std::int64_t at = ckpt_mgr->load_newest_valid(&reader, &fallbacks);
-      if (at >= 0) {
-        restore_checkpoint(reader);
-        ckpt_restores.inc();
-        A3CS_LOG(INFO) << "resumed co-search from " << ckpt_mgr->path_for(at)
-                       << " (iteration " << iter_ << ", "
-                       << collector_.frames() << " frames)";
-        if (obs::trace_active()) {
-          obs::trace_event("ckpt_restore")
-              .kv("iter", iter_)
-              .kv("frames", collector_.frames())
-              .kv("bytes", static_cast<std::int64_t>(reader.total_bytes()))
-              .kv("fallbacks", static_cast<std::int64_t>(fallbacks));
-        }
-      } else {
-        A3CS_LOG(WARN) << "checkpoint resume requested but no valid "
-                       << "checkpoint in " << ckpt_cfg.dir
-                       << "; starting fresh";
-      }
-    }
-  }
-
+  // iter_ / alpha_turn_ are cumulative engine state (restore_checkpoint may
+  // already have positioned them); only the callback cadence is per-run,
+  // and a resumed checkpoint overrides it.
+  next_callback_ = callback_every;
+  resume(rs);
   bool stopped = false;
-  while (collector_.frames() < total_frames) {
-    const std::int64_t frames_before = collector_.frames();
-    const auto iter_start = std::chrono::steady_clock::now();
-    if (soften_until >= 0 && iter_ >= soften_until) {
-      soften_scale = 1.0;
-      soften_until = -1;
-      alpha_opt_.set_learning_rate(cfg_.alpha_lr);
-      A3CS_LOG(INFO) << "guard: soften cooldown expired at iteration "
-                     << iter_ << "; learning rates restored";
-    }
-    theta_opt_.set_learning_rate(schedule.at(collector_.frames()) *
-                                 soften_scale);
-    IterStats stats;
-    if (cfg_.optimization == Optimization::kOneLevel) {
-      stats = one_iteration(/*update_theta=*/true, /*update_alpha=*/true,
-                            heal);
-    } else {
-      // Bi-level (one-step approximation, as in DARTS-style NACoS): theta on
-      // this rollout, alpha on the next, never both — the alpha gradient is
-      // then taken at stale weights, which is exactly the bias the paper's
-      // Sec. V-D ablation exposes.
-      stats = one_iteration(/*update_theta=*/!alpha_turn_,
-                            /*update_alpha=*/alpha_turn_, heal);
-      alpha_turn_ = !alpha_turn_;
-    }
-    ++iter_;
-    if (reward_ewma_init_) {
-      reward_ewma_ = 0.9 * reward_ewma_ + 0.1 * stats.mean_reward;
-    } else {
-      reward_ewma_ = stats.mean_reward;
-      reward_ewma_init_ = true;
-    }
-    iters_counter.inc();
-    frames_counter.inc(collector_.frames() - frames_before);
-    iter_ms_hist.record(std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - iter_start)
-                            .count());
-    grad_norm_gauge.set(stats.grad_norm);
-    param_norm_gauge.set(stats.param_norm);
-    if (obs::trace_active() && iter_ % obs_cfg.trace_every == 0) {
-      emit_iter_event(iter_, collector_.frames(), supernet_->temperature(),
-                      das_->temperature(), stats,
-                      supernet_->alpha_entropies());
-    }
-
-    if (guard_on) {
-      guard::HealthSignals sig;
-      sig.iter = iter_;
-      sig.loss_total = stats.loss.total;
-      sig.loss_policy = stats.loss.policy;
-      sig.loss_value = stats.loss.value;
-      sig.entropy = stats.loss.entropy;
-      sig.grad_norm = stats.grad_norm;
-      sig.grad_finite = stats.grad_finite;
-      sig.param_norm = stats.param_norm;
-      sig.param_finite = stats.param_finite;
-      sig.value_abs_max = stats.value_abs_max;
-      sig.mean_reward = stats.mean_reward;
-      sig.rollout_ms = stats.rollout_ms;
-      const std::vector<double> alpha_h = supernet_->alpha_entropies();
-      if (!alpha_h.empty()) {
-        double sum = 0.0;
-        for (const double h : alpha_h) sum += h;
-        sig.alpha_entropy_mean = sum / static_cast<double>(alpha_h.size());
-      }
-      const guard::HealthReport report = monitor.evaluate(sig);
-      last_iter_healthy = !report.has_error();
-      if (!report.ok()) {
-        for (const guard::HealthVerdict& v : report.verdicts) {
-          (v.severity == guard::Severity::kError ? guard_errors : guard_warns)
-              .inc();
-          if (obs::trace_active()) {
-            obs::trace_event("guard_event")
-                .kv("kind", "verdict")
-                .kv("iter", iter_)
-                .kv("check", guard::check_name(v.check))
-                .kv("severity", guard::severity_name(v.severity))
-                .kv("value", v.value)
-                .kv("threshold", v.threshold)
-                .kv("detail", v.detail);
-          }
-        }
-        A3CS_LOG(WARN) << "guard: iteration " << iter_
-                       << " unhealthy: " << report.summary();
-      }
-      const guard::GuardAction action = guard_policy.decide(report);
-      if (action != guard::GuardAction::kNone && obs::trace_active()) {
-        obs::trace_event("guard_event")
-            .kv("kind", guard::guard_action_name(action))
-            .kv("iter", iter_)
-            .kv("streak",
-                static_cast<std::int64_t>(guard_policy.error_streak()))
-            .kv("rollbacks",
-                static_cast<std::int64_t>(guard_policy.rollbacks()))
-            .kv("detail", report.summary());
-      }
-      if (action == guard::GuardAction::kSkip) {
-        // The actual veto already happened inside one_iteration (heal mode
-        // zeroes a non-finite batch before the optimizer steps); the skip
-        // rung only accounts for it here.
-        guard_skips.inc();
-      } else if (action == guard::GuardAction::kSoften) {
-        guard_softens.inc();
-        soften_scale *= guard_cfg.soften_lr_scale;
-        soften_until = iter_ + guard_cfg.soften_cooldown_iters;
-        alpha_opt_.set_learning_rate(cfg_.alpha_lr * soften_scale);
-        const double tau =
-            std::min(cfg_.supernet.tau_init,
-                     supernet_->temperature() * guard_cfg.soften_tau_boost);
-        supernet_->set_temperature(tau);
-        A3CS_LOG(WARN) << "guard: soften at iteration " << iter_
-                       << " (lr scale " << soften_scale << ", tau " << tau
-                       << ", cooldown until iteration " << soften_until
-                       << ")";
-      } else if (action == guard::GuardAction::kRollback) {
-        bool rolled = false;
-        if (ckpt_mgr) {
-          ckpt::SectionReader reader;
-          int fallbacks = 0;
-          const std::int64_t at = ckpt_mgr->load_newest_valid(
-              &reader, &fallbacks, /*require_healthy=*/true);
-          if (at >= 0) {
-            const std::int64_t from_iter = iter_;
-            restore_checkpoint(reader);
-            // Stale tips newer than the restore point are by construction
-            // unhealthy (or about to be shadowed); drop them so they can
-            // never win a later newest-first scan.
-            ckpt_mgr->remove_newer_than(at);
-            guard_policy.on_rollback();
-            monitor.reset();
-            // Distinct reseed per rollback: replaying the restored state
-            // with its restored RNG streams would deterministically walk
-            // into the same divergence again.
-            const std::uint64_t salt =
-                0x9E3779B97F4A7C15ULL *
-                static_cast<std::uint64_t>(guard_policy.rollbacks());
-            collector_.reseed((cfg_.seed + 2) ^ salt);
-            supernet_->reseed_sampler(cfg_.supernet.sample_seed ^ salt);
-            if (cfg_.hardware_aware) das_->reseed(cfg_.das.seed ^ salt);
-            soften_scale = 1.0;
-            soften_until = -1;
-            alpha_opt_.set_learning_rate(cfg_.alpha_lr);
-            last_iter_healthy = true;
-            guard_rollbacks.inc();
-            ckpt_restores.inc();
-            rolled = true;
-            A3CS_LOG(WARN) << "guard: rolled back from iteration "
-                           << from_iter << " to healthy checkpoint "
-                           << ckpt_mgr->path_for(at) << " (rollback "
-                           << guard_policy.rollbacks() << " of "
-                           << guard_cfg.max_rollbacks << ", reseeded)";
-            if (obs::trace_active()) {
-              obs::trace_event("guard_event")
-                  .kv("kind", "rollback_done")
-                  .kv("from_iter", from_iter)
-                  .kv("iter", iter_)
-                  .kv("fallbacks", static_cast<std::int64_t>(fallbacks))
-                  .kv("rollbacks",
-                      static_cast<std::int64_t>(guard_policy.rollbacks()));
-            }
-          }
-        }
-        if (!rolled) {
-          abort_run("no healthy checkpoint to roll back to: " +
-                    report.summary());
-        }
-        continue;
-      } else if (action == guard::GuardAction::kAbort) {
-        abort_run(report.summary());
-      }
-    }
-
+  while (!stopped && collector_.frames() < total_frames) {
+    const IterStats stats = iterate(rs);
+    if (!respond_to_health(rs, stats)) continue;
     while (collector_.frames() >= next_tau_decay_) {
       supernet_->decay_temperature();
       next_tau_decay_ += cfg_.tau_decay_every_frames;
     }
-
-    if (ckpt_mgr) {
-      stopped = ckpt::stop_requested();
-      const bool iter_due =
-          ckpt_cfg.every_iters > 0 && iter_ % ckpt_cfg.every_iters == 0;
-      const bool time_due =
-          ckpt_cfg.every_seconds > 0.0 &&
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        last_ckpt)
-                  .count() >= ckpt_cfg.every_seconds;
-      if (stopped || iter_due || time_due) {
-        write_ckpt(stopped ? "signal" : (iter_due ? "iters" : "seconds"));
-      }
-    }
+    // The checkpoint is written BEFORE the user callback fires at the same
+    // boundary, so a crash inside the callback resumes from a state that
+    // has not advanced past it.
+    stopped = checkpoint_cadence(rs);
     if (callback && callback_every > 0 &&
         collector_.frames() >= next_callback_) {
       callback(collector_.frames());
       next_callback_ += callback_every;
     }
-    if (stopped) {
-      A3CS_LOG(INFO) << "stop signal received; checkpointed at iteration "
-                     << iter_ << " and exiting the search loop";
-      break;
+  }
+  if (stopped) {
+    A3CS_LOG(INFO) << "stop signal received; checkpointed at iteration "
+                   << iter_ << " and exiting the search loop";
+  }
+  return finish_run();
+}
+
+void CoSearchEngine::resume(RunState& rs) {
+  if (!rs.ckpt_cfg.enabled()) return;
+  rs.ckpt_mgr = std::make_unique<ckpt::CheckpointManager>(rs.ckpt_cfg);
+  rs.stop_guard = std::make_unique<ckpt::StopSignalGuard>();
+  if (!rs.ckpt_cfg.resume) return;
+  ckpt::SectionReader reader;
+  int fallbacks = 0;
+  const std::int64_t at = rs.ckpt_mgr->load_newest_valid(&reader, &fallbacks);
+  if (at < 0) {
+    A3CS_LOG(WARN) << "checkpoint resume requested but no valid "
+                   << "checkpoint in " << rs.ckpt_cfg.dir
+                   << "; starting fresh";
+    return;
+  }
+  restore_checkpoint(reader);
+  rs.ckpt_restores.inc();
+  A3CS_LOG(INFO) << "resumed co-search from " << rs.ckpt_mgr->path_for(at)
+                 << " (iteration " << iter_ << ", " << collector_.frames()
+                 << " frames)";
+  obs::trace_event("ckpt_restore")
+      .kv("iter", iter_)
+      .kv("frames", collector_.frames())
+      .kv("bytes", static_cast<std::int64_t>(reader.total_bytes()))
+      .kv("fallbacks", static_cast<std::int64_t>(fallbacks));
+}
+
+IterStats CoSearchEngine::iterate(RunState& rs) {
+  const std::int64_t frames_before = collector_.frames();
+  const auto iter_start = std::chrono::steady_clock::now();
+  if (rs.soften_until >= 0 && iter_ >= rs.soften_until) {
+    rs.soften_scale = 1.0;
+    rs.soften_until = -1;
+    alpha_opt_.set_learning_rate(cfg_.alpha_lr);
+    A3CS_LOG(INFO) << "guard: soften cooldown expired at iteration " << iter_
+                   << "; learning rates restored";
+  }
+  theta_opt_.set_learning_rate(rs.schedule.at(collector_.frames()) *
+                               rs.soften_scale);
+  const bool heal = rs.guard_cfg.mode == guard::GuardMode::kHeal;
+  IterStats stats;
+  if (cfg_.optimization == Optimization::kOneLevel) {
+    stats = one_iteration(/*update_theta=*/true, /*update_alpha=*/true, heal);
+  } else {
+    // Bi-level (one-step approximation, as in DARTS-style NACoS): theta on
+    // this rollout, alpha on the next, never both — the alpha gradient is
+    // then taken at stale weights, which is exactly the bias the paper's
+    // Sec. V-D ablation exposes.
+    stats = one_iteration(/*update_theta=*/!alpha_turn_,
+                          /*update_alpha=*/alpha_turn_, heal);
+    alpha_turn_ = !alpha_turn_;
+  }
+  ++iter_;
+  guard::HealthSignals& sig = stats.health;
+  if (reward_ewma_init_) {
+    reward_ewma_ = 0.9 * reward_ewma_ + 0.1 * sig.mean_reward;
+  } else {
+    reward_ewma_ = sig.mean_reward;
+    reward_ewma_init_ = true;
+  }
+  rs.iters.inc();
+  rs.frames.inc(collector_.frames() - frames_before);
+  rs.iter_ms.record(std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - iter_start)
+                        .count());
+  rs.grad_norm.set(sig.grad_norm);
+  rs.param_norm.set(sig.param_norm);
+
+  sig.iter = iter_;
+  stats.alpha_entropies = supernet_->alpha_entropies();
+  if (!stats.alpha_entropies.empty()) {
+    double sum = 0.0;
+    for (const double h : stats.alpha_entropies) sum += h;
+    sig.alpha_entropy_mean =
+        sum / static_cast<double>(stats.alpha_entropies.size());
+  }
+  if (obs::trace_active() && iter_ % rs.trace_every == 0) {
+    emit_iter_event(collector_.frames(), supernet_->temperature(),
+                    das_->temperature(), stats);
+  }
+  return stats;
+}
+
+bool CoSearchEngine::respond_to_health(RunState& rs, const IterStats& stats) {
+  if (rs.guard_cfg.mode == guard::GuardMode::kOff) return true;
+  const guard::HealthReport report = rs.monitor.evaluate(stats.health);
+  rs.last_iter_healthy = !report.has_error();
+  if (!report.ok()) {
+    for (const guard::HealthVerdict& v : report.verdicts) {
+      (v.severity == guard::Severity::kError ? rs.errors : rs.warns).inc();
+      obs::trace_event("guard_event")
+          .kv("kind", "verdict")
+          .kv("iter", iter_)
+          .kv("check", guard::check_name(v.check))
+          .kv("severity", guard::severity_name(v.severity))
+          .kv("value", v.value)
+          .kv("threshold", v.threshold)
+          .kv("detail", v.detail);
+    }
+    A3CS_LOG(WARN) << "guard: iteration " << iter_
+                   << " unhealthy: " << report.summary();
+  }
+  const guard::GuardAction action = rs.policy.decide(report);
+  if (action != guard::GuardAction::kNone) {
+    obs::trace_event("guard_event")
+        .kv("kind", guard::guard_action_name(action))
+        .kv("iter", iter_)
+        .kv("streak", static_cast<std::int64_t>(rs.policy.error_streak()))
+        .kv("rollbacks", static_cast<std::int64_t>(rs.policy.rollbacks()))
+        .kv("detail", report.summary());
+  }
+  if (action == guard::GuardAction::kSkip) {
+    // The actual veto already happened inside one_iteration (heal mode
+    // zeroes a non-finite batch before the optimizer steps); the skip rung
+    // only accounts for it here.
+    rs.skips.inc();
+  } else if (action == guard::GuardAction::kSoften) {
+    soften(rs);
+  } else if (action == guard::GuardAction::kRollback) {
+    if (!rollback(rs)) {
+      abort_run(rs, "no healthy checkpoint to roll back to: " +
+                        report.summary());
+    }
+    return false;
+  } else if (action == guard::GuardAction::kAbort) {
+    abort_run(rs, report.summary());
+  }
+  return true;
+}
+
+void CoSearchEngine::soften(RunState& rs) {
+  rs.softens.inc();
+  rs.soften_scale *= rs.guard_cfg.soften_lr_scale;
+  rs.soften_until = iter_ + rs.guard_cfg.soften_cooldown_iters;
+  alpha_opt_.set_learning_rate(cfg_.alpha_lr * rs.soften_scale);
+  const double tau =
+      std::min(cfg_.supernet.tau_init,
+               supernet_->temperature() * rs.guard_cfg.soften_tau_boost);
+  supernet_->set_temperature(tau);
+  A3CS_LOG(WARN) << "guard: soften at iteration " << iter_ << " (lr scale "
+                 << rs.soften_scale << ", tau " << tau
+                 << ", cooldown until iteration " << rs.soften_until << ")";
+}
+
+// Restores the newest healthy checkpoint and reseeds every sampler; false
+// when there is none to restore.
+bool CoSearchEngine::rollback(RunState& rs) {
+  if (!rs.ckpt_mgr) return false;
+  ckpt::SectionReader reader;
+  int fallbacks = 0;
+  const std::int64_t at = rs.ckpt_mgr->load_newest_valid(
+      &reader, &fallbacks, /*require_healthy=*/true);
+  if (at < 0) return false;
+  const std::int64_t from_iter = iter_;
+  restore_checkpoint(reader);
+  // Stale tips newer than the restore point are by construction unhealthy
+  // (or about to be shadowed); drop them so they can never win a later
+  // newest-first scan.
+  rs.ckpt_mgr->remove_newer_than(at);
+  rs.policy.on_rollback();
+  rs.monitor.reset();
+  // Distinct reseed per rollback: replaying the restored state with its
+  // restored RNG streams would deterministically walk into the same
+  // divergence again.
+  const std::uint64_t salt = 0x9E3779B97F4A7C15ULL *
+                             static_cast<std::uint64_t>(rs.policy.rollbacks());
+  collector_.reseed((cfg_.seed + 2) ^ salt);
+  supernet_->reseed_sampler(cfg_.supernet.sample_seed ^ salt);
+  if (cfg_.hardware_aware) das_->reseed(cfg_.das.seed ^ salt);
+  rs.soften_scale = 1.0;
+  rs.soften_until = -1;
+  alpha_opt_.set_learning_rate(cfg_.alpha_lr);
+  rs.last_iter_healthy = true;
+  rs.rollbacks.inc();
+  rs.ckpt_restores.inc();
+  A3CS_LOG(WARN) << "guard: rolled back from iteration " << from_iter
+                 << " to healthy checkpoint " << rs.ckpt_mgr->path_for(at)
+                 << " (rollback " << rs.policy.rollbacks() << " of "
+                 << rs.guard_cfg.max_rollbacks << ", reseeded)";
+  obs::trace_event("guard_event")
+      .kv("kind", "rollback_done")
+      .kv("from_iter", from_iter)
+      .kv("iter", iter_)
+      .kv("fallbacks", static_cast<std::int64_t>(fallbacks))
+      .kv("rollbacks", static_cast<std::int64_t>(rs.policy.rollbacks()));
+  return true;
+}
+
+// Abort rung: dump the complete (diverged) engine state for post-mortem
+// debugging, then surface the failure as a typed exception. The dump is
+// tagged unhealthy so no resume path will ever restore from it.
+void CoSearchEngine::abort_run(RunState& rs, const std::string& why) {
+  rs.aborts.inc();
+  std::string dump_path;
+  if (rs.ckpt_mgr) {
+    ckpt::SectionWriter dump;
+    save_checkpoint(dump);
+    dump.set_healthy(false);
+    dump_path = rs.ckpt_cfg.dir + "/abort-dump.a3ck";
+    dump.write(dump_path);
+  }
+  obs::trace_event("guard_event")
+      .kv("kind", "abort_dump")
+      .kv("iter", iter_)
+      .kv("detail", why)
+      .kv("dump", dump_path);
+  A3CS_LOG(ERROR) << "guard: aborting co-search at iteration " << iter_
+                  << ": " << why
+                  << (dump_path.empty() ? std::string()
+                                        : "; diagnostic dump at " + dump_path);
+  throw guard::GuardAbort(
+      "co-search aborted at iteration " + std::to_string(iter_) + ": " + why,
+      iter_);
+}
+
+bool CoSearchEngine::checkpoint_cadence(RunState& rs) {
+  if (!rs.ckpt_mgr) return false;
+  const bool stopped = ckpt::stop_requested();
+  const bool iter_due =
+      rs.ckpt_cfg.every_iters > 0 && iter_ % rs.ckpt_cfg.every_iters == 0;
+  const bool time_due =
+      rs.ckpt_cfg.every_seconds > 0.0 &&
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    rs.last_ckpt)
+              .count() >= rs.ckpt_cfg.every_seconds;
+  if (stopped || iter_due || time_due) {
+    write_checkpoint(rs, stopped ? "signal" : (iter_due ? "iters" : "seconds"));
+  }
+  return stopped;
+}
+
+void CoSearchEngine::write_checkpoint(RunState& rs, const char* reason) {
+  const auto t0 = std::chrono::steady_clock::now();
+  ckpt::SectionWriter writer;
+  save_checkpoint(writer);
+  writer.set_healthy(rs.last_iter_healthy);
+  const std::size_t bytes = rs.ckpt_mgr->commit(iter_, writer);
+  if (guard::FaultInjector::global().should_fire(guard::FaultKind::kTruncCkpt,
+                                                 iter_)) {
+    // Torn-tip fault: halve the file AFTER the atomic commit, simulating the
+    // disk filling up / the machine dying mid-write in a world without the
+    // tmp+rename protocol. load_newest_valid must fall back past it.
+    const std::string path = rs.ckpt_mgr->path_for(iter_);
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(path, ec);
+    if (!ec && size > 0) {
+      std::filesystem::resize_file(path, size / 2, ec);
+      A3CS_LOG(WARN) << "fault injection: truncated checkpoint " << path
+                     << " to " << size / 2 << " bytes";
     }
   }
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  rs.ckpt_writes.inc();
+  rs.ckpt_bytes.inc(static_cast<std::int64_t>(bytes));
+  rs.ckpt_write_ms.record(ms);
+  rs.last_ckpt = std::chrono::steady_clock::now();
+  obs::trace_event("ckpt_write")
+      .kv("iter", iter_)
+      .kv("frames", collector_.frames())
+      .kv("bytes", static_cast<std::int64_t>(bytes))
+      .kv("write_ms", ms)
+      .kv("reason", reason)
+      .kv("healthy", rs.last_iter_healthy);
+}
 
+CoSearchResult CoSearchEngine::finish_run() {
   CoSearchResult result;
   result.arch = supernet_->derive();
   result.frames = collector_.frames();
@@ -854,7 +804,6 @@ CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
     result.accelerator = das_->derive();
     result.hw_eval = predictor_.evaluate(final_specs, result.accelerator);
   }
-
   obs::record_exec_stats();
   obs::perf::record_work_metrics();
   obs::trace_event("cosearch_end")
@@ -864,20 +813,6 @@ CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
       .kv("hw_fps", result.hw_eval.fps)
       .kv("hw_dsp", static_cast<std::int64_t>(result.hw_eval.dsp_used))
       .kv("hw_feasible", result.hw_eval.feasible);
-  // When an outer scope (run_a3cs_pipeline) owns the trace session, it also
-  // owns the end-of-run profile report — reporting here would snapshot the
-  // tree mid-pipeline with the enclosing phase scopes still open.
-  const bool owns_reporting = trace_session.active() || !obs::trace_active();
-  if (obs_cfg.profile_enabled && owns_reporting) {
-    if (obs::trace_active()) {
-      obs::Profiler::global().emit_to_trace(*obs::global_trace());
-    }
-    if (obs_cfg.profile_summary) {
-      std::ostringstream oss;
-      obs::Profiler::global().print_summary(oss);
-      A3CS_LOG(INFO) << "co-search wall-time profile:\n" << oss.str();
-    }
-  }
   return result;
 }
 

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "accel/hw_types.h"
 #include "arcade/vec_env.h"
@@ -83,19 +84,13 @@ struct CoSearchConfig {
 // Everything one co-search iteration produced, for tracing/diagnostics.
 struct IterStats {
   rl::LossStats loss;           // task-loss decomposition (Eq. 12 terms)
-  double mean_reward = 0.0;     // mean per-step env reward over the rollout
+  guard::HealthSignals health;  // inputs to guard::HealthMonitor
   double cost_penalty = 0.0;    // total lambda-weighted alpha cost (Eq. 8)
   double das_cost = 0.0;        // last sampled L_cost of the DAS step
   bool hw_valid = false;        // hw filled (hardware-aware alpha turns only)
   accel::HwEval hw;             // predictor eval of hw(phi*) on sampled net
-  // Health signals of this iteration (inputs to guard::HealthMonitor).
-  double grad_norm = 0.0;       // fused pre-clip global gradient norm
-  bool grad_finite = true;      // every gradient element finite
-  double param_norm = 0.0;      // fused post-update global parameter norm
-  bool param_finite = true;     // every parameter element finite
-  double value_abs_max = 0.0;   // max |V(s)| over the rollout batch
-  double rollout_ms = 0.0;      // rollout wall time (env-stall watchdog)
   bool update_skipped = false;  // heal mode dropped this batch's update
+  std::vector<double> alpha_entropies;  // per-cell H(alpha) after the update
 };
 
 struct CoSearchResult {
@@ -154,6 +149,22 @@ class CoSearchEngine {
   // gradients (theta and alpha) and skips both optimizer steps, so one
   // poisoned batch cannot write NaNs into the weights.
   IterStats one_iteration(bool update_theta, bool update_alpha, bool heal);
+
+  // The steps of run(), in loop order. RunState is the per-run (never
+  // checkpointed) loop state: guard ladder, soften window, checkpoint
+  // cadence and metric handles.
+  struct RunState;
+  void resume(RunState& rs);
+  IterStats iterate(RunState& rs);
+  // Returns false when the iteration was rolled back.
+  bool respond_to_health(RunState& rs, const IterStats& stats);
+  void soften(RunState& rs);
+  bool rollback(RunState& rs);
+  [[noreturn]] void abort_run(RunState& rs, const std::string& why);
+  // Returns true when a stop signal ends the run.
+  bool checkpoint_cadence(RunState& rs);
+  void write_checkpoint(RunState& rs, const char* reason);
+  CoSearchResult finish_run();
 
   CoSearchConfig cfg_;
   std::string game_title_;

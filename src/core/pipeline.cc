@@ -1,12 +1,11 @@
 #include "core/pipeline.h"
 
 #include <chrono>
-#include <sstream>
 
 #include "arcade/games.h"
-#include "obs/perf/chrome_trace.h"
 #include "obs/perf/work_counters.h"
 #include "obs/profile.h"
+#include "obs/run_scope.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -96,13 +95,9 @@ class PipelinePhase {
 PipelineResult run_a3cs_pipeline(const std::string& game_title,
                                  const PipelineConfig& cfg,
                                  nn::ActorCriticNet* teacher) {
-  // Open the trace once for the whole pipeline so the co-search phase and
-  // the later train/DAS/eval phases land in one file; the engine's own
-  // TraceSession then attaches to this outer one.
-  const obs::ObsConfig obs_cfg = cfg.cosearch.obs.with_env_overrides();
-  if (obs_cfg.profile_enabled) obs::Profiler::set_enabled(true);
-  obs::TraceSession trace_session(obs_cfg);
-  obs::perf::ChromeTraceSession chrome_session(obs_cfg);
+  // The pipeline's scope outranks the engine's: the co-search phase and the
+  // later train/DAS/eval phases share one trace and one profile report.
+  const obs::RunScope scope(cfg.cosearch.obs, "pipeline");
   obs::trace_event("pipeline_start")
       .kv("game", game_title)
       .kv("search_frames", cfg.search_frames)
@@ -154,14 +149,6 @@ PipelineResult run_a3cs_pipeline(const std::string& game_title,
       .kv("fps", result.hw.fps)
       .kv("dsp", static_cast<std::int64_t>(result.hw.dsp_used))
       .kv("feasible", result.hw.feasible);
-  if (obs_cfg.profile_enabled && trace_session.active()) {
-    obs::Profiler::global().emit_to_trace(*trace_session.writer());
-    if (obs_cfg.profile_summary) {
-      std::ostringstream oss;
-      obs::Profiler::global().print_summary(oss);
-      A3CS_LOG(INFO) << "pipeline wall-time profile:\n" << oss.str();
-    }
-  }
   return result;
 }
 

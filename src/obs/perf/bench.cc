@@ -6,11 +6,8 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "obs/obs_config.h"
 #include "obs/perf/bench_json.h"
-#include "obs/perf/chrome_trace.h"
-#include "obs/profile.h"
-#include "obs/trace.h"
+#include "obs/run_scope.h"
 #include "util/config.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -270,10 +267,7 @@ int run_bench_main(const std::string& suite_name, int argc, char** argv) {
     return 0;
   }
 
-  const ObsConfig obs_cfg = ObsConfig{}.with_env_overrides();
-  Profiler::set_enabled(obs_cfg.profile_enabled);
-  TraceSession trace_session(obs_cfg);
-  ChromeTraceSession chrome_session(obs_cfg);
+  const RunScope scope(ObsConfig{}, "bench suite");
 
   std::cout << "== bench suite: " << suite_name
             << " (scale=" << util::bench_scale()
@@ -304,9 +298,6 @@ int run_bench_main(const std::string& suite_name, int argc, char** argv) {
     write_bench_file(json_path, doc);
     std::cout << "wrote " << json_path << " (" << results.size()
               << " results)\n";
-  }
-  if (obs_cfg.profile_enabled && obs_cfg.profile_summary) {
-    Profiler::global().print_summary(std::cout);
   }
   return 0;
 }

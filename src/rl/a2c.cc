@@ -35,13 +35,8 @@ LossCoefficients no_distill_coefficients() {
   return c;
 }
 
-UpdateStats a2c_update(nn::ActorCriticNet& net, const Rollout& rollout,
-                       const A2cConfig& cfg, nn::Optimizer& opt,
-                       nn::ActorCriticNet* teacher) {
-  A3CS_PROF_SCOPE("a2c-update");
-  static obs::Counter& updates =
-      obs::MetricsRegistry::global().counter("a2c.updates");
-  updates.inc();
+RolloutLoss rollout_loss(nn::ActorCriticNet& net, const Rollout& rollout,
+                         const A2cConfig& cfg, nn::ActorCriticNet* teacher) {
   // Bootstrap values for the post-rollout states (V(s_L) per env). This
   // forward's caches are overwritten by the batch forward below, which is
   // fine: we only need the values.
@@ -88,8 +83,22 @@ UpdateStats a2c_update(nn::ActorCriticNet& net, const Rollout& rollout,
     in.teacher_values = &teacher_values;
   }
 
+  RolloutLoss out;
+  out.grads = task_loss(in, coef, &out.stats);
+  out.value_abs_max = ac.value.abs_max();
+  return out;
+}
+
+UpdateStats a2c_update(nn::ActorCriticNet& net, const Rollout& rollout,
+                       const A2cConfig& cfg, nn::Optimizer& opt,
+                       nn::ActorCriticNet* teacher) {
+  A3CS_PROF_SCOPE("a2c-update");
+  static obs::Counter& updates =
+      obs::MetricsRegistry::global().counter("a2c.updates");
+  updates.inc();
+  const RolloutLoss loss = rollout_loss(net, rollout, cfg, teacher);
   UpdateStats stats;
-  const HeadGradients grads = task_loss(in, coef, &stats.loss);
+  stats.loss = loss.stats;
 
   static obs::Counter& skips =
       obs::MetricsRegistry::global().counter("guard.a2c_skips");
@@ -109,7 +118,7 @@ UpdateStats a2c_update(nn::ActorCriticNet& net, const Rollout& rollout,
     stats.grad_norm = std::numeric_limits<float>::quiet_NaN();
   } else {
     net.zero_grad();
-    net.backward(grads.dlogits, grads.dvalue);
+    net.backward(loss.grads.dlogits, loss.grads.dvalue);
     const nn::NormStats grad_stats = nn::grad_norm_stats(params);
     stats.grad_norm = static_cast<float>(grad_stats.norm);
     if (!grad_stats.finite) {

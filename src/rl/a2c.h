@@ -48,9 +48,22 @@ struct UpdateStats {
   bool skipped = false;
 };
 
-// One A2C update from a collected rollout: forwards the stacked batch,
-// computes targets and head gradients (with optional teacher), backprops and
-// steps `opt`. Exposed separately so the co-search loop can wrap it.
+// The AC-distilled task loss (Eq. 12) of one rollout, shared by a2c_update
+// and the co-search iteration: bootstrap forward on the post-rollout states,
+// batch forward over the step-major stacked rollout, targets, the teacher's
+// softmax on the same batch and task_loss's head gradients. `net` is left
+// holding the batch forward's caches, so the caller backprops `grads` next.
+// Without a teacher the distillation terms are off whatever `cfg.loss` says.
+struct RolloutLoss {
+  HeadGradients grads;
+  LossStats stats;
+  float value_abs_max = 0.0f;  // max |V(s)| over the batch
+};
+RolloutLoss rollout_loss(nn::ActorCriticNet& net, const Rollout& rollout,
+                         const A2cConfig& cfg, nn::ActorCriticNet* teacher);
+
+// One A2C update from a collected rollout: rollout_loss, then backprop and a
+// step of `opt`. Exposed separately so benches can drive it directly.
 //
 // The update is GUARDED: a non-finite loss term or gradient norm zeroes the
 // gradients and skips the optimizer step (stats.skipped), so one poisoned

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/obs_config.h"
 #include "obs/profile.h"
+#include "obs/run_scope.h"
 #include "obs/trace.h"
 
 namespace a3cs {
@@ -362,6 +364,53 @@ TEST_F(ProfilerTest, SummaryAndTraceEmission) {
   EXPECT_EQ(events[1].string_or("type", ""), "profile");
   EXPECT_EQ(events[1].string_or("path", ""), "phase");
   EXPECT_EQ(events[2].string_or("path", ""), "phase/sub");
+}
+
+// Nested run scopes: the inner one opens no sink and reports nothing; the
+// outermost one reports the profile once, after the inner run closed.
+TEST_F(ProfilerTest, RunScopeReportsOnceFromTheOutermostScope) {
+  TempFile tmp("obs_run_scope.jsonl");
+  obs::ObsConfig cfg;
+  cfg.trace_enabled = true;
+  cfg.trace_path = tmp.path();
+  cfg.profile_enabled = true;
+  cfg.profile_summary = false;
+  {
+    const obs::RunScope outer(cfg, "outer");
+    obs::TraceWriter* writer = obs::global_trace();
+    ASSERT_NE(writer, nullptr);
+    {
+      const obs::RunScope inner(cfg, "inner");
+      EXPECT_EQ(obs::global_trace(), writer);
+      A3CS_PROF_SCOPE("phase");
+    }
+    obs::trace_event("after_inner");
+  }
+  EXPECT_EQ(obs::global_trace(), nullptr);
+
+  const auto events = obs::parse_jsonl_file(tmp.path());
+  ASSERT_EQ(events.size(), 3u);  // trace_start, after_inner, one profile node
+  EXPECT_EQ(events[1].string_or("type", ""), "after_inner");
+  EXPECT_EQ(events[2].string_or("type", ""), "profile");
+  EXPECT_EQ(events[2].string_or("path", ""), "phase");
+}
+
+TEST_F(ProfilerTest, RunScopeSkipsTheReportWhenUnwinding) {
+  TempFile tmp("obs_run_scope_throw.jsonl");
+  obs::ObsConfig cfg;
+  cfg.trace_enabled = true;
+  cfg.trace_path = tmp.path();
+  cfg.profile_enabled = true;
+  cfg.profile_summary = false;
+  try {
+    const obs::RunScope scope(cfg, "run");
+    A3CS_PROF_SCOPE("phase");
+    throw std::runtime_error("aborted run");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(obs::global_trace(), nullptr);
+  const auto events = obs::parse_jsonl_file(tmp.path());
+  ASSERT_EQ(events.size(), 1u);  // trace_start only
 }
 
 // -------------------------------------------------------------- Config ----

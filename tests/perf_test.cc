@@ -547,10 +547,14 @@ TEST(MetricsHistogram, SnapshotCarriesQuantiles) {
 // exporter. Scale 0.001 keeps the run to a few seconds.
 TEST(ChromeTrace, CosearchFullEmitsValidAnnotatedTrace) {
   TempFile trace("/perf_cosearch_trace.json");
+  TempFile log("/perf_cosearch_trace.log");
   const std::string cmd = std::string("A3CS_SCALE=0.001 A3CS_PROFILE_CHROME=") +
-                          trace.path() + " " + A3CS_COSEARCH_BIN +
-                          " > /dev/null 2>&1";
+                          trace.path() + " " + A3CS_COSEARCH_BIN + " > " +
+                          log.path() + " 2>&1";
   ASSERT_EQ(run_command(cmd), 0);
+  // Only the pipeline's run scope opens the Chrome session; the co-search
+  // phase nested inside it must not try to open a second one.
+  EXPECT_EQ(slurp(log.path()).find("already active"), std::string::npos);
 
   // The full-file balance/metadata check through the real tool.
   const std::string check_cmd = std::string(A3CS_BENCH_REPORT_BIN) +
@@ -580,6 +584,42 @@ TEST(ChromeTrace, CosearchFullEmitsValidAnnotatedTrace) {
   EXPECT_GT(events, 100);
   EXPECT_TRUE(gemm_annotated)
       << "no GEMM E event with flops annotation in " << trace.path();
+}
+
+// A3CS_PROFILE=1 without a trace: the pipeline's run scope outranks the
+// co-search phase's, so the log carries exactly one profile table, the
+// pipeline's, and the whole co-search phase is one pipeline-cosearch call.
+TEST(RunScope, PipelineProfileWithoutTraceLogsOnePipelineTable) {
+  TempFile log("/perf_profile_no_trace.log");
+  const std::string cmd = std::string("A3CS_SCALE=0.001 A3CS_TRACE=0 ") +
+                          "A3CS_PROFILE=1 " + A3CS_COSEARCH_BIN + " > " +
+                          log.path() + " 2>&1";
+  ASSERT_EQ(run_command(cmd), 0);
+  const std::string text = slurp(log.path());
+
+  int tables = 0;
+  for (std::size_t at = text.find("wall-time profile:");
+       at != std::string::npos;
+       at = text.find("wall-time profile:", at + 1)) {
+    ++tables;
+  }
+  EXPECT_EQ(tables, 1) << text;
+  EXPECT_NE(text.find("pipeline wall-time profile:"), std::string::npos)
+      << text;
+
+  // Table row: "| pipeline-cosearch | <calls> | ...".
+  std::istringstream lines(text);
+  std::string line, calls;
+  while (std::getline(lines, line)) {
+    if (line.find("| pipeline-cosearch ") == std::string::npos) continue;
+    std::istringstream cells(line);
+    std::string cell;
+    std::getline(cells, cell, '|');  // before the first bar
+    std::getline(cells, cell, '|');  // scope
+    std::getline(cells, cell, '|');  // calls
+    std::istringstream(cell) >> calls;
+  }
+  EXPECT_EQ(calls, "1") << text;
 }
 
 }  // namespace
