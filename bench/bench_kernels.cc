@@ -1,7 +1,8 @@
 // Execution-layer microbenchmarks on the perf registry (BENCH_KERNELS.json):
 // GEMM (paper conv shapes + 256^3) against the pre-threading naive i-k-j
-// seed kernel, Conv2d forward, im2col, and VecEnv::step across thread
-// counts. GEMM and conv sweep the kernel-backend dimension too: each
+// seed kernel, Conv2d forward, DepthwiseConv2d forward and forward+backward,
+// im2col, and VecEnv::step across thread counts. GEMM, conv and depthwise
+// sweep the kernel-backend dimension too: each
 // available backend (scalar, and avx2 where the host supports it) gets its
 // own config row, e.g. "256x256x256_scalar" vs "256x256x256_avx2".
 //
@@ -155,6 +156,45 @@ BENCH("conv2d_fwd") {
   }
 }
 
+namespace {
+
+// Depthwise: the batch forward (8 envs x 5 steps) of a stage-0
+// inverted-residual cell with expansion 5 on the 6x6 feature map, k3 and
+// k5, swept over backends like "conv2d_fwd". With `backward` each sample
+// times a forward + backward pair (backward consumes the forward's cache,
+// 3 passes of flops); "dw_fwd" isolates the forward.
+void dw_cases(Bench& b, bool backward) {
+  const int n = b.smoke() ? 2 : 40;
+  const int ch = b.smoke() ? 4 : 40;
+  const Tensor x = random_tensor(Shape::nchw(n, ch, 6, 6), 6);
+  const Tensor g = random_tensor(x.shape(), 7);
+  for (const int k : {3, 5}) {
+    util::Rng rng(12);
+    nn::DepthwiseConv2d dw("bench_dw", ch, k, 1, k / 2, rng);
+    const std::int64_t flops = (backward ? 3 : 1) * 2ll * k * k * x.numel();
+    const std::string shape = std::to_string(n) + "x" + std::to_string(ch) +
+                              "x6x6_k" + std::to_string(k);
+    for (const std::string& backend : tensor::backend::available_names()) {
+      tensor::backend::ScopedBackend scoped(*backend_by_name(backend));
+      for (int threads : thread_counts(b.smoke())) {
+        b.config(shape + "_" + backend)
+            .threads(threads)
+            .work(flops, 0)
+            .run([&] {
+              dw.forward(x);
+              if (backward) dw.backward(g);
+            });
+      }
+    }
+  }
+}
+
+}  // namespace
+
+BENCH("dw_fwd") { dw_cases(b, false); }
+
+BENCH("dw_bwd") { dw_cases(b, true); }
+
 BENCH("im2col") {
   const int n = b.smoke() ? 2 : 16;
   const int ch = b.smoke() ? 4 : 32;
@@ -210,7 +250,7 @@ int main(int argc, char** argv) {
     }
   }
   bench::banner("kernels",
-                "GEMM / conv / im2col / VecEnv::step timing across thread "
-                "counts and kernel backends");
+                "GEMM / conv / depthwise / im2col / VecEnv::step timing "
+                "across thread counts and kernel backends");
   return obs::perf::run_bench_main("kernels", argc, argv);
 }

@@ -26,7 +26,6 @@ class ResidualBlock : public Module {
   Conv2d conv2_;
   ReLU relu2_;
   std::unique_ptr<Conv2d> proj_;  // non-null when in_c != out_c or stride > 1
-  Tensor cached_skip_input_;      // input to the skip path (for proj backward)
   bool identity_skip_ = false;
 };
 

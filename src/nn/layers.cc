@@ -166,28 +166,31 @@ Tensor DepthwiseConv2d::forward(const Tensor& x) {
   cached_input_ = x;
   has_cache_ = true;
   Tensor out(Shape::nchw(g.n, channels_, g.oh, g.ow));
-  for (int n = 0; n < g.n; ++n) {
-    for (int c = 0; c < channels_; ++c) {
-      const float* w =
-          weight_.value.data() + static_cast<std::size_t>(c) * kernel_ * kernel_;
-      const float b = bias_.value[c];
-      for (int oy = 0; oy < g.oh; ++oy) {
-        for (int ox = 0; ox < g.ow; ++ox) {
-          float acc = b;
-          for (int ky = 0; ky < kernel_; ++ky) {
-            const int iy = oy * stride_ - pad_ + ky;
-            if (iy < 0 || iy >= g.h) continue;
-            for (int kx = 0; kx < kernel_; ++kx) {
-              const int ix = ox * stride_ - pad_ + kx;
-              if (ix < 0 || ix >= g.w) continue;
-              acc += w[ky * kernel_ + kx] * x.at4(n, c, iy, ix);
-            }
-          }
-          out.at4(n, c, oy, ox) = acc;
-        }
-      }
-    }
+  const std::int64_t taps = static_cast<std::int64_t>(kernel_) * kernel_;
+  const std::int64_t plane_out = static_cast<std::int64_t>(g.oh) * g.ow;
+  const std::int64_t planes = static_cast<std::int64_t>(g.n) * channels_;
+  A3CS_PROF_SCOPE("dw-fwd");
+  {
+    // One FMA per (output cell, tap); input, weights and bias read once,
+    // output written once (float32).
+    static obs::perf::WorkCounters& wc =
+        obs::perf::WorkCounters::named("dw-fwd");
+    wc.add(2 * taps * planes * plane_out,
+           4 * (x.numel() + channels_ * (taps + 1)), 4 * planes * plane_out);
   }
+  // One (sample, channel) output plane per index: disjoint writes, and each
+  // plane's taps are reduced inside one backend call, so the fan-out is
+  // bit-exact at any thread count.
+  const tensor::backend::Backend& be = tensor::backend::active();
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, 16384 / std::max<std::int64_t>(1, taps * plane_out));
+  util::parallel_for(
+      0, planes, grain,
+      [&](std::int64_t p0, std::int64_t p1) {
+        be.dw_forward_planes(x.data(), weight_.value.data(),
+                             bias_.value.data(), g, out.data(), p0, p1);
+      },
+      "dw-fwd");
   return out;
 }
 
@@ -198,34 +201,38 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
       ConvGeometry::make(x.shape(), kernel_, kernel_, stride_, pad_);
   A3CS_CHECK(grad_out.shape() == Shape::nchw(g.n, channels_, g.oh, g.ow),
              name_ + ": grad_out shape mismatch");
-  Tensor grad_input(x.shape());
-  for (int n = 0; n < g.n; ++n) {
-    for (int c = 0; c < channels_; ++c) {
-      const float* w =
-          weight_.value.data() + static_cast<std::size_t>(c) * kernel_ * kernel_;
-      float* wg =
-          weight_.grad.data() + static_cast<std::size_t>(c) * kernel_ * kernel_;
-      double bias_acc = 0.0;
-      for (int oy = 0; oy < g.oh; ++oy) {
-        for (int ox = 0; ox < g.ow; ++ox) {
-          const float go = grad_out.at4(n, c, oy, ox);
-          bias_acc += go;
-          if (go == 0.0f) continue;
-          for (int ky = 0; ky < kernel_; ++ky) {
-            const int iy = oy * stride_ - pad_ + ky;
-            if (iy < 0 || iy >= g.h) continue;
-            for (int kx = 0; kx < kernel_; ++kx) {
-              const int ix = ox * stride_ - pad_ + kx;
-              if (ix < 0 || ix >= g.w) continue;
-              wg[ky * kernel_ + kx] += go * x.at4(n, c, iy, ix);
-              grad_input.at4(n, c, iy, ix) += go * w[ky * kernel_ + kx];
-            }
-          }
-        }
-      }
-      bias_.grad[c] += static_cast<float>(bias_acc);
-    }
+  const std::int64_t taps = static_cast<std::int64_t>(kernel_) * kernel_;
+  const std::int64_t channel_out =
+      static_cast<std::int64_t>(g.n) * g.oh * g.ow;
+  A3CS_PROF_SCOPE("dw-bwd");
+  {
+    // Weight-grad and input-grad FMAs per (output cell, tap); reads
+    // grad_out, the cached input and the weights, writes grad_input and the
+    // weight/bias gradients.
+    static obs::perf::WorkCounters& wc =
+        obs::perf::WorkCounters::named("dw-bwd");
+    const std::int64_t params = channels_ * (taps + 1);
+    wc.add(4 * taps * channels_ * channel_out,
+           4 * (grad_out.numel() + x.numel() + params),
+           4 * (x.numel() + params));
   }
+  // Fanned out over channels only: channel c owns weight row c, bias[c] and
+  // the grad_input planes (n, c) for every n, and walks n ascending inside
+  // its shard — the serial accumulation order of those accumulators. A
+  // (n, c) split would make two shards add into the same weight row.
+  Tensor grad_input(x.shape());
+  const tensor::backend::Backend& be = tensor::backend::active();
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, 16384 / std::max<std::int64_t>(1, taps * channel_out));
+  util::parallel_for(
+      0, channels_, grain,
+      [&](std::int64_t c0, std::int64_t c1) {
+        be.dw_backward_channels(grad_out.data(), x.data(),
+                                weight_.value.data(), g, grad_input.data(),
+                                weight_.grad.data(), bias_.grad.data(),
+                                static_cast<int>(c0), static_cast<int>(c1));
+      },
+      "dw-bwd");
   has_cache_ = false;
   return grad_input;
 }

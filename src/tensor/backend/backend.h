@@ -55,6 +55,12 @@ namespace a3cs::tensor::backend {
 //    ascending innermost.
 //  conv_backward_colgrad: write grad_cols column slices for samples
 //    [n0, n1): gc_slice = W^T @ grad_out_slice (overwrites, no +=).
+//  dw_forward_planes: depthwise conv output planes [p0, p1), plane
+//    p = n * g.c + c: out = bias[c] + the K x K taps of weight row c over
+//    input plane p (g.kh == g.kw == K). Overwrites the output planes.
+//  dw_backward_channels: depthwise gradients of channels [c0, c1), samples
+//    ascending: accumulate (+=) weight row c and bias[c], scatter-add into
+//    the pre-zeroed grad_input planes of c.
 struct Backend {
   const char* name;
 
@@ -81,6 +87,15 @@ struct Backend {
   void (*conv_backward_colgrad)(const float* grad_out, const float* weight,
                                 float* grad_cols, int out_c, int ckk, int ohw,
                                 int batch_cols, int n0, int n1);
+
+  void (*dw_forward_planes)(const float* in, const float* weight,
+                            const float* bias, const ConvGeometry& g,
+                            float* out, std::int64_t p0, std::int64_t p1);
+
+  void (*dw_backward_channels)(const float* grad_out, const float* in,
+                               const float* weight, const ConvGeometry& g,
+                               float* grad_input, float* weight_grad,
+                               float* bias_grad, int c0, int c1);
 };
 
 // The portable blocked-scalar reference backend (always available).

@@ -429,6 +429,140 @@ void conv_backward_colgrad(const float* grad_out, const float* weight,
   }
 }
 
+// Depthwise stride-1 kernels work on zero-padded copies of each plane laid
+// out row-major with the padded width `wp`. In that layout output (oy, ox)
+// and tap (ky, kx) read padded cell (oy + ky) * wp + ox + kx, so the output
+// at flat index j = oy * wp + ox is a 1-D correlation: sum over taps of
+// w[tap] * pad[j + ky * wp + kx]. The flat loop runs whole 8-lane FMA
+// blocks over every row at once (columns ox >= ow are computed and dropped),
+// which keeps the search space's 2x2..6x6 planes vectorised. Padded zeros
+// enter as exact +-0 addends. Other strides (and pads as wide as the
+// kernel) run the scalar backend's kernels.
+bool dw_flat_ok(const ConvGeometry& g) {
+  return g.stride == 1 && g.pad < g.kh;
+}
+
+// Copies an h x w plane into the zeroed (h + top + bottom) x wp buffer `dst`
+// at row `top`, column `left`.
+void pad_plane(const float* src, int h, int w, float* dst, int wp, int top,
+               int left) {
+  for (int y = 0; y < h; ++y) {
+    std::memcpy(dst + static_cast<std::size_t>(y + top) * wp + left,
+                src + static_cast<std::size_t>(y) * w,
+                static_cast<std::size_t>(w) * sizeof(float));
+  }
+}
+
+// dst[j] = init + sum_{ky,kx} w[ky * k + kx] * src[j + ky * ld + kx] for
+// j in [0, len), taps ky-then-kx ascending per lane. `dst` and the reads of
+// `src` may run up to 7 floats past len (callers size their buffers so).
+void flat_correlate(const float* src, int ld, const float* w, int k,
+                    float init, float* dst, int len) {
+  for (int j = 0; j < len; j += 8) {
+    __m256 acc = _mm256_set1_ps(init);
+    for (int ky = 0; ky < k; ++ky) {
+      const float* row = src + j + static_cast<std::size_t>(ky) * ld;
+      for (int kx = 0; kx < k; ++kx) {
+        acc = _mm256_fmadd_ps(_mm256_broadcast_ss(w + ky * k + kx),
+                              _mm256_loadu_ps(row + kx), acc);
+      }
+    }
+    _mm256_storeu_ps(dst + j, acc);
+  }
+}
+
+// Depthwise forward planes [p0, p1): pad, flat-correlate, drop the padded
+// columns.
+void dw_forward_planes(const float* in, const float* weight, const float* bias,
+                       const ConvGeometry& g, float* out, std::int64_t p0,
+                       std::int64_t p1) {
+  if (!dw_flat_ok(g)) {
+    scalar_backend().dw_forward_planes(in, weight, bias, g, out, p0, p1);
+    return;
+  }
+  const int k = g.kh;
+  const int wp = g.w + 2 * g.pad;
+  const int len = g.oh * wp;
+  std::vector<float> padded(
+      static_cast<std::size_t>(g.h + 2 * g.pad) * wp + k + 8, 0.0f);
+  std::vector<float> flat(static_cast<std::size_t>(len) + 8);
+  for (std::int64_t p = p0; p < p1; ++p) {
+    const int c = static_cast<int>(p % g.c);
+    pad_plane(in + static_cast<std::size_t>(p) * g.h * g.w, g.h, g.w,
+              padded.data(), wp, g.pad, g.pad);
+    flat_correlate(padded.data(), wp,
+                   weight + static_cast<std::size_t>(c) * k * k, k, bias[c],
+                   flat.data(), len);
+    float* y = out + static_cast<std::size_t>(p) * g.oh * g.ow;
+    for (int oy = 0; oy < g.oh; ++oy) {
+      std::memcpy(y + static_cast<std::size_t>(oy) * g.ow,
+                  flat.data() + static_cast<std::size_t>(oy) * wp,
+                  static_cast<std::size_t>(g.ow) * sizeof(float));
+    }
+  }
+}
+
+// Depthwise gradients of channels [c0, c1), samples ascending. Per plane:
+// the bias gets one double sum; weight tap (ky, kx) gets one double dot of
+// grad_out (widened to the padded width with zero columns) against the
+// padded input shifted by ky * wp + kx; grad_input is the full correlation
+// of grad_out, padded by k - 1 - pad, with the flipped filter — each input
+// cell gathered once instead of scatter-added per tap.
+void dw_backward_channels(const float* grad_out, const float* in,
+                          const float* weight, const ConvGeometry& g,
+                          float* grad_input, float* weight_grad,
+                          float* bias_grad, int c0, int c1) {
+  if (!dw_flat_ok(g)) {
+    scalar_backend().dw_backward_channels(grad_out, in, weight, g, grad_input,
+                                          weight_grad, bias_grad, c0, c1);
+    return;
+  }
+  const int k = g.kh;
+  const int taps = k * k;
+  const int wp = g.w + 2 * g.pad;
+  const int len = g.oh * wp;
+  const int q = k - 1 - g.pad;  // grad_out offset of the full correlation
+  const int wq = g.w + k - 1;   // its padded width
+  const int glen = g.h * wq;
+  std::vector<float> padded(
+      static_cast<std::size_t>(g.h + 2 * g.pad) * wp + k + 8, 0.0f);
+  std::vector<float> go_wide(static_cast<std::size_t>(len), 0.0f);
+  std::vector<float> go_padded(
+      static_cast<std::size_t>(g.h + k - 1) * wq + k + 8, 0.0f);
+  std::vector<float> flipped(static_cast<std::size_t>(taps));
+  std::vector<float> flat(static_cast<std::size_t>(glen) + 8);
+  for (int c = c0; c < c1; ++c) {
+    const float* w = weight + static_cast<std::size_t>(c) * taps;
+    float* wg = weight_grad + static_cast<std::size_t>(c) * taps;
+    for (int t = 0; t < taps; ++t) flipped[t] = w[taps - 1 - t];
+    for (int n = 0; n < g.n; ++n) {
+      const std::size_t p = static_cast<std::size_t>(n) * g.c + c;
+      const float* go = grad_out + p * g.oh * g.ow;
+      bias_grad[c] += static_cast<float>(sum_pd(go, g.oh * g.ow));
+      pad_plane(in + p * g.h * g.w, g.h, g.w, padded.data(), wp, g.pad,
+                g.pad);
+      pad_plane(go, g.oh, g.ow, go_wide.data(), wp, 0, 0);
+      for (int ky = 0; ky < k; ++ky) {
+        for (int kx = 0; kx < k; ++kx) {
+          wg[ky * k + kx] += static_cast<float>(
+              dot_pd(go_wide.data(),
+                     padded.data() + static_cast<std::size_t>(ky) * wp + kx,
+                     len));
+        }
+      }
+      pad_plane(go, g.oh, g.ow, go_padded.data(), wq, q, q);
+      flat_correlate(go_padded.data(), wq, flipped.data(), k, 0.0f,
+                     flat.data(), glen);
+      float* gi = grad_input + p * g.h * g.w;
+      for (int iy = 0; iy < g.h; ++iy) {
+        const float* src = flat.data() + static_cast<std::size_t>(iy) * wq;
+        float* dst = gi + static_cast<std::size_t>(iy) * g.w;
+        for (int ix = 0; ix < g.w; ++ix) dst[ix] += src[ix];
+      }
+    }
+  }
+}
+
 }  // namespace
 
 const Backend* avx2_backend() {
@@ -442,7 +576,7 @@ const Backend* avx2_backend() {
   static const Backend kAvx2{
       "avx2",            gemm_rows,           im2col_rows,
       col2im_channels,   conv_forward_tasks,  conv_backward_wgrad,
-      conv_backward_colgrad,
+      conv_backward_colgrad, dw_forward_planes, dw_backward_channels,
   };
   return &kAvx2;
 }

@@ -1,11 +1,13 @@
 // The blocked-scalar reference backend: the portable kernels moved verbatim
-// from tensor/ops.cc and nn/layers.cc. Compiled with the baseline flags only
-// (no -mavx2/-mfma), so on every host this backend executes the exact
-// instruction sequences of the pre-backend tree — A3CS_BACKEND=scalar is
-// bit-identical to the historical results at every thread count.
+// from tensor/ops.cc and nn/layers.cc, plus the depthwise kernels, which
+// restructure the loops but keep every per-element operation order.
+// Compiled with the baseline flags only (no -mavx2/-mfma), so on every host
+// A3CS_BACKEND=scalar is bit-identical to the historical results at every
+// thread count.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "tensor/backend/backend.h"
 
@@ -257,13 +259,139 @@ void conv_backward_colgrad(const float* grad_out, const float* weight,
   }
 }
 
+// Output columns [lo, hi) of a row whose g.kw horizontal taps all fall
+// inside the input: ox * stride - pad >= 0 and ox * stride - pad + kw <= w.
+// Floor-division bounds clamped to [0, ow], so the span is empty when the
+// kernel is wider than the input.
+struct ColumnSpan {
+  int lo, hi;
+};
+
+ColumnSpan interior_columns(const ConvGeometry& g) {
+  const int lo = std::min((g.pad + g.stride - 1) / g.stride, g.ow);
+  const int num = g.w - g.kw + g.pad;
+  const int last =
+      num >= 0 ? num / g.stride : -((-num + g.stride - 1) / g.stride);
+  return ColumnSpan{lo, std::clamp(last + 1, lo, g.ow)};
+}
+
+// Depthwise output planes [p0, p1), plane p = n * g.c + c. Each output row
+// is cut into a left border, an interior whose taps are all in bounds (an
+// unchecked K-tap loop per kernel row) and a right border; every row clamps
+// the kernel rows to [ky0, ky1). Invalid taps are skipped exactly as the
+// bounds-checked loop skipped them, so each output keeps the order
+// acc = bias, then valid taps ky-then-kx ascending — bit-exact with it.
+void dw_forward_planes(const float* in, const float* weight, const float* bias,
+                       const ConvGeometry& g, float* out, std::int64_t p0,
+                       std::int64_t p1) {
+  const int k = g.kh;
+  const ColumnSpan xs = interior_columns(g);
+  for (std::int64_t p = p0; p < p1; ++p) {
+    const int c = static_cast<int>(p % g.c);
+    const float* x = in + static_cast<std::size_t>(p) * g.h * g.w;
+    const float* w = weight + static_cast<std::size_t>(c) * k * k;
+    const float b = bias[c];
+    float* y = out + static_cast<std::size_t>(p) * g.oh * g.ow;
+    for (int oy = 0; oy < g.oh; ++oy) {
+      const int iy0 = oy * g.stride - g.pad;
+      const int ky0 = std::max(0, -iy0);
+      const int ky1 = std::min(k, g.h - iy0);
+      const auto border = [&](int ox) {
+        const int ix0 = ox * g.stride - g.pad;
+        const int kx0 = std::max(0, -ix0);
+        const int kx1 = std::min(k, g.w - ix0);
+        float acc = b;
+        for (int ky = ky0; ky < ky1; ++ky) {
+          const float* xr = x + static_cast<std::size_t>(iy0 + ky) * g.w;
+          for (int kx = kx0; kx < kx1; ++kx) {
+            acc += w[ky * k + kx] * xr[ix0 + kx];
+          }
+        }
+        return acc;
+      };
+      float* yr = y + static_cast<std::size_t>(oy) * g.ow;
+      for (int ox = 0; ox < xs.lo; ++ox) yr[ox] = border(ox);
+      for (int ox = xs.lo; ox < xs.hi; ++ox) {
+        const int ix0 = ox * g.stride - g.pad;
+        float acc = b;
+        for (int ky = ky0; ky < ky1; ++ky) {
+          const float* xr = x + static_cast<std::size_t>(iy0 + ky) * g.w + ix0;
+          const float* wr = w + ky * k;
+          for (int kx = 0; kx < k; ++kx) acc += wr[kx] * xr[kx];
+        }
+        yr[ox] = acc;
+      }
+      for (int ox = xs.hi; ox < g.ow; ++ox) yr[ox] = border(ox);
+    }
+  }
+}
+
+// Depthwise gradients for channels [c0, c1), samples ascending inside each
+// channel, then oy, ox ascending — the serial visit order, so weight row c,
+// bias[c] (one double sum per plane) and the grad_input planes of c see the
+// same accumulation sequence as the bounds-checked loop, go == 0 skip
+// included. grad_input must be pre-zeroed; weight/bias grads accumulate.
+void dw_backward_channels(const float* grad_out, const float* in,
+                          const float* weight, const ConvGeometry& g,
+                          float* grad_input, float* weight_grad,
+                          float* bias_grad, int c0, int c1) {
+  const int k = g.kh;
+  const ColumnSpan xs = interior_columns(g);
+  // Weight row c and bias[c] accumulate in locals (the same float add
+  // sequence) and are stored once per channel: neighbouring channels' rows
+  // share cache lines, and shards on other threads write them.
+  std::vector<float> wg(static_cast<std::size_t>(k) * k);
+  for (int c = c0; c < c1; ++c) {
+    const float* w = weight + static_cast<std::size_t>(c) * k * k;
+    float* wg_out = weight_grad + static_cast<std::size_t>(c) * k * k;
+    std::copy(wg_out, wg_out + k * k, wg.begin());
+    float bg = bias_grad[c];
+    for (int n = 0; n < g.n; ++n) {
+      const std::size_t p = static_cast<std::size_t>(n) * g.c + c;
+      const float* x = in + p * g.h * g.w;
+      float* gi = grad_input + p * g.h * g.w;
+      const float* go_plane = grad_out + p * g.oh * g.ow;
+      double bias_acc = 0.0;
+      for (int oy = 0; oy < g.oh; ++oy) {
+        const int iy0 = oy * g.stride - g.pad;
+        const int ky0 = std::max(0, -iy0);
+        const int ky1 = std::min(k, g.h - iy0);
+        const float* gor = go_plane + static_cast<std::size_t>(oy) * g.ow;
+        for (int ox = 0; ox < g.ow; ++ox) {
+          const float go = gor[ox];
+          bias_acc += go;
+          if (go == 0.0f) continue;
+          const int ix0 = ox * g.stride - g.pad;
+          const bool inside = ox >= xs.lo && ox < xs.hi;
+          const int kx0 = inside ? 0 : std::max(0, -ix0);
+          const int kx1 = inside ? k : std::min(k, g.w - ix0);
+          for (int ky = ky0; ky < ky1; ++ky) {
+            const std::size_t row = static_cast<std::size_t>(iy0 + ky) * g.w;
+            const float* xr = x + row;
+            float* gir = gi + row;
+            const float* wr = w + ky * k;
+            float* wgr = wg.data() + ky * k;
+            for (int kx = kx0; kx < kx1; ++kx) {
+              wgr[kx] += go * xr[ix0 + kx];
+              gir[ix0 + kx] += go * wr[kx];
+            }
+          }
+        }
+      }
+      bg += static_cast<float>(bias_acc);
+    }
+    std::copy(wg.begin(), wg.end(), wg_out);
+    bias_grad[c] = bg;
+  }
+}
+
 }  // namespace
 
 const Backend& scalar_backend() {
   static const Backend kScalar{
       "scalar",          gemm_rows,           im2col_rows,
       col2im_channels,   conv_forward_tasks,  conv_backward_wgrad,
-      conv_backward_colgrad,
+      conv_backward_colgrad, dw_forward_planes, dw_backward_channels,
   };
   return kScalar;
 }

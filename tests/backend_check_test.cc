@@ -1,6 +1,7 @@
 // Cross-backend validation: every kernel of the avx2 backend must agree
 // with the scalar reference across a shape/stride/trans-flag/thread-count
-// grid under the ULP tolerance policy of tensor/backend/check.h — plus unit
+// grid (the depthwise kernels at the co-search's real shapes) under the ULP
+// tolerance policy of tensor/backend/check.h — plus unit
 // coverage for the checker utility itself (tolerance violations, NaN/Inf
 // reporting, deterministic failure messages).
 //
@@ -14,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "nas/arch.h"
+#include "nas/ops.h"
 #include "tensor/backend/backend.h"
 #include "tensor/backend/check.h"
 #include "tensor/ops.h"
@@ -382,6 +385,90 @@ TEST_F(BackendGrid, ConvKernelsMatchScalarUnderTolerance) {
                                      backend::tolerance_for_reduction(out_c),
                                      "conv-colgrad");
   EXPECT_TRUE(res.ok) << res.message;
+}
+
+TEST_F(BackendGrid, DepthwiseKernelsMatchScalarAtSearchShapes) {
+  // Every depthwise conv a 6-cell co-search on the 12x12 arcade frames runs:
+  // each cell's input geometry (6x6, 3x3, 2x2; strides 1 and 2) crossed with
+  // the inverted-residual candidates (k3/k5 x expansion 1/3/5), at the
+  // rollout batch (8 envs) and the 5-step update batch (40).
+  nas::SearchSpaceConfig cfg;
+  cfg.num_cells = 6;
+  const auto space = nas::space_geometry(nn::ObsSpec{3, 12, 12}, cfg);
+  const backend::Backend& sc = backend::scalar_backend();
+  const backend::Backend& av = *backend::avx2_backend();
+  util::Rng rng(41);
+  int cases = 0;
+  for (const nas::CellGeometry& cell : space.cells) {
+    for (const nas::CandidateOp& op : nas::candidate_ops()) {
+      if (op.expansion == 0) continue;
+      for (const int n : {8, 40}) {
+        const int ch = cell.in_c * op.expansion;
+        const auto g = ConvGeometry::make(
+            Shape::nchw(n, ch, cell.in_h, cell.in_w), op.kernel, op.kernel,
+            cell.stride, op.kernel / 2);
+        const int taps = op.kernel * op.kernel;
+        const std::int64_t in_size =
+            static_cast<std::int64_t>(n) * ch * g.h * g.w;
+        const std::int64_t out_size =
+            static_cast<std::int64_t>(n) * ch * g.oh * g.ow;
+        const auto x = random_vec(in_size, rng);
+        const auto weight = random_vec(static_cast<std::int64_t>(ch) * taps,
+                                       rng);
+        const auto bias = random_vec(ch, rng);
+        const auto grad_out = random_vec(out_size, rng);
+        const std::string label = op.id + " " + std::to_string(n) + "x" +
+                                  std::to_string(ch) + "x" +
+                                  std::to_string(g.h) + "x" +
+                                  std::to_string(g.w) + " s" +
+                                  std::to_string(g.stride);
+
+        std::vector<float> out_ref(static_cast<std::size_t>(out_size));
+        std::vector<float> out_avx(out_ref.size());
+        sc.dw_forward_planes(x.data(), weight.data(), bias.data(), g,
+                             out_ref.data(), 0,
+                             static_cast<std::int64_t>(n) * ch);
+        av.dw_forward_planes(x.data(), weight.data(), bias.data(), g,
+                             out_avx.data(), 0,
+                             static_cast<std::int64_t>(n) * ch);
+        const auto tap_tol = backend::tolerance_for_reduction(taps);
+        auto res = backend::compare_elementwise(
+            out_ref.data(), out_avx.data(), out_size, tap_tol,
+            "dw-fwd " + label);
+        EXPECT_TRUE(res.ok) << res.message;
+
+        // Weight/bias grads accumulate (+=) into identical nonzero state;
+        // grad_input starts zeroed as the module hands it over.
+        const auto wg0 = random_vec(static_cast<std::int64_t>(ch) * taps, rng);
+        const auto bg0 = random_vec(ch, rng);
+        std::vector<float> wg_ref = wg0, wg_avx = wg0;
+        std::vector<float> bg_ref = bg0, bg_avx = bg0;
+        std::vector<float> gi_ref(static_cast<std::size_t>(in_size), 0.0f);
+        std::vector<float> gi_avx(gi_ref.size(), 0.0f);
+        sc.dw_backward_channels(grad_out.data(), x.data(), weight.data(), g,
+                                gi_ref.data(), wg_ref.data(), bg_ref.data(),
+                                0, ch);
+        av.dw_backward_channels(grad_out.data(), x.data(), weight.data(), g,
+                                gi_avx.data(), wg_avx.data(), bg_avx.data(),
+                                0, ch);
+        res = backend::compare_elementwise(gi_ref.data(), gi_avx.data(),
+                                           in_size, tap_tol,
+                                           "dw-bwd input " + label);
+        EXPECT_TRUE(res.ok) << res.message;
+        const auto sum_tol = backend::tolerance_for_reduction(n * g.oh * g.ow);
+        res = backend::compare_elementwise(
+            wg_ref.data(), wg_avx.data(),
+            static_cast<std::int64_t>(wg_ref.size()), sum_tol,
+            "dw-bwd weight " + label);
+        EXPECT_TRUE(res.ok) << res.message;
+        res = backend::compare_elementwise(bg_ref.data(), bg_avx.data(), ch,
+                                           sum_tol, "dw-bwd bias " + label);
+        EXPECT_TRUE(res.ok) << res.message;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 6 * 6 * 2);
 }
 
 TEST_F(BackendGrid, GemmBetaZeroNeverReadsC) {

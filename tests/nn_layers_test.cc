@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "grad_check.h"
 #include "nn/blocks.h"
 #include "nn/layers.h"
+#include "tensor/backend/backend.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace a3cs {
 namespace {
@@ -49,11 +55,190 @@ TEST_P(DepthwiseGradTest, FiniteDifference) {
   check_module_gradients(dw, Shape::nchw(p.n, p.c, p.h, p.w));
 }
 
+// Besides the plain cases: k5 on planes smaller than the kernel (no
+// interior columns at all), stride 2 on odd sizes, and N >= 3 with C >= 8;
+// the last case is large enough that the (n, c) forward and the channel
+// backward fan-outs split into 5 and 6 shards.
 INSTANTIATE_TEST_SUITE_P(Geometries, DepthwiseGradTest,
                          ::testing::Values(DwParam{1, 3, 3, 1, 5, 5},
                                            DwParam{2, 4, 3, 2, 6, 6},
                                            DwParam{1, 2, 5, 1, 7, 7},
-                                           DwParam{2, 6, 5, 2, 6, 6}));
+                                           DwParam{2, 6, 5, 2, 6, 6},
+                                           DwParam{2, 3, 5, 1, 2, 2},
+                                           DwParam{2, 3, 5, 1, 3, 3},
+                                           DwParam{1, 2, 5, 2, 3, 3},
+                                           DwParam{2, 3, 3, 2, 5, 5},
+                                           DwParam{1, 2, 5, 2, 7, 7},
+                                           DwParam{3, 8, 3, 1, 6, 6},
+                                           DwParam{4, 9, 5, 2, 5, 5},
+                                           DwParam{3, 16, 5, 1, 8, 8}));
+
+// The depthwise loops as they stood before the backend kernels: bounds
+// checks on every tap, Tensor::at4 indexing, serial (n, c) order. The
+// scalar backend must reproduce them bit for bit.
+Tensor reference_dw_forward(const Tensor& x, const Tensor& weight,
+                            const Tensor& bias, int kernel, int stride,
+                            int pad) {
+  const auto g =
+      tensor::ConvGeometry::make(x.shape(), kernel, kernel, stride, pad);
+  Tensor out(Shape::nchw(g.n, g.c, g.oh, g.ow));
+  for (int n = 0; n < g.n; ++n) {
+    for (int c = 0; c < g.c; ++c) {
+      const float* w =
+          weight.data() + static_cast<std::size_t>(c) * kernel * kernel;
+      const float b = bias[c];
+      for (int oy = 0; oy < g.oh; ++oy) {
+        for (int ox = 0; ox < g.ow; ++ox) {
+          float acc = b;
+          for (int ky = 0; ky < kernel; ++ky) {
+            const int iy = oy * stride - pad + ky;
+            if (iy < 0 || iy >= g.h) continue;
+            for (int kx = 0; kx < kernel; ++kx) {
+              const int ix = ox * stride - pad + kx;
+              if (ix < 0 || ix >= g.w) continue;
+              acc += w[ky * kernel + kx] * x.at4(n, c, iy, ix);
+            }
+          }
+          out.at4(n, c, oy, ox) = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+Tensor reference_dw_backward(const Tensor& x, const Tensor& grad_out,
+                             const Tensor& weight, Tensor& weight_grad,
+                             Tensor& bias_grad, int kernel, int stride,
+                             int pad) {
+  const auto g =
+      tensor::ConvGeometry::make(x.shape(), kernel, kernel, stride, pad);
+  Tensor grad_input(x.shape());
+  for (int n = 0; n < g.n; ++n) {
+    for (int c = 0; c < g.c; ++c) {
+      const float* w =
+          weight.data() + static_cast<std::size_t>(c) * kernel * kernel;
+      float* wg =
+          weight_grad.data() + static_cast<std::size_t>(c) * kernel * kernel;
+      double bias_acc = 0.0;
+      for (int oy = 0; oy < g.oh; ++oy) {
+        for (int ox = 0; ox < g.ow; ++ox) {
+          const float go = grad_out.at4(n, c, oy, ox);
+          bias_acc += go;
+          if (go == 0.0f) continue;
+          for (int ky = 0; ky < kernel; ++ky) {
+            const int iy = oy * stride - pad + ky;
+            if (iy < 0 || iy >= g.h) continue;
+            for (int kx = 0; kx < kernel; ++kx) {
+              const int ix = ox * stride - pad + kx;
+              if (ix < 0 || ix >= g.w) continue;
+              wg[ky * kernel + kx] += go * x.at4(n, c, iy, ix);
+              grad_input.at4(n, c, iy, ix) += go * w[ky * kernel + kx];
+            }
+          }
+        }
+      }
+      bias_grad[c] += static_cast<float>(bias_acc);
+    }
+  }
+  return grad_input;
+}
+
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+Tensor random_tensor(const Shape& shape, util::Rng& rng) {
+  Tensor t(shape);
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return t;
+}
+
+// Forward, then two accumulating backwards (the second from nonzero
+// gradients) of the module; returns {out, grad_input, weight.grad,
+// bias.grad} of the last pass.
+std::vector<Tensor> run_dw(nn::DepthwiseConv2d& dw, const Tensor& x,
+                           const Tensor& g) {
+  dw.zero_grad();
+  Tensor out = dw.forward(x);
+  dw.backward(g);
+  dw.forward(x);
+  Tensor gi = dw.backward(g);
+  auto params = dw.parameters();
+  return {out, gi, params[0]->grad, params[1]->grad};
+}
+
+TEST_P(DepthwiseGradTest, ScalarBackendBitExactWithBoundsCheckedLoop) {
+  const DwParam p = GetParam();
+  const int pad = p.k / 2;
+  util::Rng rng(106);
+  nn::DepthwiseConv2d dw("dw", p.c, p.k, p.stride, pad, rng);
+  auto params = dw.parameters();
+  for (std::int64_t i = 0; i < params[1]->value.numel(); ++i) {
+    params[1]->value[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+  }
+  const Tensor x = random_tensor(Shape::nchw(p.n, p.c, p.h, p.w), rng);
+  const auto g = tensor::ConvGeometry::make(x.shape(), p.k, p.k, p.stride, pad);
+  Tensor go = random_tensor(Shape::nchw(p.n, p.c, g.oh, g.ow), rng);
+  // Zeros exercise the kernels' go == 0 skip.
+  for (std::int64_t i = 0; i < go.numel(); i += 3) go[i] = 0.0f;
+
+  const Tensor ref_out = reference_dw_forward(x, params[0]->value,
+                                              params[1]->value, p.k, p.stride,
+                                              pad);
+  Tensor ref_wg(params[0]->value.shape()), ref_bg(params[1]->value.shape());
+  reference_dw_backward(x, go, params[0]->value, ref_wg, ref_bg, p.k,
+                        p.stride, pad);
+  const Tensor ref_gi = reference_dw_backward(x, go, params[0]->value, ref_wg,
+                                              ref_bg, p.k, p.stride, pad);
+
+  tensor::backend::ScopedBackend scalar(tensor::backend::scalar_backend());
+  for (const int threads : {1, 4}) {
+    util::ThreadPool::set_global_threads(threads);
+    const auto got = run_dw(dw, x, go);
+    EXPECT_TRUE(bit_equal(got[0], ref_out)) << "forward, t=" << threads;
+    EXPECT_TRUE(bit_equal(got[1], ref_gi)) << "grad_input, t=" << threads;
+    EXPECT_TRUE(bit_equal(got[2], ref_wg)) << "weight grad, t=" << threads;
+    EXPECT_TRUE(bit_equal(got[3], ref_bg)) << "bias grad, t=" << threads;
+  }
+  util::ThreadPool::set_global_threads(1);
+}
+
+TEST(DepthwiseConv2d, EveryBackendBitIdenticalAtOneAndFourThreads) {
+  struct Case {
+    int n, c, k, stride, h, w;
+  };
+  const Case cases[] = {{8, 40, 3, 1, 6, 6}, {5, 48, 5, 2, 3, 3},
+                        {3, 96, 5, 1, 2, 2}, {6, 40, 3, 2, 7, 7}};
+  for (const std::string& name : tensor::backend::available_names()) {
+    ASSERT_TRUE(tensor::backend::select(name));
+    for (const Case& cs : cases) {
+      util::Rng rng(107);
+      nn::DepthwiseConv2d dw("dw", cs.c, cs.k, cs.stride, cs.k / 2, rng);
+      const Tensor x =
+          random_tensor(Shape::nchw(cs.n, cs.c, cs.h, cs.w), rng);
+      const auto g = tensor::ConvGeometry::make(x.shape(), cs.k, cs.k,
+                                                cs.stride, cs.k / 2);
+      const Tensor go =
+          random_tensor(Shape::nchw(cs.n, cs.c, g.oh, g.ow), rng);
+      util::ThreadPool::set_global_threads(1);
+      const auto serial = run_dw(dw, x, go);
+      util::ThreadPool::set_global_threads(4);
+      const auto sharded = run_dw(dw, x, go);
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_TRUE(bit_equal(serial[i], sharded[i]))
+            << name << " output " << i << " differs, case k" << cs.k << " s"
+            << cs.stride << " " << cs.h << "x" << cs.w;
+      }
+    }
+  }
+  util::ThreadPool::set_global_threads(1);
+  tensor::backend::select("scalar");
+}
 
 struct LinParam {
   int n, in_f, out_f;
