@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "obs/perf/bench.h"
-
 namespace a3cs::bench {
 
 rl::A2cConfig bench_a2c(const rl::LossCoefficients& coef,
@@ -21,7 +19,8 @@ rl::A2cConfig bench_a2c(const rl::LossCoefficients& coef,
 
 rl::EvalConfig bench_eval(std::uint64_t seed_value) {
   rl::EvalConfig cfg;
-  cfg.episodes = static_cast<int>(util::env_int("A3CS_EVAL_EPISODES", 10));
+  cfg.episodes = static_cast<int>(
+      util::env_int("A3CS_EVAL_EPISODES", 10, 1, util::kIntMax));
   cfg.max_noop_starts = 30;  // paper protocol
   cfg.seed = seed_value;
   return cfg;
@@ -48,7 +47,7 @@ core::CoSearchConfig bench_cosearch(const std::string& game,
   (void)game;
   core::CoSearchConfig cfg;
   cfg.supernet.space.num_cells =
-      static_cast<int>(util::env_int("A3CS_CELLS", 6));
+      static_cast<int>(util::env_int("A3CS_CELLS", 6, 1, util::kIntMax));
   cfg.a2c = bench_a2c(rl::paper_distill_coefficients(), seed_value);
   cfg.a2c.num_envs = 16;
   cfg.alpha_lr = 1e-3;  // paper: Adam at 1e-3
@@ -58,22 +57,21 @@ core::CoSearchConfig bench_cosearch(const std::string& game,
   return cfg;
 }
 
-void banner(const std::string& experiment, const std::string& description) {
-  // Strict env validation: a typo'd A3CS_SCALE=0 or A3CS_EVAL_EPISODES=ten
-  // must abort loudly before hours of benching, not silently fall back to
-  // the defaults.
-  const std::vector<std::string> env_errors = obs::perf::validate_bench_env();
-  if (!env_errors.empty()) {
-    for (const std::string& err : env_errors) {
-      std::cerr << "bench env error: " << err << "\n";
-    }
-    std::exit(2);
-  }
+void banner(const std::string& experiment,
+            const std::string& description) try {
+  // A typo'd A3CS_SCALE=0 or A3CS_EVAL_EPISODES=ten must stop the bench
+  // before hours of work, not silently fall back to a default.
+  core::read_env_knobs();
+  (void)bench_eval(0);
+  (void)bench_cosearch("", 0);
   std::cout << "\n==================================================\n"
             << experiment << ": " << description << "\n"
             << "A3CS_SCALE=" << util::bench_scale()
             << " (all step budgets multiplied by this)\n"
             << "==================================================\n";
+} catch (const util::InputError& e) {
+  std::cerr << e.what() << "\n";
+  std::exit(2);
 }
 
 }  // namespace a3cs::bench

@@ -40,7 +40,8 @@ std::unique_ptr<nn::ActorCriticNet> bench_teacher(const std::string& game);
 core::CoSearchConfig bench_cosearch(const std::string& game,
                                     std::uint64_t seed_value);
 
-// Pretty banner with the experiment id and scaled budgets.
+// Pretty banner with the experiment id and scaled budgets. Reads every knob
+// a bench consults first; a malformed one prints one line and exits 2.
 void banner(const std::string& experiment, const std::string& description);
 
 }  // namespace a3cs::bench

@@ -10,8 +10,10 @@
 
 using namespace a3cs;
 
-int main() {
+int main() try {
   bench::banner("DAS quality", "DAS vs random / DNNBuilder / FA3C / exhaustive");
+  const int das_iters = static_cast<int>(
+      util::env_int("A3CS_DAS_ITERS", 1500, 1, util::kIntMax));
   accel::Predictor predictor;
   util::TextTable table({"Network", "DAS FPS", "Random FPS", "DNNBuilder FPS",
                          "FA3C FPS", "DAS DSP"});
@@ -22,7 +24,7 @@ int main() {
     accel::AcceleratorSpace space(4, nn::num_groups(specs));
 
     das::DasConfig cfg;
-    cfg.iterations = static_cast<int>(util::env_int("A3CS_DAS_ITERS", 1500));
+    cfg.iterations = das_iters;
     das::DasEngine engine(space, predictor, cfg);
     const auto das_result = engine.search(specs);
     const auto rnd = das::random_search(
@@ -67,4 +69,7 @@ int main() {
                    100.0 * das_small.eval.fps / optimum.eval.fps, 1)
             << "% of optimum).\n";
   return 0;
+} catch (const util::InputError& e) {
+  std::cerr << e.what() << "\n";
+  return 2;
 }

@@ -14,33 +14,24 @@
 // and inject deterministic faults (docs/FLEET.md). A3CS_TRACE_PATH enables
 // a supervisor trace plus per-shard traces at <out>/shard-K.trace.jsonl.
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
 #include "accel/config_io.h"
+#include "core/cosearch.h"
 #include "core/result_io.h"
 #include "fleet/supervisor.h"
 #include "fleet/worker.h"
 #include "obs/obs_config.h"
 #include "obs/trace.h"
 #include "util/atomic_file.h"
+#include "util/config.h"
 
 using namespace a3cs;
 
 namespace {
-
-std::vector<std::string> split_list(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream in(s);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 std::string self_binary(const char* argv0) {
   char buf[4096];
@@ -51,10 +42,13 @@ std::string self_binary(const char* argv0) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (fleet::is_worker_invocation(argc, argv)) {
     return fleet::worker_main(argc, argv);
   }
+  // Resolve every knob the workers read before spawning any: a bad value
+  // must fail here once, not burn every shard's restart budget.
+  core::read_env_knobs();
 
   std::string game = "Catch";
   std::string out_dir = "a3cs_fleet_out";
@@ -68,30 +62,36 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    const auto num = [&](std::int64_t lo, std::int64_t hi) {
+      return util::parse_int(arg, argv[++i], lo, hi);
+    };
+    const auto seconds = [&] {
+      return util::parse_double(arg, argv[++i], 0, util::kDoubleMax);
+    };
     if (arg == "--workers" && has_value) {
-      workers = std::atoi(argv[++i]);
+      workers = static_cast<int>(num(1, util::kIntMax));
     } else if (arg == "--frames" && has_value) {
-      frames = std::atoll(argv[++i]);
+      frames = num(1, util::kInt64Max);
     } else if (arg == "--out" && has_value) {
       out_dir = argv[++i];
     } else if (arg == "--cells" && has_value) {
-      cfg.num_cells = std::atoi(argv[++i]);
+      cfg.num_cells = static_cast<int>(num(1, util::kIntMax));
     } else if (arg == "--envs" && has_value) {
-      cfg.num_envs = std::atoi(argv[++i]);
+      cfg.num_envs = static_cast<int>(num(1, util::kIntMax));
     } else if (arg == "--rollout" && has_value) {
-      cfg.rollout_len = std::atoi(argv[++i]);
+      cfg.rollout_len = static_cast<int>(num(1, util::kIntMax));
     } else if (arg == "--seed" && has_value) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      seed = static_cast<std::uint64_t>(num(0, util::kInt64Max));
     } else if (arg == "--lambdas" && has_value) {
-      lambdas = split_list(argv[++i]);
+      lambdas = util::split(argv[++i], ',');
     } else if (arg == "--dsps" && has_value) {
-      dsps = split_list(argv[++i]);
+      dsps = util::split(argv[++i], ',');
     } else if (arg == "--restarts" && has_value) {
-      cfg.restart_budget = std::atoi(argv[++i]);
+      cfg.restart_budget = static_cast<int>(num(0, util::kIntMax));
     } else if (arg == "--backoff" && has_value) {
-      cfg.backoff_base_s = std::atof(argv[++i]);
+      cfg.backoff_base_s = seconds();
     } else if (arg == "--hb" && has_value) {
-      cfg.heartbeat_timeout_s = std::atof(argv[++i]);
+      cfg.heartbeat_timeout_s = seconds();
     } else if (arg == "--no-realloc") {
       cfg.reallocate_budget = false;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -105,9 +105,8 @@ int main(int argc, char** argv) {
       game = arg;
     }
   }
-  if (workers < 1 || frames <= 0 || lambdas.empty() || dsps.empty()) {
-    std::cerr << "cosearch_fleet: need --workers >= 1, --frames > 0 and "
-              << "non-empty --lambdas/--dsps\n";
+  if (lambdas.empty() || dsps.empty()) {
+    std::cerr << "cosearch_fleet: need non-empty --lambdas/--dsps\n";
     return 2;
   }
 
@@ -120,8 +119,10 @@ int main(int argc, char** argv) {
     fleet::ShardSpec spec;
     spec.shard = k;
     spec.seed = seed + static_cast<std::uint64_t>(k) * 9973;
-    spec.lambda = std::atof(lambdas[k % lambdas.size()].c_str());
-    spec.dsp_budget = std::atoi(dsps[k % dsps.size()].c_str());
+    spec.lambda = util::parse_double("--lambdas", lambdas[k % lambdas.size()],
+                                     0, util::kDoubleMax);
+    spec.dsp_budget = static_cast<int>(
+        util::parse_int("--dsps", dsps[k % dsps.size()], 1, util::kIntMax));
     spec.total_frames = frames;
     cfg.shards.push_back(spec);
   }
@@ -166,4 +167,7 @@ int main(int argc, char** argv) {
   }
 
   return (result.done_count() > 0 || result.stopped) ? 0 : 1;
+} catch (const util::InputError& e) {
+  std::cerr << e.what() << "\n";
+  return 2;
 }

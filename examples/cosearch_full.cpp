@@ -11,7 +11,8 @@
 // A3CS_CKPT_* environment variables override both. --guard selects the
 // training-health watchdog mode (default warn: observe and trace, never
 // act; heal runs the skip/soften/rollback ladder — see docs/ROBUSTNESS.md);
-// A3CS_GUARD* environment variables override it.
+// A3CS_GUARD* environment variables override it. A malformed knob, fault
+// plan or flag prints one line and exits 2 before any work.
 #include <iostream>
 #include <string>
 
@@ -23,7 +24,9 @@
 
 using namespace a3cs;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  // A malformed knob or fault plan fails here, not after the teacher trains.
+  core::read_env_knobs();
   std::string game = "Pong";
   ckpt::CkptConfig ckpt_cfg;
   guard::GuardConfig guard_cfg;
@@ -35,12 +38,7 @@ int main(int argc, char** argv) {
       ckpt_cfg.dir = argv[++i];
       ckpt_cfg.resume = true;
     } else if (arg.rfind("--guard=", 0) == 0) {
-      try {
-        guard_cfg.mode = guard::parse_guard_mode(arg.substr(8));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
+      guard_cfg.mode = guard::parse_guard_mode(arg.substr(8), "--guard");
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown option: " << arg << "\n"
                 << "usage: cosearch_full [game] [--ckpt-dir <dir>] "
@@ -94,4 +92,7 @@ int main(int argc, char** argv) {
   core::save_result(out_path, saved);
   std::cout << "saved searched design to " << out_path << "\n";
   return 0;
+} catch (const util::InputError& e) {
+  std::cerr << e.what() << "\n";
+  return 2;
 }

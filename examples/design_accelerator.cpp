@@ -18,7 +18,7 @@ using namespace a3cs;
 
 int main(int argc, char** argv) {
   const std::string model = argc > 1 ? argv[1] : "ResNet-14";
-  const int iterations = argc > 2 ? std::stoi(argv[2]) : 400;
+  const int iterations = util::count_arg(argc, argv, 2, "iterations", 400);
 
   const nn::ObsSpec obs = arcade::standard_obs_spec();
   auto specs = nn::zoo_model_specs(model, obs, 4);

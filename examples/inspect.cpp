@@ -14,6 +14,7 @@
 #include "das/das.h"
 #include "nas/arch.h"
 #include "nn/zoo.h"
+#include "util/config.h"
 #include "util/table.h"
 
 using namespace a3cs;
@@ -107,10 +108,10 @@ int main(int argc, char** argv) {
     if (cmd == "model" && argc > 2) return cmd_model(argv[2]);
     if (cmd == "arch" && argc > 2) return cmd_arch(argv[2]);
     if (cmd == "accel" && argc > 2) {
-      return cmd_accel(argv[2], argc > 3 ? std::stoi(argv[3]) : 4);
+      return cmd_accel(argv[2], util::count_arg(argc, argv, 3, "chunks", 4));
     }
     if (cmd == "play" && argc > 2) {
-      return cmd_play(argv[2], argc > 3 ? std::stoi(argv[3]) : 12);
+      return cmd_play(argv[2], util::count_arg(argc, argv, 3, "steps", 12));
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -20,7 +20,7 @@ using namespace a3cs;
 int main(int argc, char** argv) {
   const std::string game = argc > 1 ? argv[1] : "Breakout";
   const std::int64_t frames =
-      util::scaled_steps(argc > 2 ? std::stoll(argv[2]) : 15000);
+      util::scaled_steps(util::count_arg(argc, argv, 2, "frames", 15000));
   const bool stacked =
       argc > 3 && std::string(argv[3]) == "--stacked";
 

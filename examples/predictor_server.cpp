@@ -36,6 +36,8 @@
 #include "obs/trace.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
+#include "util/config.h"
+#include "util/thread_pool.h"
 
 using namespace a3cs;
 
@@ -139,13 +141,21 @@ void print_cache_summary(const serve::PredictorService& service) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  // Every knob the server reads, before it serves anything. A3CS_TRACE=1 /
+  // A3CS_TRACE_PATH=... record one "serve_batch" JSONL event per eval
+  // request, summarized by examples/trace_report.
+  const obs::ObsConfig obs_cfg = obs::ObsConfig{}.with_env_overrides();
+  const serve::CacheConfig cache_cfg =
+      serve::CacheConfig{}.with_env_overrides();
+  (void)util::ExecConfig{}.with_env_overrides();
+
   int port = -1;
   bool quiet = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      port = static_cast<int>(util::parse_int(arg, argv[++i], 0, 65535));
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
@@ -158,13 +168,10 @@ int main(int argc, char** argv) {
   // write, not kill the process.
   std::signal(SIGPIPE, SIG_IGN);
 
-  // A3CS_TRACE=1 / A3CS_TRACE_PATH=... record one "serve_batch" JSONL event
-  // per eval request, summarized by examples/trace_report.
-  const obs::ObsConfig obs_cfg = obs::ObsConfig{}.with_env_overrides();
   obs::TraceSession trace_session(obs_cfg);
 
   accel::Predictor predictor;
-  serve::PredictorService service(predictor);
+  serve::PredictorService service(predictor, cache_cfg);
   serve::NetworkRegistry registry(service);
   Server server{service, registry, quiet};
 
@@ -318,4 +325,7 @@ int main(int argc, char** argv) {
     print_cache_summary(service);
   }
   return 0;
+} catch (const util::InputError& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

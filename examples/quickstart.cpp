@@ -20,7 +20,7 @@ using namespace a3cs;
 int main(int argc, char** argv) {
   const std::string game = argc > 1 ? argv[1] : "Catch";
   const std::int64_t frames =
-      util::scaled_steps(argc > 2 ? std::stoll(argv[2]) : 12000);
+      util::scaled_steps(util::count_arg(argc, argv, 2, "frames", 12000));
   if (!arcade::is_known_game(game)) {
     std::cerr << "unknown game: " << game << "\navailable:";
     for (const auto& t : arcade::all_game_titles()) std::cerr << " " << t;

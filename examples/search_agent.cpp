@@ -15,9 +15,9 @@ using namespace a3cs;
 int main(int argc, char** argv) {
   const std::string game = argc > 1 ? argv[1] : "Catch";
   const std::int64_t search_frames =
-      util::scaled_steps(argc > 2 ? std::stoll(argv[2]) : 12000);
+      util::scaled_steps(util::count_arg(argc, argv, 2, "frames", 12000));
   const std::int64_t train_frames =
-      util::scaled_steps(argc > 3 ? std::stoll(argv[3]) : 12000);
+      util::scaled_steps(util::count_arg(argc, argv, 3, "frames", 12000));
 
   // Teacher for AC-distillation (cached across runs).
   rl::TeacherConfig teacher_cfg;

@@ -3,40 +3,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/config.h"
 #include "util/logging.h"
 
 namespace a3cs::accel {
-namespace {
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t next = s.find(sep, pos);
-    out.push_back(s.substr(pos, next == std::string::npos ? std::string::npos
-                                                          : next - pos));
-    if (next == std::string::npos) break;
-    pos = next + 1;
-  }
-  return out;
-}
-
-int to_int(const std::string& s) {
-  std::size_t used = 0;
-  const int v = std::stoi(s, &used);
-  A3CS_CHECK(used == s.size(), "decode_config: bad integer '" + s + "'");
-  return v;
-}
-
-double to_double(const std::string& s) {
-  std::size_t used = 0;
-  const double v = std::stod(s, &used);
-  A3CS_CHECK(used == s.size(), "decode_config: bad number '" + s + "'");
-  return v;
-}
-
-}  // namespace
-
 std::string encode_config(const AcceleratorConfig& config) {
   std::ostringstream oss;
   // max_digits10 so the buffer-split doubles survive decode(encode(cfg))
@@ -60,9 +30,14 @@ std::string encode_config(const AcceleratorConfig& config) {
 }
 
 AcceleratorConfig decode_config(const std::string& encoded) {
+  // Every number is a whole non-negative int, or a finite split fraction.
+  const auto int_field = [](std::string_view field, const std::string& s,
+                            std::int64_t hi = util::kIntMax) {
+    return static_cast<int>(util::parse_int(field, s, 0, hi));
+  };
   AcceleratorConfig config;
   int declared_chunks = -1;
-  for (const std::string& token : split(encoded, ';')) {
+  for (const std::string& token : util::split(encoded, ';')) {
     if (token.empty()) continue;
     const std::size_t eq = token.find('=');
     A3CS_CHECK(eq != std::string::npos,
@@ -70,44 +45,41 @@ AcceleratorConfig decode_config(const std::string& encoded) {
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
     if (key == "chunks") {
-      declared_chunks = to_int(value);
+      declared_chunks = int_field(key, value);
     } else if (key == "alloc") {
-      for (const std::string& g : split(value, ',')) {
-        if (!g.empty()) config.group_to_chunk.push_back(to_int(g));
+      for (const std::string& g : util::split(value, ',')) {
+        if (!g.empty()) config.group_to_chunk.push_back(int_field(key, g));
       }
     } else if (key == "chunk") {
       ChunkConfig chunk;
-      for (const std::string& field : split(value, ',')) {
+      for (const std::string& field : util::split(value, ',')) {
         const std::size_t feq = field.find('=');
         if (feq == std::string::npos) {
           // The leading "RxC" geometry token.
-          const auto dims = split(field, 'x');
+          const auto dims = util::split(field, 'x');
           A3CS_CHECK(dims.size() == 2, "decode_config: bad PE dims '" +
                                            field + "'");
-          chunk.pe_rows = to_int(dims[0]);
-          chunk.pe_cols = to_int(dims[1]);
+          chunk.pe_rows = int_field("PE rows", dims[0]);
+          chunk.pe_cols = int_field("PE cols", dims[1]);
           continue;
         }
         const std::string fkey = field.substr(0, feq);
         const std::string fval = field.substr(feq + 1);
         if (fkey == "noc") {
-          const int v = to_int(fval);
-          A3CS_CHECK(v >= 0 && v <= 2, "decode_config: bad noc");
-          chunk.noc = static_cast<Noc>(v);
+          chunk.noc = static_cast<Noc>(int_field(fkey, fval, 2));
         } else if (fkey == "df") {
-          const int v = to_int(fval);
-          A3CS_CHECK(v >= 0 && v <= 2, "decode_config: bad dataflow");
-          chunk.dataflow = static_cast<Dataflow>(v);
+          chunk.dataflow = static_cast<Dataflow>(int_field(fkey, fval, 2));
         } else if (fkey == "toc") {
-          chunk.tile_oc = to_int(fval);
+          chunk.tile_oc = int_field(fkey, fval);
         } else if (fkey == "tic") {
-          chunk.tile_ic = to_int(fval);
+          chunk.tile_ic = int_field(fkey, fval);
         } else if (fkey == "split") {
-          const auto parts = split(fval, ':');
+          const auto parts = util::split(fval, ':');
           A3CS_CHECK(parts.size() == 3, "decode_config: bad split");
-          chunk.split.input = to_double(parts[0]);
-          chunk.split.weight = to_double(parts[1]);
-          chunk.split.output = to_double(parts[2]);
+          const auto frac = [&](int k) {
+            return util::parse_double(fkey, parts[k], 0, util::kDoubleMax);
+          };
+          chunk.split = BufferSplit{frac(0), frac(1), frac(2)};
         } else {
           throw std::runtime_error("decode_config: unknown field '" + fkey +
                                    "'");

@@ -28,13 +28,8 @@ std::int64_t parse_iter(const std::string& filename) {
   if (filename.compare(filename.size() - slen, slen, kSuffix) != 0) return -1;
   const std::string digits =
       filename.substr(plen, filename.size() - plen - slen);
-  if (digits.empty()) return -1;
-  std::int64_t v = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return -1;
-    v = v * 10 + (c - '0');
-  }
-  return v;
+  const std::optional<std::int64_t> v = util::to_int(digits);
+  return v && digits[0] != '-' ? *v : -1;
 }
 
 }  // namespace
@@ -42,12 +37,13 @@ std::int64_t parse_iter(const std::string& filename) {
 CkptConfig CkptConfig::with_env_overrides() const {
   CkptConfig out = *this;
   out.dir = util::env_string("A3CS_CKPT_DIR", out.dir);
-  out.every_iters = static_cast<int>(
-      util::env_int("A3CS_CKPT_EVERY_ITERS", out.every_iters));
-  out.every_seconds =
-      util::env_double("A3CS_CKPT_EVERY_SECONDS", out.every_seconds);
-  out.keep = static_cast<int>(util::env_int("A3CS_CKPT_KEEP", out.keep));
-  out.resume = util::env_int("A3CS_CKPT_RESUME", out.resume ? 1 : 0) != 0;
+  out.every_iters = static_cast<int>(util::env_int(
+      "A3CS_CKPT_EVERY_ITERS", out.every_iters, 0, util::kIntMax));
+  out.every_seconds = util::env_double(
+      "A3CS_CKPT_EVERY_SECONDS", out.every_seconds, 0, util::kDoubleMax);
+  out.keep = static_cast<int>(
+      util::env_int("A3CS_CKPT_KEEP", out.keep, 1, util::kIntMax));
+  out.resume = util::env_flag("A3CS_CKPT_RESUME", out.resume);
   return out;
 }
 

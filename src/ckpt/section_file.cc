@@ -132,8 +132,8 @@ SectionReader::SectionReader(std::string bytes) : total_bytes_(bytes.size()) {
                     std::to_string(kCkptFormatVersion) + ")");
   }
   version_ = version;
+  // No reserve(count): the count is unverified until the CRCs check out.
   const std::uint32_t count = cur.u32("section count");
-  sections_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t name_len = cur.u32("section name length");
     const char* name_p = cur.take(name_len, "section name");

@@ -20,8 +20,10 @@
 #include "obs/profile.h"
 #include "obs/run_scope.h"
 #include "obs/trace.h"
+#include "tensor/backend/backend.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
+#include "util/config.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "util/state_io.h"
@@ -497,7 +499,8 @@ CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
       .kv("bi_level", cfg_.optimization == Optimization::kBiLevel)
       .kv("lambda", cfg_.lambda)
       .kv("seed", static_cast<std::int64_t>(cfg_.seed))
-      .kv("guard", guard::guard_mode_name(rs.guard_cfg.mode));
+      .kv("guard", guard::guard_mode_name(rs.guard_cfg.mode))
+      .kv("env", util::env_summary());
 
   // iter_ / alpha_turn_ are cumulative engine state (restore_checkpoint may
   // already have positioned them); only the callback cadence is per-run,
@@ -814,6 +817,16 @@ CoSearchResult CoSearchEngine::finish_run() {
       .kv("hw_dsp", static_cast<std::int64_t>(result.hw_eval.dsp_used))
       .kv("hw_feasible", result.hw_eval.feasible);
   return result;
+}
+
+void read_env_knobs() {
+  (void)util::bench_scale();
+  (void)util::ExecConfig{}.with_env_overrides();
+  tensor::backend::select_from_env();
+  (void)obs::ObsConfig{}.with_env_overrides();
+  (void)ckpt::CkptConfig{}.with_env_overrides();
+  (void)guard::GuardConfig{}.with_env_overrides();
+  guard::FaultInjector().arm_from_env();
 }
 
 }  // namespace a3cs::core

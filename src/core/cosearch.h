@@ -189,4 +189,10 @@ class CoSearchEngine {
   bool reward_ewma_init_ = false;
 };
 
+// Reads every A3CS_* knob a co-search run consults (threads, backend, scale,
+// trace/profile, checkpoint, guard and the A3CS_FAULT_* plans) so that a
+// malformed value throws util::InputError before any work. Arms nothing:
+// the fault plans are parsed into a scratch injector.
+void read_env_knobs();
+
 }  // namespace a3cs::core

@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "accel/config_io.h"
+#include "util/config.h"
 #include "util/logging.h"
 
 namespace a3cs::core {
@@ -41,11 +42,13 @@ SavedResult load_result(const std::string& path) {
       result.accelerator = accel::decode_config(value);
       have_accel = true;
     } else if (key == "test_score") {
-      result.test_score = std::stod(value);
+      result.test_score =
+          util::parse_double(key, value, -util::kDoubleMax, util::kDoubleMax);
     } else if (key == "fps") {
-      result.fps = std::stod(value);
+      result.fps = util::parse_double(key, value, 0, util::kDoubleMax);
     } else if (key == "dsp") {
-      result.dsp = std::stoi(value);
+      result.dsp =
+          static_cast<int>(util::parse_int(key, value, 0, util::kIntMax));
     } else {
       throw std::runtime_error("load_result: unknown key '" + key + "'");
     }

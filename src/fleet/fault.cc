@@ -1,68 +1,8 @@
 #include "fleet/fault.h"
 
-#include <stdexcept>
-
 #include "util/config.h"
 
 namespace a3cs::fleet {
-
-namespace {
-
-// "k@i[,k@i...]" -> {k: i}. Throws on anything malformed.
-std::map<int, std::int64_t> parse_at_list(const std::string& name,
-                                          const std::string& spec) {
-  std::map<int, std::int64_t> out;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string entry = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (entry.empty()) continue;
-    const std::size_t at = entry.find('@');
-    if (at == std::string::npos || at == 0 || at + 1 >= entry.size()) {
-      throw std::runtime_error(name + ": expected 'shard@iter', got '" +
-                               entry + "'");
-    }
-    try {
-      const int shard = std::stoi(entry.substr(0, at));
-      const std::int64_t iter = std::stoll(entry.substr(at + 1));
-      if (shard < 0 || iter <= 0) {
-        throw std::runtime_error("negative");
-      }
-      out[shard] = iter;
-    } catch (const std::exception&) {
-      throw std::runtime_error(name + ": expected 'shard@iter' with shard "
-                               ">= 0 and iter >= 1, got '" + entry + "'");
-    }
-  }
-  return out;
-}
-
-// "k[,k...]" -> {k}.
-std::set<int> parse_shard_list(const std::string& name,
-                               const std::string& spec) {
-  std::set<int> out;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string entry = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (entry.empty()) continue;
-    try {
-      const int shard = std::stoi(entry);
-      if (shard < 0) throw std::runtime_error("negative");
-      out.insert(shard);
-    } catch (const std::exception&) {
-      throw std::runtime_error(name + ": expected a shard index, got '" +
-                               entry + "'");
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 FleetFaultInjector FleetFaultInjector::from_env() {
   return parse(util::env_string("A3CS_FLEET_KILL", ""),
@@ -75,11 +15,27 @@ FleetFaultInjector FleetFaultInjector::parse(const std::string& kill,
                                              const std::string& hang,
                                              const std::string& diverge,
                                              const std::string& corrupt_tip) {
+  // k@i entries: shard k, iteration i (util::parse_plan's A@B).
+  const auto at_plan = [](const char* name, const std::string& text) {
+    std::map<int, std::int64_t> out;
+    for (const auto& [shard, iter] : util::parse_plan(name, text, '@')) {
+      if (!iter) throw util::InputError(name, text, "shard@iter entries");
+      out[static_cast<int>(shard)] = *iter;
+    }
+    return out;
+  };
   FleetFaultInjector f;
-  f.kill_ = parse_at_list("A3CS_FLEET_KILL", kill);
-  f.hang_ = parse_at_list("A3CS_FLEET_HANG", hang);
-  f.diverge_ = parse_at_list("A3CS_FLEET_DIVERGE", diverge);
-  f.corrupt_ = parse_shard_list("A3CS_FLEET_CORRUPT_TIP", corrupt_tip);
+  f.kill_ = at_plan("A3CS_FLEET_KILL", kill);
+  f.hang_ = at_plan("A3CS_FLEET_HANG", hang);
+  f.diverge_ = at_plan("A3CS_FLEET_DIVERGE", diverge);
+  for (const auto& [shard, iter] :
+       util::parse_plan("A3CS_FLEET_CORRUPT_TIP", corrupt_tip, '@')) {
+    if (iter) {
+      throw util::InputError("A3CS_FLEET_CORRUPT_TIP", corrupt_tip,
+                             "shard entries");
+    }
+    f.corrupt_.insert(static_cast<int>(shard));
+  }
   return f;
 }
 

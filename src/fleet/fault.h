@@ -28,9 +28,9 @@ namespace a3cs::fleet {
 
 class FleetFaultInjector {
  public:
-  // Parses the A3CS_FLEET_* plan from the environment. Malformed entries
-  // throw std::runtime_error — a typo'd fault plan must never pass silently
-  // as "no faults".
+  // Parses the A3CS_FLEET_* plan from the environment (util::parse_plan
+  // grammar). Malformed entries throw util::InputError — a typo'd fault
+  // plan must never pass silently as "no faults".
   static FleetFaultInjector from_env();
 
   // Parses explicit strings (tests). Empty strings mean "no faults".

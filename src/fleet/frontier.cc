@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "fleet/protocol.h"
+#include "util/config.h"
 
 namespace a3cs::fleet {
 
@@ -83,7 +84,8 @@ std::vector<ParetoPoint> parse_frontier(const std::string& text) {
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     if (line.rfind("points ", 0) == 0) {
-      declared = std::stoll(line.substr(7));
+      declared = util::parse_int("frontier points", line.substr(7), 0,
+                                 util::kInt64Max);
       continue;
     }
     const Msg msg = parse_message(line);

@@ -1,10 +1,11 @@
 #include "fleet/protocol.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <vector>
+
+#include "util/config.h"
 
 namespace a3cs::fleet {
 
@@ -26,26 +27,6 @@ std::string field_value(const std::string& tok, const char* key) {
   const std::string prefix = std::string(key) + "=";
   if (tok.rfind(prefix, 0) != 0) return std::string();
   return tok.substr(prefix.size());
-}
-
-bool parse_i64(const std::string& s, std::int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = static_cast<std::int64_t>(v);
-  return true;
-}
-
-bool parse_f64(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -90,28 +71,27 @@ Msg parse_message(const std::string& line) {
   const std::vector<std::string> fields = split_fields(line);
   if (fields.size() < 2) return msg;
 
-  std::int64_t shard64 = -1;
-  if (!parse_i64(fields[1], &shard64) || shard64 < 0) return msg;
-  const int shard = static_cast<int>(shard64);
+  const std::optional<std::int64_t> shard64 = util::to_int(fields[1]);
+  if (!shard64 || *shard64 < 0 || *shard64 > util::kIntMax) return msg;
+  const int shard = static_cast<int>(*shard64);
 
   // Common iter=/frames= fields (position-independent past the shard).
-  std::int64_t iter = 0, frames = 0;
-  bool have_iter = false, have_frames = false;
+  std::optional<std::int64_t> iter, frames;
   for (std::size_t i = 2; i < fields.size(); ++i) {
     std::string v = field_value(fields[i], "iter");
-    if (!v.empty()) have_iter = parse_i64(v, &iter);
+    if (!v.empty()) iter = util::to_int(v);
     v = field_value(fields[i], "frames");
-    if (!v.empty()) have_frames = parse_i64(v, &frames);
+    if (!v.empty()) frames = util::to_int(v);
   }
 
   if (fields[0] == "hb") {
-    if (!have_iter || !have_frames) return msg;
+    if (!iter || !frames) return msg;
     msg.kind = MsgKind::kHeartbeat;
   } else if (fields[0] == "done") {
-    if (!have_iter || !have_frames) return msg;
+    if (!iter || !frames) return msg;
     msg.kind = MsgKind::kDone;
   } else if (fields[0] == "diverged") {
-    if (!have_iter) return msg;
+    if (!iter) return msg;
     msg.kind = MsgKind::kDiverged;
     // Reason = everything after the iter= field, re-joined.
     std::string reason;
@@ -128,18 +108,17 @@ Msg parse_message(const std::string& line) {
   } else if (fields[0] == "point") {
     ParetoPoint p;
     p.shard = shard;
-    bool have_score = false, have_fps = false, have_dsp = false;
+    std::optional<double> score, fps;
+    std::optional<std::int64_t> dsp;
     bool have_arch = false, have_accel = false;
     for (std::size_t i = 2; i < fields.size(); ++i) {
       std::string v;
       if (!(v = field_value(fields[i], "score")).empty()) {
-        have_score = parse_f64(v, &p.score);
+        score = util::to_double(v);
       } else if (!(v = field_value(fields[i], "fps")).empty()) {
-        have_fps = parse_f64(v, &p.fps);
+        fps = util::to_double(v);
       } else if (!(v = field_value(fields[i], "dsp")).empty()) {
-        std::int64_t dsp = 0;
-        have_dsp = parse_i64(v, &dsp);
-        p.dsp = static_cast<int>(dsp);
+        dsp = util::to_int(v);
       } else if (!(v = field_value(fields[i], "arch")).empty()) {
         p.arch = v;
         have_arch = true;
@@ -148,12 +127,15 @@ Msg parse_message(const std::string& line) {
         have_accel = true;
       }
     }
-    if (!have_iter || !have_frames || !have_score || !have_fps || !have_dsp ||
-        !have_arch || !have_accel) {
+    if (!iter || !frames || !score || !fps || !dsp || !have_arch ||
+        !have_accel) {
       return msg;
     }
-    p.iter = iter;
-    p.frames = frames;
+    p.iter = *iter;
+    p.frames = *frames;
+    p.score = *score;
+    p.fps = *fps;
+    p.dsp = static_cast<int>(*dsp);
     msg.kind = MsgKind::kPoint;
     msg.point = p;
   } else {
@@ -161,8 +143,8 @@ Msg parse_message(const std::string& line) {
   }
 
   msg.shard = shard;
-  msg.iter = iter;
-  msg.frames = frames;
+  msg.iter = *iter;
+  msg.frames = frames.value_or(0);
   return msg;
 }
 

@@ -568,18 +568,19 @@ FleetResult SupervisorImpl::run() {
 
 FleetConfig FleetConfig::with_env_overrides() const {
   FleetConfig out = *this;
-  out.heartbeat_timeout_s =
-      util::env_double("A3CS_FLEET_HB_S", out.heartbeat_timeout_s);
-  out.restart_budget = static_cast<int>(
-      util::env_int("A3CS_FLEET_RESTARTS", out.restart_budget));
-  out.backoff_base_s =
-      util::env_double("A3CS_FLEET_BACKOFF_S", out.backoff_base_s);
-  out.backoff_max_s =
-      util::env_double("A3CS_FLEET_BACKOFF_MAX_S", out.backoff_max_s);
+  using util::kDoubleMax;
+  out.heartbeat_timeout_s = util::env_double(
+      "A3CS_FLEET_HB_S", out.heartbeat_timeout_s, 0, kDoubleMax);
+  out.restart_budget = static_cast<int>(util::env_int(
+      "A3CS_FLEET_RESTARTS", out.restart_budget, 0, util::kIntMax));
+  out.backoff_base_s = util::env_double("A3CS_FLEET_BACKOFF_S",
+                                        out.backoff_base_s, 0, kDoubleMax);
+  out.backoff_max_s = util::env_double("A3CS_FLEET_BACKOFF_MAX_S",
+                                       out.backoff_max_s, 0, kDoubleMax);
   out.reallocate_budget =
-      util::env_int("A3CS_FLEET_REALLOC", out.reallocate_budget ? 1 : 0) != 0;
-  out.poll_interval_ms = static_cast<int>(
-      util::env_int("A3CS_FLEET_POLL_MS", out.poll_interval_ms));
+      util::env_flag("A3CS_FLEET_REALLOC", out.reallocate_budget);
+  out.poll_interval_ms = static_cast<int>(util::env_int(
+      "A3CS_FLEET_POLL_MS", out.poll_interval_ms, 0, util::kIntMax));
   return out;
 }
 

@@ -18,6 +18,7 @@
 #include "fleet/protocol.h"
 #include "guard/policy.h"
 #include "rl/a2c.h"
+#include "util/config.h"
 #include "util/logging.h"
 
 namespace a3cs::fleet {
@@ -95,35 +96,37 @@ ParetoPoint make_point(const WorkerOptions& o, core::CoSearchEngine& engine) {
 }
 
 bool parse_flag(const std::string& arg, const std::string& value,
-                WorkerOptions* o, bool* used_value) {
-  *used_value = true;
-  if (arg == "--shard") o->shard = std::atoi(value.c_str());
-  else if (arg == "--pipe-fd") o->pipe_fd = std::atoi(value.c_str());
+                WorkerOptions* o) {
+  // Every number the supervisor writes is non-negative.
+  const auto i32 = [&] {
+    return static_cast<int>(util::parse_int(arg, value, 0, util::kIntMax));
+  };
+  const auto i64 = [&] {
+    return util::parse_int(arg, value, 0, util::kInt64Max);
+  };
+  if (arg == "--shard") o->shard = i32();
+  else if (arg == "--pipe-fd") o->pipe_fd = i32();
   else if (arg == "--game") o->game = value;
-  else if (arg == "--cells") o->num_cells = std::atoi(value.c_str());
-  else if (arg == "--envs") o->num_envs = std::atoi(value.c_str());
-  else if (arg == "--rollout") o->rollout_len = std::atoi(value.c_str());
-  else if (arg == "--das-samples") o->das_samples = std::atoi(value.c_str());
-  else if (arg == "--tau-decay") o->tau_decay_frames = std::atoll(value.c_str());
-  else if (arg == "--frames") o->total_frames = std::atoll(value.c_str());
-  else if (arg == "--seed") {
-    o->seed = static_cast<std::uint64_t>(std::strtoull(value.c_str(),
-                                                       nullptr, 10));
+  else if (arg == "--cells") o->num_cells = i32();
+  else if (arg == "--envs") o->num_envs = i32();
+  else if (arg == "--rollout") o->rollout_len = i32();
+  else if (arg == "--das-samples") o->das_samples = i32();
+  else if (arg == "--tau-decay") o->tau_decay_frames = i64();
+  else if (arg == "--frames") o->total_frames = i64();
+  else if (arg == "--seed") o->seed = static_cast<std::uint64_t>(i64());
+  else if (arg == "--lambda") {
+    o->lambda = util::parse_double(arg, value, 0, util::kDoubleMax);
   }
-  else if (arg == "--lambda") o->lambda = std::atof(value.c_str());
-  else if (arg == "--dsp") o->dsp_budget = std::atoi(value.c_str());
+  else if (arg == "--dsp") o->dsp_budget = i32();
   else if (arg == "--ckpt-dir") o->ckpt_dir = value;
-  else if (arg == "--ckpt-every") o->ckpt_every = std::atoi(value.c_str());
-  else if (arg == "--ckpt-keep") o->ckpt_keep = std::atoi(value.c_str());
-  else if (arg == "--point-every") o->point_every = std::atoll(value.c_str());
+  else if (arg == "--ckpt-every") o->ckpt_every = i32();
+  else if (arg == "--ckpt-keep") o->ckpt_keep = i32();
+  else if (arg == "--point-every") o->point_every = i64();
   else if (arg == "--result") o->result_path = value;
-  else if (arg == "--kill-at") o->kill_at = std::atoll(value.c_str());
-  else if (arg == "--hang-at") o->hang_at = std::atoll(value.c_str());
-  else if (arg == "--diverge-at") o->diverge_at = std::atoll(value.c_str());
-  else {
-    *used_value = false;
-    return false;
-  }
+  else if (arg == "--kill-at") o->kill_at = i64();
+  else if (arg == "--hang-at") o->hang_at = i64();
+  else if (arg == "--diverge-at") o->diverge_at = i64();
+  else return false;
   return true;
 }
 
@@ -165,22 +168,16 @@ std::vector<std::string> worker_argv(const WorkerOptions& o) {
   return out;
 }
 
-int worker_main(int argc, char** argv) {
+int worker_main(int argc, char** argv) try {
+  core::read_env_knobs();
   WorkerOptions o;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--fleet-worker") continue;
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "fleet worker: flag %s needs a value\n",
-                   arg.c_str());
-      return 2;
+    if (i + 1 >= argc) throw util::InputError(arg, "", "a value");
+    if (!parse_flag(arg, argv[++i], &o)) {
+      throw util::InputError("fleet worker flag", arg, "a known flag");
     }
-    bool used_value = false;
-    if (!parse_flag(arg, argv[i + 1], &o, &used_value)) {
-      std::fprintf(stderr, "fleet worker: unknown flag %s\n", arg.c_str());
-      return 2;
-    }
-    if (used_value) ++i;
   }
   if (o.total_frames <= 0 || o.ckpt_dir.empty()) {
     std::fprintf(stderr,
@@ -188,6 +185,9 @@ int worker_main(int argc, char** argv) {
     return 2;
   }
   return run_fleet_worker(o);
+} catch (const util::InputError& e) {
+  std::fprintf(stderr, "fleet worker: %s\n", e.what());
+  return 2;
 }
 
 int run_fleet_worker(const WorkerOptions& o) {

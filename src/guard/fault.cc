@@ -1,8 +1,5 @@
 #include "guard/fault.h"
 
-#include <cstdlib>
-#include <string>
-
 #include "obs/metrics.h"
 #include "util/config.h"
 #include "util/logging.h"
@@ -32,30 +29,6 @@ void FaultInjector::arm(FaultKind kind, std::int64_t at_iter, int count) {
   armed_.push_back(Armed{kind, at_iter, count, 0});
 }
 
-namespace {
-
-// "I" or "I:N" -> (iter, count); count defaults to 1. Returns false when the
-// variable is unset or unparsable.
-bool parse_fault_spec(const char* env_name, std::int64_t* iter, int* count) {
-  const std::string spec = util::env_string(env_name, "");
-  if (spec.empty()) return false;
-  char* end = nullptr;
-  const long long at = std::strtoll(spec.c_str(), &end, 10);
-  if (end == spec.c_str() || at < 0) return false;
-  long long n = 1;
-  if (*end == ':') {
-    const char* count_begin = end + 1;
-    n = std::strtoll(count_begin, &end, 10);
-    if (end == count_begin || n < 1) return false;
-  }
-  if (*end != '\0') return false;
-  *iter = at;
-  *count = static_cast<int>(n);
-  return true;
-}
-
-}  // namespace
-
 void FaultInjector::arm_from_env() {
   static constexpr struct {
     const char* env;
@@ -68,16 +41,16 @@ void FaultInjector::arm_from_env() {
       {"A3CS_FAULT_TRUNC_CKPT", FaultKind::kTruncCkpt},
   };
   for (const auto& spec : kSpecs) {
-    std::int64_t at = 0;
-    int count = 1;
-    if (parse_fault_spec(spec.env, &at, &count)) {
-      A3CS_LOG(WARN) << "fault injection armed from " << spec.env << ": "
+    for (const auto& [at, count] :
+         util::parse_plan(spec.env, util::env_string(spec.env, ""), ':')) {
+      A3CS_LOG(WARN) << "fault plan from " << spec.env << ": "
                      << fault_kind_name(spec.kind) << " at iteration " << at
-                     << " x" << count;
-      arm(spec.kind, at, count);
+                     << " x" << count.value_or(1);
+      arm(spec.kind, at, static_cast<int>(count.value_or(1)));
     }
   }
-  set_stall_ms(util::env_double("A3CS_FAULT_STALL_MS", stall_ms()));
+  set_stall_ms(util::env_double("A3CS_FAULT_STALL_MS", stall_ms(), 0.0,
+                                util::kDoubleMax));
 }
 
 bool FaultInjector::should_fire(FaultKind kind, std::int64_t iter) {

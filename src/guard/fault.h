@@ -17,6 +17,9 @@
 //   A3CS_FAULT_TRUNC_CKPT=I[:N] truncate the checkpoint written at/after
 //                               iteration I in half (torn tip)
 //
+// Each variable takes a comma list of such entries ("5,40:2" arms two
+// faults); a malformed plan fails the run instead of arming nothing.
+//
 // A fault fires at the first iteration >= its arm point and consumes one
 // count per firing. Counts (not iteration equality) gate re-firing so a
 // guard ROLLBACK that rewinds the iteration counter below the arm point
@@ -44,8 +47,9 @@ class FaultInjector {
   // >= `at_iter`.
   void arm(FaultKind kind, std::int64_t at_iter, int count = 1);
 
-  // Parses the A3CS_FAULT_* variables ("iter" or "iter:count") and arms the
-  // corresponding faults. Unset variables arm nothing.
+  // Parses the A3CS_FAULT_* plans (util::parse_plan lists of "iter" or
+  // "iter:count") and arms them. Unset variables arm nothing; a malformed
+  // plan throws util::InputError.
   void arm_from_env();
 
   // True (and consumes one count) when `kind` should corrupt iteration

@@ -1,7 +1,6 @@
 #include "guard/policy.h"
 
 #include "util/config.h"
-#include "util/logging.h"
 
 namespace a3cs::guard {
 
@@ -14,12 +13,11 @@ const char* guard_mode_name(GuardMode m) {
   return "?";
 }
 
-GuardMode parse_guard_mode(const std::string& s) {
+GuardMode parse_guard_mode(const std::string& s, std::string_view name) {
   if (s == "off") return GuardMode::kOff;
   if (s == "warn") return GuardMode::kWarn;
   if (s == "heal") return GuardMode::kHeal;
-  throw std::runtime_error("unknown guard mode '" + s +
-                           "' (expected off|warn|heal)");
+  throw util::InputError(name, s, "off|warn|heal");
 }
 
 const char* guard_action_name(GuardAction a) {
@@ -34,36 +32,34 @@ const char* guard_action_name(GuardAction a) {
 }
 
 GuardConfig GuardConfig::with_env_overrides() const {
+  using util::kDoubleMax;
+  using util::kIntMax;
   GuardConfig out = *this;
-  const std::string mode =
-      util::env_string("A3CS_GUARD", guard_mode_name(out.mode));
-  try {
-    out.mode = parse_guard_mode(mode);
-  } catch (const std::exception&) {
-    A3CS_LOG(WARN) << "ignoring invalid A3CS_GUARD=" << mode;
-  }
-  out.skip_budget =
-      static_cast<int>(util::env_int("A3CS_GUARD_SKIPS", out.skip_budget));
-  out.soften_budget =
-      static_cast<int>(util::env_int("A3CS_GUARD_SOFTENS", out.soften_budget));
+  const std::string mode = util::env_string("A3CS_GUARD", "");
+  if (!mode.empty()) out.mode = parse_guard_mode(mode, "A3CS_GUARD");
+  out.skip_budget = static_cast<int>(
+      util::env_int("A3CS_GUARD_SKIPS", out.skip_budget, 0, kIntMax));
+  out.soften_budget = static_cast<int>(
+      util::env_int("A3CS_GUARD_SOFTENS", out.soften_budget, 0, kIntMax));
   out.max_rollbacks = static_cast<int>(
-      util::env_int("A3CS_GUARD_ROLLBACKS", out.max_rollbacks));
-  out.soften_cooldown_iters = static_cast<int>(
-      util::env_int("A3CS_GUARD_COOLDOWN", out.soften_cooldown_iters));
-  out.health.grad_norm_max =
-      util::env_double("A3CS_GUARD_GRAD_MAX", out.health.grad_norm_max);
-  out.health.param_norm_max =
-      util::env_double("A3CS_GUARD_PARAM_MAX", out.health.param_norm_max);
-  out.health.value_abs_max =
-      util::env_double("A3CS_GUARD_VALUE_MAX", out.health.value_abs_max);
-  out.health.entropy_floor =
-      util::env_double("A3CS_GUARD_ENTROPY_FLOOR", out.health.entropy_floor);
-  out.health.alpha_entropy_floor = util::env_double(
-      "A3CS_GUARD_ALPHA_FLOOR", out.health.alpha_entropy_floor);
-  out.health.reward_stagnation_iters = static_cast<int>(util::env_int(
-      "A3CS_GUARD_STAGNATION_ITERS", out.health.reward_stagnation_iters));
-  out.health.rollout_stall_ms =
-      util::env_double("A3CS_GUARD_STALL_MS", out.health.rollout_stall_ms);
+      util::env_int("A3CS_GUARD_ROLLBACKS", out.max_rollbacks, 0, kIntMax));
+  out.soften_cooldown_iters = static_cast<int>(util::env_int(
+      "A3CS_GUARD_COOLDOWN", out.soften_cooldown_iters, 0, kIntMax));
+  HealthConfig& h = out.health;
+  h.grad_norm_max =
+      util::env_double("A3CS_GUARD_GRAD_MAX", h.grad_norm_max, 0, kDoubleMax);
+  h.param_norm_max = util::env_double("A3CS_GUARD_PARAM_MAX", h.param_norm_max,
+                                      0, kDoubleMax);
+  h.value_abs_max =
+      util::env_double("A3CS_GUARD_VALUE_MAX", h.value_abs_max, 0, kDoubleMax);
+  h.entropy_floor = util::env_double("A3CS_GUARD_ENTROPY_FLOOR",
+                                     h.entropy_floor, 0, kDoubleMax);
+  h.alpha_entropy_floor = util::env_double(
+      "A3CS_GUARD_ALPHA_FLOOR", h.alpha_entropy_floor, 0, kDoubleMax);
+  h.reward_stagnation_iters = static_cast<int>(util::env_int(
+      "A3CS_GUARD_STAGNATION_ITERS", h.reward_stagnation_iters, 0, kIntMax));
+  h.rollout_stall_ms = util::env_double("A3CS_GUARD_STALL_MS",
+                                        h.rollout_stall_ms, 0, kDoubleMax);
   return out;
 }
 

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "guard/health.h"
 
@@ -31,8 +32,10 @@ namespace a3cs::guard {
 enum class GuardMode { kOff, kWarn, kHeal };
 
 const char* guard_mode_name(GuardMode m);
-// Parses "off" | "warn" | "heal" (case-sensitive); throws on anything else.
-GuardMode parse_guard_mode(const std::string& s);
+// Parses "off" | "warn" | "heal" (case-sensitive); anything else throws
+// util::InputError naming `name` (the knob or flag the text came from).
+GuardMode parse_guard_mode(const std::string& s,
+                           std::string_view name = "guard mode");
 
 enum class GuardAction { kNone, kSkip, kSoften, kRollback, kAbort };
 
@@ -53,7 +56,8 @@ struct GuardConfig {
   int max_rollbacks = 3;
 
   // Returns a copy with A3CS_GUARD_* environment overrides applied (env
-  // wins, mirroring A3CS_TRACE_* / A3CS_CKPT_* semantics):
+  // wins, mirroring A3CS_TRACE_* / A3CS_CKPT_* semantics; malformed values
+  // throw util::InputError):
   //   A3CS_GUARD=off|warn|heal     the mode
   //   A3CS_GUARD_SKIPS / _SOFTENS / _ROLLBACKS      ladder budgets
   //   A3CS_GUARD_COOLDOWN                           soften window (iters)

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "nn/layers.h"
+#include "util/config.h"
 #include "util/logging.h"
 
 namespace a3cs::nas {
@@ -64,12 +65,7 @@ std::string DerivedArch::to_string() const {
 DerivedArch DerivedArch::from_string(const std::string& s) {
   DerivedArch arch;
   const auto& ops = candidate_ops();
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t dash = s.find('-', pos);
-    const std::string tok =
-        s.substr(pos, dash == std::string::npos ? std::string::npos
-                                                : dash - pos);
+  for (const std::string& tok : util::split(s, '-')) {
     int idx = -1;
     for (std::size_t i = 0; i < ops.size(); ++i) {
       if (ops[i].id == tok) {
@@ -79,8 +75,6 @@ DerivedArch DerivedArch::from_string(const std::string& s) {
     }
     A3CS_CHECK(idx >= 0, "from_string: unknown operator id '" + tok + "'");
     arch.choices.push_back(idx);
-    if (dash == std::string::npos) break;
-    pos = dash + 1;
   }
   return arch;
 }

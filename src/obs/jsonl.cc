@@ -1,11 +1,14 @@
 #include "obs/jsonl.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
+
+#include "util/config.h"
 
 namespace a3cs::obs {
 namespace {
@@ -151,10 +154,13 @@ class JsonParser {
         case 'b': v.string_ += '\b'; break;
         case 'f': v.string_ += '\f'; break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) fail("bad \\u escape", pos_);
-          const std::string hex = text_.substr(pos_, 4);
+          const char* hex = text_.data() + pos_;
+          unsigned code = 0;
+          if (pos_ + 4 > text_.size() ||
+              std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4) {
+            fail("bad \\u escape", pos_);
+          }
           pos_ += 4;
-          const long code = std::strtol(hex.c_str(), nullptr, 16);
           // TraceWriter only emits \u00XX control escapes; decode those and
           // pass anything else through as '?' rather than implementing UTF-16.
           v.string_ += code < 0x80 ? static_cast<char>(code) : '?';
@@ -175,12 +181,11 @@ class JsonParser {
     }
     if (pos_ == start) fail("expected a value", pos_);
     const std::string tok = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double num = std::strtod(tok.c_str(), &end);
-    if (end == tok.c_str() || *end != '\0') fail("bad number: " + tok, start);
+    const std::optional<double> num = util::to_double(tok);
+    if (!num) fail("bad number: " + tok, start);
     JsonValue v;
     v.kind_ = JsonValue::Kind::kNumber;
-    v.number_ = num;
+    v.number_ = *num;
     return v;
   }
 

@@ -1,7 +1,5 @@
 #include "obs/obs_config.h"
 
-#include <algorithm>
-
 #include "util/config.h"
 
 namespace a3cs::obs {
@@ -13,22 +11,19 @@ ObsConfig ObsConfig::with_env_overrides() const {
     out.trace_path = path;
     out.trace_enabled = true;
   }
-  out.trace_enabled =
-      util::env_int("A3CS_TRACE", out.trace_enabled ? 1 : 0) != 0;
+  out.trace_enabled = util::env_flag("A3CS_TRACE", out.trace_enabled);
   if (out.trace_enabled && out.trace_path.empty()) {
     out.trace_path = "a3cs_trace.jsonl";
   }
-  out.trace_flush_every = static_cast<int>(std::max<std::int64_t>(
-      1, util::env_int("A3CS_TRACE_FLUSH_EVERY", out.trace_flush_every)));
-  out.trace_every = static_cast<int>(std::max<std::int64_t>(
-      1, util::env_int("A3CS_TRACE_EVERY", out.trace_every)));
-  out.profile_enabled =
-      util::env_int("A3CS_PROFILE", out.profile_enabled ? 1 : 0) != 0;
+  out.trace_flush_every = static_cast<int>(util::env_int(
+      "A3CS_TRACE_FLUSH_EVERY", out.trace_flush_every, 1, util::kIntMax));
+  out.trace_every = static_cast<int>(
+      util::env_int("A3CS_TRACE_EVERY", out.trace_every, 1, util::kIntMax));
+  out.profile_enabled = util::env_flag("A3CS_PROFILE", out.profile_enabled);
   out.profile_summary =
-      util::env_int("A3CS_PROFILE_SUMMARY", out.profile_summary ? 1 : 0) != 0;
-  const std::string chrome =
+      util::env_flag("A3CS_PROFILE_SUMMARY", out.profile_summary);
+  out.profile_chrome_path =
       util::env_string("A3CS_PROFILE_CHROME", out.profile_chrome_path);
-  out.profile_chrome_path = chrome;
   if (!out.profile_chrome_path.empty()) out.profile_enabled = true;
   return out;
 }

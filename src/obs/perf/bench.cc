@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 
 #include "obs/perf/bench_json.h"
@@ -24,35 +23,7 @@ std::int64_t steady_now_ns() {
       .count();
 }
 
-bool smoke_mode() { return util::env_int("A3CS_BENCH_SMOKE", 0) != 0; }
-
-// Parses env var `name` strictly: returns an error string when it is set but
-// not a full valid number (or violates the positivity requirement).
-std::string strict_env_error(const char* name, bool integer,
-                             bool require_positive) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return "";
-  const std::string text(raw);
-  std::size_t consumed = 0;
-  double value = 0.0;
-  try {
-    if (integer) {
-      value = static_cast<double>(std::stoll(text, &consumed));
-    } else {
-      value = std::stod(text, &consumed);
-    }
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != text.size()) {
-    return std::string(name) + "=\"" + text + "\" is not a valid " +
-           (integer ? "integer" : "number");
-  }
-  if (require_positive && value <= 0.0) {
-    return std::string(name) + "=\"" + text + "\" must be > 0";
-  }
-  return "";
-}
+bool smoke_mode() { return util::env_flag("A3CS_BENCH_SMOKE", false); }
 
 }  // namespace
 
@@ -206,39 +177,15 @@ double exact_quantile(const std::vector<double>& sorted_ms, double q) {
   return sorted_ms[lo] + frac * (sorted_ms[hi] - sorted_ms[lo]);
 }
 
-std::vector<std::string> validate_bench_env() {
-  std::vector<std::string> errors;
-  const char* const float_vars[] = {"A3CS_SCALE"};
-  const char* const positive_int_vars[] = {"A3CS_EVAL_EPISODES"};
-  const char* const int_vars[] = {"A3CS_BENCH_SMOKE", "A3CS_THREADS"};
-  for (const char* name : float_vars) {
-    const std::string err =
-        strict_env_error(name, /*integer=*/false, /*require_positive=*/true);
-    if (!err.empty()) errors.push_back(err);
-  }
-  for (const char* name : positive_int_vars) {
-    const std::string err =
-        strict_env_error(name, /*integer=*/true, /*require_positive=*/true);
-    if (!err.empty()) errors.push_back(err);
-  }
-  for (const char* name : int_vars) {
-    const std::string err =
-        strict_env_error(name, /*integer=*/true, /*require_positive=*/false);
-    if (!err.empty()) errors.push_back(err);
-  }
-  return errors;
-}
-
 // ------------------------------------------------------------------- main ---
 
-int run_bench_main(const std::string& suite_name, int argc, char** argv) {
-  const std::vector<std::string> env_errors = validate_bench_env();
-  if (!env_errors.empty()) {
-    for (const std::string& err : env_errors) {
-      std::cerr << "bench env error: " << err << "\n";
-    }
-    return 2;
-  }
+int run_bench_main(const std::string& suite_name, int argc,
+                   char** argv) try {
+  // Every knob a registry suite reads, before any work (util/config.h).
+  const bool smoke = smoke_mode();
+  const double scale = util::bench_scale();
+  (void)util::ExecConfig{}.with_env_overrides();
+  (void)ObsConfig{}.with_env_overrides();
 
   std::string json_path = util::env_string("A3CS_BENCH_JSON", "");
   std::string filter;
@@ -269,9 +216,8 @@ int run_bench_main(const std::string& suite_name, int argc, char** argv) {
 
   const RunScope scope(ObsConfig{}, "bench suite");
 
-  std::cout << "== bench suite: " << suite_name
-            << " (scale=" << util::bench_scale()
-            << (smoke_mode() ? ", SMOKE" : "") << ") ==\n";
+  std::cout << "== bench suite: " << suite_name << " (scale=" << scale
+            << (smoke ? ", SMOKE" : "") << ") ==\n";
   const std::vector<BenchResult> results = suite.run_all(filter);
 
   util::TextTable table({"bench", "config", "thr", "reps", "median ms",
@@ -300,6 +246,9 @@ int run_bench_main(const std::string& suite_name, int argc, char** argv) {
               << " results)\n";
   }
   return 0;
+} catch (const util::InputError& e) {
+  std::cerr << e.what() << "\n";
+  return 2;
 }
 
 }  // namespace a3cs::obs::perf

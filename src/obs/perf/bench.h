@@ -158,13 +158,8 @@ class BenchSuite {
 // [0,1]). Exposed for the metrics reservoir and tests.
 double exact_quantile(const std::vector<double>& sorted_ms, double q);
 
-// Validates bench-relevant environment variables (A3CS_SCALE,
-// A3CS_EVAL_EPISODES, A3CS_BENCH_SMOKE): set-but-malformed or out-of-range
-// values produce one human-readable error each. Empty result = all valid.
-std::vector<std::string> validate_bench_env();
-
-// Standard bench-binary main: validates env (exit 2 with errors on stderr),
-// parses --json/--filter/--list, installs trace/profile sessions from env
+// Standard bench-binary main: reads its knobs first (a malformed one is
+// one stderr line and return value 2, see util/config.h), parses --json/--filter/--list, installs trace/profile sessions from env
 // (A3CS_TRACE*, A3CS_PROFILE, A3CS_PROFILE_CHROME), runs the suite, prints
 // the result table, and writes the JSON artifact when requested.
 int run_bench_main(const std::string& suite_name, int argc, char** argv);

@@ -41,7 +41,7 @@ RunMeta collect_run_meta() {
   meta.host = host_fingerprint();
   meta.threads = util::ThreadPool::global().threads();
   meta.scale = util::bench_scale();
-  meta.smoke = util::env_int("A3CS_BENCH_SMOKE", 0) != 0;
+  meta.smoke = util::env_flag("A3CS_BENCH_SMOKE", false);
   meta.wall_time = util::iso8601_now();
   return meta;
 }

@@ -18,12 +18,11 @@ obs::Counter& global_counter(const char* name) {
 
 CacheConfig CacheConfig::with_env_overrides() const {
   CacheConfig out = *this;
-  out.enabled = util::env_int("A3CS_CACHE", out.enabled ? 1 : 0) != 0;
-  out.shards = static_cast<int>(std::max<std::int64_t>(
-      1, util::env_int("A3CS_CACHE_SHARDS", out.shards)));
-  out.capacity =
-      std::max<std::int64_t>(1, util::env_int("A3CS_CACHE_CAPACITY",
-                                              out.capacity));
+  out.enabled = util::env_flag("A3CS_CACHE", out.enabled);
+  out.shards = static_cast<int>(
+      util::env_int("A3CS_CACHE_SHARDS", out.shards, 1, util::kIntMax));
+  out.capacity = util::env_int("A3CS_CACHE_CAPACITY", out.capacity, 1,
+                               util::kInt64Max);
   return out;
 }
 

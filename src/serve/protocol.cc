@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <utility>
 
@@ -9,6 +10,7 @@
 #include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/config.h"
 
 namespace a3cs::serve {
 
@@ -58,6 +60,15 @@ std::string error_reply(const obs::JsonValue* id, const std::string& message) {
   return out;
 }
 
+// A request dimension or count: a finite whole number >= 1 that fits int.
+int positive_int(const obs::JsonValue& v, const std::string& field) {
+  const double d = v.is_number() ? v.as_number() : 0.0;
+  if (d >= 1 && d <= util::kIntMax && d == std::floor(d)) {
+    return static_cast<int>(d);
+  }
+  throw std::runtime_error("\"" + field + "\" must be an integer >= 1");
+}
+
 // Resolves the request's network selector into a registry entry.
 const NetworkRegistry::Entry& resolve_network(NetworkRegistry& registry,
                                               const obs::JsonValue& req) {
@@ -71,13 +82,13 @@ const NetworkRegistry::Entry& resolve_network(NetworkRegistry& registry,
     if (arr.size() != 3) {
       throw std::runtime_error("\"obs\" must be [channels,height,width]");
     }
-    obs.channels = static_cast<int>(arr[0].as_number());
-    obs.height = static_cast<int>(arr[1].as_number());
-    obs.width = static_cast<int>(arr[2].as_number());
+    obs.channels = positive_int(arr[0], "obs[0]");
+    obs.height = positive_int(arr[1], "obs[1]");
+    obs.width = positive_int(arr[2], "obs[2]");
   }
   int actions = 4;
   if (const obs::JsonValue* a = req.find("actions")) {
-    actions = static_cast<int>(a->as_number());
+    actions = positive_int(*a, "actions");
   }
   return registry.get(name->as_string(), obs, actions);
 }

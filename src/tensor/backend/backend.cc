@@ -48,13 +48,15 @@ bool select(const std::string& name) {
 }
 
 void select_from_env() {
-  const std::string raw = util::env_string("A3CS_BACKEND", "scalar");
-  const Backend* b = resolve(raw);
+  const std::string raw = util::env_string("A3CS_BACKEND", "");
+  const Backend* b = resolve(raw.empty() ? "scalar" : raw);
+  if (b == nullptr && raw != "avx2") {
+    throw util::InputError("A3CS_BACKEND", raw, "scalar|avx2|auto");
+  }
   if (b == nullptr) {
-    A3CS_LOG(WARN) << "A3CS_BACKEND=" << raw
-                   << (raw == "avx2" ? " unsupported on this host"
-                                     : " unknown (want scalar|avx2|auto)")
-                   << "; falling back to scalar";
+    // A fact about the host, not a typo: run, but say so.
+    A3CS_LOG(WARN) << "A3CS_BACKEND=avx2 unsupported on this host; "
+                      "falling back to scalar";
     b = &scalar_backend();
   }
   active_slot().store(b, std::memory_order_release);

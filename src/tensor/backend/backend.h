@@ -116,8 +116,8 @@ const Backend& active();
 // leaves the active backend unchanged) for unknown or unsupported names.
 bool select(const std::string& name);
 
-// Re-reads A3CS_BACKEND and applies it (unknown/unsupported values warn and
-// fall back to scalar, mirroring the env handling of obs::ObsConfig).
+// Re-reads A3CS_BACKEND and applies it. An unknown name throws
+// util::InputError; avx2 on a host without it warns and runs scalar.
 void select_from_env();
 
 // Names of the backends usable on this host, scalar first.

@@ -1,12 +1,13 @@
 #include "tensor/serialize.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <vector>
 
-#include "util/logging.h"
+#include "util/state_io.h"
 
 namespace a3cs::tensor {
 namespace {
@@ -14,96 +15,62 @@ namespace {
 constexpr char kTensorMagic[4] = {'A', '3', 'C', 'T'};
 constexpr char kFileMagic[4] = {'A', '3', 'C', 'F'};
 
-// Explicit little-endian integer encoding: byte i carries bits [8i, 8i+8).
-// Writers/readers never memcpy whole integers, so the on-disk format is
-// identical on big- and little-endian hosts.
-void write_u32(std::ostream& out, std::uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
-  out.write(buf, 4);
-}
-
-std::uint32_t read_u32(std::istream& in) {
-  char buf[4];
-  in.read(buf, 4);
-  if (!in) throw std::runtime_error("tensor deserialize: truncated stream");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-void write_version(std::ostream& out) {
-  const char v = static_cast<char>(kSerializeVersion);
-  out.write(&v, 1);
-}
+namespace sio = util::sio;
 
 void read_and_check_version(std::istream& in, const char* container) {
-  char v = 0;
-  in.read(&v, 1);
-  if (!in) throw std::runtime_error("tensor deserialize: truncated stream");
-  if (static_cast<std::uint8_t>(v) != kSerializeVersion) {
+  const std::uint8_t v = sio::get_u8(in);
+  if (v != kSerializeVersion) {
     throw std::runtime_error(
         std::string("tensor deserialize: unsupported ") + container +
-        " format version " + std::to_string(static_cast<unsigned char>(v)) +
-        " (expected " + std::to_string(kSerializeVersion) + ")");
+        " format version " + std::to_string(v) + " (expected " +
+        std::to_string(kSerializeVersion) + ")");
   }
-}
-
-void write_string(std::ostream& out, const std::string& s) {
-  write_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string read_string(std::istream& in) {
-  const std::uint32_t n = read_u32(in);
-  std::string s(n, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(n));
-  if (!in) throw std::runtime_error("tensor deserialize: truncated string");
-  return s;
 }
 
 // Float payloads are little-endian IEEE-754 bit patterns. On LE hosts (the
 // common case) that is the in-memory layout and the buffer is written/read
-// in bulk; on BE hosts each element is byte-swapped through its bit pattern.
+// in bulk; on BE hosts each element goes through sio's explicit-LE floats.
 void write_f32_data(std::ostream& out, const float* data, std::int64_t n) {
   if constexpr (std::endian::native == std::endian::little) {
     out.write(reinterpret_cast<const char*>(data),
               static_cast<std::streamsize>(n) *
                   static_cast<std::streamsize>(sizeof(float)));
   } else {
-    for (std::int64_t i = 0; i < n; ++i) {
-      std::uint32_t bits = 0;
-      std::memcpy(&bits, &data[i], sizeof(bits));
-      write_u32(out, bits);
-    }
+    for (std::int64_t i = 0; i < n; ++i) sio::put_f32(out, data[i]);
   }
 }
 
-void read_f32_data(std::istream& in, float* data, std::int64_t n) {
-  if constexpr (std::endian::native == std::endian::little) {
-    in.read(reinterpret_cast<char*>(data),
-            static_cast<std::streamsize>(n) *
-                static_cast<std::streamsize>(sizeof(float)));
-    if (!in) throw std::runtime_error("tensor deserialize: truncated data");
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const std::uint32_t bits = read_u32(in);
-      std::memcpy(&data[i], &bits, sizeof(bits));
+// Reads in bounded chunks, so a corrupt shape cannot allocate more than the
+// stream actually holds.
+std::vector<float> read_f32_data(std::istream& in, std::int64_t n) {
+  constexpr std::int64_t kChunk = 1 << 16;
+  std::vector<float> data;
+  for (std::int64_t done = 0; done < n;) {
+    const std::int64_t take = std::min(kChunk, n - done);
+    data.resize(static_cast<std::size_t>(done + take));
+    if constexpr (std::endian::native == std::endian::little) {
+      in.read(reinterpret_cast<char*>(data.data() + done),
+              static_cast<std::streamsize>(take) *
+                  static_cast<std::streamsize>(sizeof(float)));
+      if (!in) throw std::runtime_error("tensor deserialize: truncated data");
+    } else {
+      for (std::int64_t i = done; i < done + take; ++i) {
+        data[static_cast<std::size_t>(i)] = sio::get_f32(in);
+      }
     }
+    done += take;
   }
+  return data;
 }
 
 }  // namespace
 
 void write_tensor(std::ostream& out, const Tensor& t) {
   out.write(kTensorMagic, 4);
-  write_version(out);
-  write_u32(out, static_cast<std::uint32_t>(t.shape().rank()));
+  sio::put_u8(out, kSerializeVersion);
+  sio::put_u32(out, static_cast<std::uint32_t>(t.shape().rank()));
   for (int i = 0; i < t.shape().rank(); ++i) {
-    write_u32(out, static_cast<std::uint32_t>(t.shape()[i]));
+    sio::put_u32(out, static_cast<std::uint32_t>(t.shape()[i]));
   }
   write_f32_data(out, t.data(), t.numel());
 }
@@ -115,13 +82,20 @@ Tensor read_tensor(std::istream& in) {
     throw std::runtime_error("tensor deserialize: bad magic");
   }
   read_and_check_version(in, "A3CT");
-  const std::uint32_t rank = read_u32(in);
+  const std::uint32_t rank = sio::get_u32(in);
   if (rank > static_cast<std::uint32_t>(Shape::kMaxRank)) {
     throw std::runtime_error("tensor deserialize: rank too large");
   }
   int dims[Shape::kMaxRank] = {0, 0, 0, 0};
+  std::int64_t numel = 1;
   for (std::uint32_t i = 0; i < rank; ++i) {
-    dims[i] = static_cast<int>(read_u32(in));
+    // Bound each dim before it narrows to int or multiplies into numel.
+    const std::uint32_t d = sio::get_u32(in);
+    if (d > (1u << 30) || (d != 0 && numel > (std::int64_t{1} << 40) / d)) {
+      throw std::runtime_error("tensor deserialize: implausible shape");
+    }
+    numel *= d;
+    dims[i] = static_cast<int>(d);
   }
   Shape shape;
   switch (rank) {
@@ -132,19 +106,17 @@ Tensor read_tensor(std::istream& in) {
     case 4: shape = Shape({dims[0], dims[1], dims[2], dims[3]}); break;
     default: throw std::runtime_error("tensor deserialize: bad rank");
   }
-  Tensor t(shape);
-  read_f32_data(in, t.data(), t.numel());
-  return t;
+  return Tensor(shape, read_f32_data(in, numel));
 }
 
 void write_tensors(
     std::ostream& out,
     const std::vector<std::pair<std::string, Tensor>>& tensors) {
   out.write(kFileMagic, 4);
-  write_version(out);
-  write_u32(out, static_cast<std::uint32_t>(tensors.size()));
+  sio::put_u8(out, kSerializeVersion);
+  sio::put_u32(out, static_cast<std::uint32_t>(tensors.size()));
   for (const auto& [name, t] : tensors) {
-    write_string(out, name);
+    sio::put_string(out, name);
     write_tensor(out, t);
   }
 }
@@ -156,11 +128,10 @@ std::vector<std::pair<std::string, Tensor>> read_tensors(std::istream& in) {
     throw std::runtime_error("read_tensors: bad file magic");
   }
   read_and_check_version(in, "A3CF");
-  const std::uint32_t count = read_u32(in);
+  const std::uint32_t count = sio::get_u32(in);
   std::vector<std::pair<std::string, Tensor>> out;
-  out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::string name = read_string(in);
+    std::string name = sio::get_string(in);
     out.emplace_back(std::move(name), read_tensor(in));
   }
   return out;

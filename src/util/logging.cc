@@ -11,22 +11,34 @@
 #include <stdexcept>
 #include <thread>
 
+#include "util/config.h"
+
 namespace a3cs::util {
 namespace {
 
-std::atomic<LogLevel> g_threshold = [] {
-  const char* env = std::getenv("A3CS_LOG_LEVEL");
-  if (env == nullptr) return LogLevel::kInfo;
-  if (std::strcmp(env, "DEBUG") == 0) return LogLevel::kDebug;
-  if (std::strcmp(env, "WARN") == 0) return LogLevel::kWarn;
-  if (std::strcmp(env, "ERROR") == 0) return LogLevel::kError;
-  return LogLevel::kInfo;
-}();
+// These knobs are read during static initialization, before main can catch
+// anything: a malformed value prints its InputError line and exits 2.
+template <class Read>
+auto read_knob(Read read) {
+  try {
+    return read();
+  } catch (const InputError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
+}
 
-const bool g_log_tid = [] {
-  const char* env = std::getenv("A3CS_LOG_TID");
-  return env != nullptr && std::strcmp(env, "0") != 0;
-}();
+std::atomic<LogLevel> g_threshold = read_knob([] {
+  const std::string env = env_string("A3CS_LOG_LEVEL", "");
+  if (env.empty() || env == "INFO") return LogLevel::kInfo;
+  if (env == "DEBUG") return LogLevel::kDebug;
+  if (env == "WARN") return LogLevel::kWarn;
+  if (env == "ERROR") return LogLevel::kError;
+  throw InputError("A3CS_LOG_LEVEL", env, "DEBUG|INFO|WARN|ERROR");
+});
+
+const bool g_log_tid =
+    read_knob([] { return env_flag("A3CS_LOG_TID", false); });
 
 std::mutex g_mutex;
 

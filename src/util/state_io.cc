@@ -1,5 +1,6 @@
 #include "util/state_io.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -98,11 +99,18 @@ bool get_bool(std::istream& in) {
   return v != 0;
 }
 
+// Length-prefixed readers grow their result as the bytes arrive, so a
+// corrupt length cannot allocate more than the stream actually holds.
 std::string get_string(std::istream& in) {
-  const std::uint32_t n = get_u32(in);
-  std::string s(n, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(n));
-  if (!in) throw std::runtime_error("state_io: truncated string");
+  std::string s;
+  char buf[4096];
+  for (std::uint32_t left = get_u32(in); left > 0;) {
+    const std::uint32_t n = std::min<std::uint32_t>(left, sizeof(buf));
+    in.read(buf, n);
+    if (!in) throw std::runtime_error("state_io: truncated string");
+    s.append(buf, n);
+    left -= n;
+  }
   return s;
 }
 
@@ -120,9 +128,8 @@ void put_i32_vec(std::ostream& out, const std::vector<int>& v) {
 }
 
 std::vector<int> get_i32_vec(std::istream& in) {
-  const std::uint32_t n = get_u32(in);
-  std::vector<int> v(n);
-  for (auto& x : v) x = get_i32(in);
+  std::vector<int> v;
+  for (std::uint32_t n = get_u32(in); n > 0; --n) v.push_back(get_i32(in));
   return v;
 }
 
@@ -132,9 +139,8 @@ void put_f64_vec(std::ostream& out, const std::vector<double>& v) {
 }
 
 std::vector<double> get_f64_vec(std::istream& in) {
-  const std::uint32_t n = get_u32(in);
-  std::vector<double> v(n);
-  for (auto& x : v) x = get_f64(in);
+  std::vector<double> v;
+  for (std::uint32_t n = get_u32(in); n > 0; --n) v.push_back(get_f64(in));
   return v;
 }
 
@@ -144,9 +150,8 @@ void put_bool_vec(std::ostream& out, const std::vector<bool>& v) {
 }
 
 std::vector<bool> get_bool_vec(std::istream& in) {
-  const std::uint32_t n = get_u32(in);
-  std::vector<bool> v(n);
-  for (std::uint32_t i = 0; i < n; ++i) v[i] = get_bool(in);
+  std::vector<bool> v;
+  for (std::uint32_t n = get_u32(in); n > 0; --n) v.push_back(get_bool(in));
   return v;
 }
 

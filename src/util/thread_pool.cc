@@ -10,13 +10,11 @@ namespace a3cs::util {
 
 ExecConfig ExecConfig::with_env_overrides() const {
   ExecConfig out = *this;
-  const std::string raw = env_string("A3CS_THREADS", "");
-  if (!raw.empty()) {
-    if (raw == "auto") {
-      out.threads = 0;
-    } else {
-      out.threads = static_cast<int>(env_int("A3CS_THREADS", out.threads));
-    }
+  if (env_string("A3CS_THREADS", "") == "auto") {
+    out.threads = 0;
+  } else {
+    out.threads =
+        static_cast<int>(env_int("A3CS_THREADS", out.threads, 0, 1024));
   }
   return out;
 }

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <utility>
+
 #include "core/cosearch.h"
 #include "core/pipeline.h"
+#include "guard/fault.h"
+#include "obs/jsonl.h"
 #include "rl/eval.h"
+#include "util/config.h"
 
 namespace a3cs {
 namespace {
@@ -134,6 +142,63 @@ TEST(Pipeline, EndToEndTiny) {
   EXPECT_GT(result.hw.fps, 0.0);
   EXPECT_FALSE(result.specs.empty());
   ASSERT_NE(result.trained_net, nullptr);
+}
+
+// ------------------------------------------------------------ env knobs --
+
+// Each malformed class throws util::InputError naming the knob and value,
+// from the one read every entry point does before any work.
+TEST(EnvKnobs, MalformedKnobsThrowNamingKnobAndValue) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"A3CS_THREADS", "12abc"},       {"A3CS_SCALE", "abc"},
+      {"A3CS_SCALE", "0"},             {"A3CS_TRACE_EVERY", "0"},
+      {"A3CS_TRACE", "yes"},           {"A3CS_CKPT_KEEP", "99999999999"},
+      {"A3CS_GUARD", "heel"},          {"A3CS_BACKEND", "avx"},
+      {"A3CS_FAULT_NAN_GRAD", "abc"},  {"A3CS_FAULT_NAN_GRAD", "5:"},
+      {"A3CS_FAULT_NAN_GRAD", "5:0"},  {"A3CS_FAULT_INF_LOSS", "5;2"},
+  };
+  for (const auto& [name, value] : cases) {
+    ::setenv(name, value, 1);
+    try {
+      core::read_env_knobs();
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const util::InputError& e) {
+      const std::string want = std::string(name) + "=\"" + value + "\"";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+    ::unsetenv(name);
+  }
+  EXPECT_NO_THROW(core::read_env_knobs());
+}
+
+TEST(EnvKnobs, ReadingKnobsArmsNoFault) {
+  guard::FaultInjector::global().reset();
+  ::setenv("A3CS_FAULT_NAN_GRAD", "0", 1);
+  core::read_env_knobs();
+  ::unsetenv("A3CS_FAULT_NAN_GRAD");
+  EXPECT_FALSE(guard::FaultInjector::global().should_fire(
+      guard::FaultKind::kNanGrad, 5));
+}
+
+// cosearch_start records which A3CS_* knobs were set for the run.
+TEST(EnvKnobs, CosearchStartTraceCarriesSetKnobs) {
+  const std::string path = ::testing::TempDir() + "/core_env_trace.jsonl";
+  auto cfg = small_config();
+  cfg.obs.trace_enabled = true;
+  cfg.obs.trace_path = path;
+  ::setenv("A3CS_GUARD_COOLDOWN", "20", 1);  // the default: a no-op knob
+  core::CoSearchEngine("Catch", cfg, nullptr).run(100);
+  ::unsetenv("A3CS_GUARD_COOLDOWN");
+  bool found = false;
+  for (const obs::JsonValue& ev : obs::parse_jsonl_file(path)) {
+    if (ev.string_or("type", "") != "cosearch_start") continue;
+    found = true;
+    EXPECT_NE(ev.string_or("env", "").find("A3CS_GUARD_COOLDOWN=20"),
+              std::string::npos);
+  }
+  EXPECT_TRUE(found);
+  std::remove(path.c_str());
 }
 
 }  // namespace

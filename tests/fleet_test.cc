@@ -5,7 +5,13 @@
 // env overrides. Process-level kill/hang/drop behaviour lives in
 // fleet_resume_test.cc.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +20,7 @@
 #include "fleet/frontier.h"
 #include "fleet/protocol.h"
 #include "fleet/supervisor.h"
+#include "util/config.h"
 
 namespace a3cs::fleet {
 namespace {
@@ -186,6 +193,51 @@ TEST(FleetFault, MalformedPlanThrows) {
                std::runtime_error);
   EXPECT_THROW(FleetFaultInjector::parse("", "", "", "x"),
                std::runtime_error);
+}
+
+// The shared plan grammar is whole-entry strict: trailing junk, a second
+// separator, a missing iteration or a stray iteration all fail, naming the
+// knob and the plan.
+TEST(FleetFault, PlanGrammarIsStrict) {
+  const auto expect_bad = [](const char* name, const std::string& kill,
+                             const std::string& corrupt, const char* text) {
+    try {
+      FleetFaultInjector::parse(kill, "", "", corrupt);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const util::InputError& e) {
+      const std::string want = std::string(name) + "=\"" + text + "\"";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const char* bad : {"0@3abc", "1@4@9", "2x", "2", "0@3,", " 0@3"}) {
+    expect_bad("A3CS_FLEET_KILL", bad, "", bad);
+  }
+  for (const char* bad : {"2x", "1@4", "0,,1"}) {
+    expect_bad("A3CS_FLEET_CORRUPT_TIP", "", bad, bad);
+  }
+}
+
+// A bad knob fails the fleet once, before any worker is spawned, instead of
+// burning every shard's restart budget.
+TEST(FleetFault, BadKnobExitsTwoWithoutSpawning) {
+  const auto out = std::filesystem::temp_directory_path() /
+                   ("a3cs_fleet_badknob_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(out);
+  std::filesystem::create_directories(out);
+  const std::string log = (out / "log.txt").string();
+  const std::string cmd = std::string("env A3CS_GUARD=heel ") +
+                          COSEARCH_FLEET_BIN + " Catch --workers 2 --out " +
+                          out.string() + " > " + log + " 2>&1";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  std::ifstream in(log);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("A3CS_GUARD=\"heel\""), std::string::npos) << text;
+  EXPECT_FALSE(std::filesystem::exists(out / "shard-0")) << "worker spawned";
+  std::filesystem::remove_all(out);
 }
 
 // --------------------------------------------------------------- config ----

@@ -21,6 +21,7 @@
 #include "nn/zoo.h"
 #include "rl/a2c.h"
 #include "rl/rollout.h"
+#include "util/config.h"
 #include "util/rng.h"
 
 namespace a3cs {
@@ -283,7 +284,7 @@ TEST(GuardMode, ParseRoundTripsAndRejectsUnknown) {
   EXPECT_EQ(guard::parse_guard_mode("off"), guard::GuardMode::kOff);
   EXPECT_EQ(guard::parse_guard_mode("warn"), guard::GuardMode::kWarn);
   EXPECT_EQ(guard::parse_guard_mode("heal"), guard::GuardMode::kHeal);
-  EXPECT_THROW(guard::parse_guard_mode("aggressive"), std::runtime_error);
+  EXPECT_THROW(guard::parse_guard_mode("aggressive"), util::InputError);
   EXPECT_STREQ(guard::guard_mode_name(guard::GuardMode::kHeal), "heal");
 }
 
@@ -351,14 +352,37 @@ TEST(FaultInjector, ArmsFromEnvironmentSpecs) {
   ::unsetenv("A3CS_FAULT_STALL_MS");
 }
 
-TEST(FaultInjector, MalformedEnvSpecsArmNothing) {
-  for (const char* bad : {"", "abc", "-1", "5:", "5:0", "5:x", "5;2"}) {
+TEST(FaultInjector, MalformedEnvSpecsThrowAndArmNothing) {
+  for (const char* bad : {"abc", "-1", "5:", "5:0", "5:x", "5;2", "5,"}) {
     ::setenv("A3CS_FAULT_NAN_GRAD", bad, 1);
     guard::FaultInjector injector;
-    injector.arm_from_env();
+    try {
+      injector.arm_from_env();
+      ADD_FAILURE() << "spec '" << bad << "' should throw";
+    } catch (const util::InputError& e) {
+      const std::string want = std::string("A3CS_FAULT_NAN_GRAD=\"") + bad;
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
     EXPECT_FALSE(injector.should_fire(guard::FaultKind::kNanGrad, 1000))
         << "spec '" << bad << "' should not arm";
   }
+  ::setenv("A3CS_FAULT_NAN_GRAD", "", 1);  // empty = unset: arms nothing
+  guard::FaultInjector injector;
+  injector.arm_from_env();
+  EXPECT_FALSE(injector.should_fire(guard::FaultKind::kNanGrad, 1000));
+  ::unsetenv("A3CS_FAULT_NAN_GRAD");
+}
+
+TEST(FaultInjector, EnvPlanArmsEveryListedEntry) {
+  ::setenv("A3CS_FAULT_NAN_GRAD", "3,10:2", 1);
+  guard::FaultInjector injector;
+  injector.arm_from_env();
+  EXPECT_TRUE(injector.should_fire(guard::FaultKind::kNanGrad, 3));
+  EXPECT_FALSE(injector.should_fire(guard::FaultKind::kNanGrad, 4));
+  EXPECT_TRUE(injector.should_fire(guard::FaultKind::kNanGrad, 10));
+  EXPECT_TRUE(injector.should_fire(guard::FaultKind::kNanGrad, 11));
+  EXPECT_FALSE(injector.should_fire(guard::FaultKind::kNanGrad, 12));
   ::unsetenv("A3CS_FAULT_NAN_GRAD");
 }
 

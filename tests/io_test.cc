@@ -12,6 +12,7 @@
 #include "core/result_io.h"
 #include "nn/zoo.h"
 #include "tensor/serialize.h"
+#include "util/state_io.h"
 
 namespace a3cs {
 namespace {
@@ -167,6 +168,32 @@ TEST(TensorFormat, NamedContainerRejectsUnknownVersion) {
 }
 
 // ------------------------------------------------------------ result IO ---
+
+// A length prefix is a claim, not a budget: a stream declaring 0xFFFFFFFF
+// entries but holding 3 bytes must throw, never allocate the declared size.
+TEST(BinaryCodec, HugeDeclaredLengthOnShortStreamThrows) {
+  const std::string huge_len("\xFF\xFF\xFF\xFF" "abc", 7);
+  const auto stream = [&] { return std::istringstream(huge_len); };
+  auto s1 = stream();
+  EXPECT_THROW(util::sio::get_string(s1), std::runtime_error);
+  auto s2 = stream();
+  EXPECT_THROW(util::sio::get_f64_vec(s2), std::runtime_error);
+  auto s3 = stream();
+  EXPECT_THROW(util::sio::get_i32_vec(s3), std::runtime_error);
+  auto s4 = stream();
+  EXPECT_THROW(util::sio::get_bool_vec(s4), std::runtime_error);
+  std::istringstream file(std::string("A3CF\x01", 5) + huge_len);
+  EXPECT_THROW(tensor::read_tensors(file), std::runtime_error);
+  // A tensor whose shape claims ~1G floats over a 3-byte payload.
+  std::istringstream record(std::string("A3CT\x01\x01\x00\x00\x00", 9) +
+                            "\xFF\xFF\xFF\x3F" + "abc");
+  EXPECT_THROW(tensor::read_tensor(record), std::runtime_error);
+  // Four ~2^31 dims: the element count would overflow int64.
+  std::string dims4 = std::string("A3CT\x01\x04\x00\x00\x00", 9);
+  for (int i = 0; i < 4; ++i) dims4 += std::string("\xFF\xFF\xFF\x7F", 4);
+  std::istringstream overflow(dims4 + "abc");
+  EXPECT_THROW(tensor::read_tensor(overflow), std::runtime_error);
+}
 
 TEST(ResultIo, RoundTrip) {
   core::SavedResult result;

@@ -106,6 +106,25 @@ TEST(Lint, DetRandExemptUnderUtil) {
   EXPECT_EQ(count_rule(fs, "det-rand"), 0) << dump(fs);
 }
 
+TEST(Lint, InpRawParseFiresOutsideUtilAndTests) {
+  const auto fs = lint_fixture("inp_raw_parse.cc", "examples/server.cpp");
+  ASSERT_EQ(count_rule(fs, "inp-raw-parse"), 3) << dump(fs);
+  std::vector<int> lines;
+  for (const auto& f : fs) {
+    if (f.rule == "inp-raw-parse") lines.push_back(f.line);
+  }
+  EXPECT_EQ(lines, (std::vector<int>{8, 9, 10}));
+  const auto in_src = lint_fixture("inp_raw_parse.cc", "src/fleet/worker.cc");
+  EXPECT_EQ(count_rule(in_src, "inp-raw-parse"), 3) << dump(in_src);
+}
+
+TEST(Lint, InpRawParseExemptUnderUtilAndTests) {
+  for (const char* vpath : {"src/util/config.cc", "tests/util_test.cc"}) {
+    const auto fs = lint_fixture("inp_raw_parse.cc", vpath);
+    EXPECT_EQ(count_rule(fs, "inp-raw-parse"), 0) << vpath << "\n" << dump(fs);
+  }
+}
+
 TEST(Lint, DetTimeSeedFires) {
   const auto fs = lint_fixture("det_time_seed.cc", "src/rl/rollout.cc");
   EXPECT_GE(count_rule(fs, "det-time-seed"), 1) << dump(fs);
@@ -618,7 +637,7 @@ TEST(Lint, LayeringBaselineThroughDriver) {
 
 TEST(Lint, RuleCatalogSortedAndComplete) {
   const auto catalog = a3cs_lint::rule_catalog();
-  ASSERT_EQ(catalog.size(), 18u);
+  ASSERT_EQ(catalog.size(), 19u);
   for (std::size_t i = 1; i < catalog.size(); ++i) {
     EXPECT_LT(catalog[i - 1].first, catalog[i].first);
   }

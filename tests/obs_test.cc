@@ -266,6 +266,14 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(obs::JsonValue::parse("nul"), std::runtime_error);
 }
 
+TEST(Json, UnicodeEscapesNeedFourHexDigitsAndNumbersMustBeFinite) {
+  EXPECT_EQ(obs::JsonValue::parse("\"a\\u0041\"").as_string(), "aA");
+  for (const char* bad : {"\"\\uZZZZ\"", "\"\\u12\"", "\"\\u-123\"",
+                          "\"\\u+041\"", "1e999", "-1e999", "1x"}) {
+    EXPECT_THROW(obs::JsonValue::parse(bad), std::runtime_error) << bad;
+  }
+}
+
 // ------------------------------------------------------------- Profile ----
 
 class ProfilerTest : public ::testing::Test {

@@ -12,10 +12,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <utility>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "obs/obs_config.h"
@@ -208,31 +210,38 @@ TEST(BenchRegistry, ExactQuantileInterpolates) {
 
 // ------------------------------------------------------- bench env checks ---
 
+// Every case of the old validator, now against the entry points: a bad
+// knob is one stderr line naming it and exit status 2, before any work.
 TEST(BenchEnv, StrictValidation) {
-  ASSERT_TRUE(obs::perf::validate_bench_env().empty());
+  const auto bench_main = [] {
+    char arg0[] = "bench_test";
+    char arg1[] = "--list";
+    char* argv[] = {arg0, arg1};
+    ::testing::internal::CaptureStderr();
+    const int rc = obs::perf::run_bench_main("test", 2, argv);
+    return std::make_pair(rc, ::testing::internal::GetCapturedStderr());
+  };
+  ASSERT_EQ(bench_main().first, 0);
 
-  setenv("A3CS_SCALE", "abc", 1);
-  auto errors = obs::perf::validate_bench_env();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("A3CS_SCALE"), std::string::npos);
-
-  setenv("A3CS_SCALE", "0", 1);
-  errors = obs::perf::validate_bench_env();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("must be > 0"), std::string::npos);
-
-  // Trailing garbage must not silently truncate.
-  setenv("A3CS_SCALE", "0.5x", 1);
-  EXPECT_EQ(obs::perf::validate_bench_env().size(), 1u);
+  for (const char* bad : {"abc", "0", "0.5x"}) {
+    setenv("A3CS_SCALE", bad, 1);
+    const auto [rc, err] = bench_main();
+    EXPECT_EQ(rc, 2) << bad;
+    EXPECT_NE(err.find(std::string("A3CS_SCALE=\"") + bad + "\""),
+              std::string::npos)
+        << err;
+    EXPECT_EXIT(bench::banner("test", "bad scale"),
+                ::testing::ExitedWithCode(2), "A3CS_SCALE");
+  }
 
   setenv("A3CS_SCALE", "0.5", 1);
   setenv("A3CS_EVAL_EPISODES", "-3", 1);
-  errors = obs::perf::validate_bench_env();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("A3CS_EVAL_EPISODES"), std::string::npos);
+  EXPECT_EXIT(bench::banner("test", "bad episodes"),
+              ::testing::ExitedWithCode(2), "A3CS_EVAL_EPISODES=\"-3\"");
 
   setenv("A3CS_EVAL_EPISODES", "2", 1);
-  EXPECT_TRUE(obs::perf::validate_bench_env().empty());
+  EXPECT_EQ(bench_main().first, 0);
+  bench::banner("test", "valid knobs");  // returns normally
 
   unsetenv("A3CS_SCALE");
   unsetenv("A3CS_EVAL_EPISODES");
@@ -620,6 +629,21 @@ TEST(RunScope, PipelineProfileWithoutTraceLogsOnePipelineTable) {
     std::istringstream(cell) >> calls;
   }
   EXPECT_EQ(calls, "1") << text;
+}
+
+// A malformed fault plan stops the pipeline before the teacher trains: one
+// stderr line naming the knob and value, exit status 2.
+TEST(EnvKnobs, CosearchFullRejectsBadFaultPlanBeforeWork) {
+  TempFile log("/perf_bad_fault_plan.log");
+  const std::string cmd = std::string("A3CS_SCALE=0.001 ") +
+                          "A3CS_FAULT_NAN_GRAD=abc " + A3CS_COSEARCH_BIN +
+                          " Catch > " + log.path() + " 2>&1";
+  EXPECT_EQ(run_command(cmd), 2);
+  const std::string text = slurp(log.path());
+  EXPECT_NE(text.find("A3CS_FAULT_NAN_GRAD=\"abc\""), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("running the full A3C-S pipeline"), std::string::npos)
+      << text;
 }
 
 }  // namespace

@@ -452,6 +452,15 @@ TEST_F(ServeProtocolTest, MalformedRequestsNeverThrow) {
       "{\"op\":\"eval\",\"network\":\"Vanilla\"}", // missing configs
       "{\"op\":\"eval\",\"network\":\"Vanilla\",\"configs\":[\"bogus=1\"]}",
       "{\"op\":\"info\",\"network\":\"Vanilla\",\"obs\":[1,2]}",  // bad obs
+      // Dimensions and action counts must be whole ints >= 1 that fit int.
+      "{\"op\":\"info\",\"network\":\"Vanilla\",\"actions\":1e10}",
+      "{\"op\":\"info\",\"network\":\"Vanilla\",\"actions\":1e999}",
+      "{\"op\":\"info\",\"network\":\"Vanilla\",\"actions\":2.5}",
+      "{\"op\":\"info\",\"network\":\"Vanilla\",\"actions\":0}",
+      "{\"op\":\"info\",\"network\":\"Vanilla\",\"actions\":\"4\"}",
+      "{\"op\":\"info\",\"network\":\"Vanilla\",\"obs\":[3,12.5,12]}",
+      "{\"op\":\"info\",\"network\":\"Vanilla\",\"obs\":[3,12,-1]}",
+      "{\"op\":\"info\",\"network\":\"Vanilla\",\"obs\":[1e10,12,12]}",
   };
   for (const std::string& line : bad) {
     std::string out;
@@ -460,6 +469,17 @@ TEST_F(ServeProtocolTest, MalformedRequestsNeverThrow) {
     EXPECT_FALSE(resp.find("ok")->as_bool()) << line;
     EXPECT_NE(resp.find("error"), nullptr) << line;
   }
+  // The error names the offending field.
+  EXPECT_NE(reply("{\"op\":\"info\",\"network\":\"Vanilla\","
+                  "\"actions\":2.5}")
+                .string_or("error", "")
+                .find("\"actions\""),
+            std::string::npos);
+  EXPECT_NE(reply("{\"op\":\"info\",\"network\":\"Vanilla\","
+                  "\"obs\":[3,12,1e10]}")
+                .string_or("error", "")
+                .find("\"obs[2]\""),
+            std::string::npos);
 }
 
 TEST_F(ServeProtocolTest, ErrorRepliesEchoTheRequestId) {

@@ -3,7 +3,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/config.h"
 #include "util/csv.h"
@@ -249,20 +253,85 @@ TEST(Table, RejectsWrongWidth) {
 
 // -------------------------------------------------------------- Config ----
 
-TEST(Config, EnvIntParsesAndFallsBack) {
+// Expects `fn` to throw util::InputError whose message names both the
+// source and the offending text.
+template <class Fn>
+void expect_input_error(Fn fn, const std::string& name,
+                        const std::string& text) {
+  try {
+    fn();
+    ADD_FAILURE() << name << "=" << text << " did not throw";
+  } catch (const util::InputError& e) {
+    EXPECT_NE(std::string(e.what()).find(name + "=\"" + text + "\""),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Config, EnvIntParsesAndRejectsMalformed) {
   ::setenv("A3CS_TEST_INT", "123", 1);
-  EXPECT_EQ(util::env_int("A3CS_TEST_INT", 7), 123);
-  EXPECT_EQ(util::env_int("A3CS_TEST_MISSING", 7), 7);
-  ::setenv("A3CS_TEST_INT", "garbage", 1);
-  EXPECT_EQ(util::env_int("A3CS_TEST_INT", 7), 7);
+  EXPECT_EQ(util::env_int("A3CS_TEST_INT", 7, 0, 1000), 123);
+  EXPECT_EQ(util::env_int("A3CS_TEST_MISSING", 7, 0, 1000), 7);
+  ::setenv("A3CS_TEST_INT", "", 1);  // empty means unset
+  EXPECT_EQ(util::env_int("A3CS_TEST_INT", 7, 0, 1000), 7);
+  for (const char* bad : {"garbage", "12abc", " 12", "+12", "1e3", "1001",
+                          "-1", "99999999999999999999"}) {
+    ::setenv("A3CS_TEST_INT", bad, 1);
+    expect_input_error([] { util::env_int("A3CS_TEST_INT", 7, 0, 1000); },
+                       "A3CS_TEST_INT", bad);
+  }
   ::unsetenv("A3CS_TEST_INT");
 }
 
-TEST(Config, EnvDoubleParsesAndFallsBack) {
+TEST(Config, EnvDoubleParsesAndRejectsMalformed) {
   ::setenv("A3CS_TEST_DBL", "2.5", 1);
-  EXPECT_DOUBLE_EQ(util::env_double("A3CS_TEST_DBL", 1.0), 2.5);
-  EXPECT_DOUBLE_EQ(util::env_double("A3CS_TEST_MISSING", 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(util::env_double("A3CS_TEST_DBL", 1.0, 0, 10), 2.5);
+  EXPECT_DOUBLE_EQ(util::env_double("A3CS_TEST_MISSING", 1.0, 0, 10), 1.0);
+  for (const char* bad : {"abc", "2.5x", "inf", "nan", "1e999", "-0.5", "11"}) {
+    ::setenv("A3CS_TEST_DBL", bad, 1);
+    expect_input_error([] { util::env_double("A3CS_TEST_DBL", 1.0, 0, 10); },
+                       "A3CS_TEST_DBL", bad);
+  }
   ::unsetenv("A3CS_TEST_DBL");
+}
+
+TEST(Config, EnvFlagAcceptsOnlyZeroOrOne) {
+  ::setenv("A3CS_TEST_FLAG", "1", 1);
+  EXPECT_TRUE(util::env_flag("A3CS_TEST_FLAG", false));
+  ::setenv("A3CS_TEST_FLAG", "0", 1);
+  EXPECT_FALSE(util::env_flag("A3CS_TEST_FLAG", true));
+  for (const char* bad : {"yes", "false", "2", "on"}) {
+    ::setenv("A3CS_TEST_FLAG", bad, 1);
+    expect_input_error([] { util::env_flag("A3CS_TEST_FLAG", false); },
+                       "A3CS_TEST_FLAG", bad);
+  }
+  ::unsetenv("A3CS_TEST_FLAG");
+}
+
+TEST(Config, ParsePlanGrammar) {
+  using Plan =
+      std::vector<std::pair<std::int64_t, std::optional<std::int64_t>>>;
+  EXPECT_EQ(util::parse_plan("P", "", ':'), Plan{});
+  EXPECT_EQ(util::parse_plan("P", "5", ':'), (Plan{{5, std::nullopt}}));
+  EXPECT_EQ(util::parse_plan("P", "5:2,0", ':'),
+            (Plan{{5, 2}, {0, std::nullopt}}));
+  for (const char* bad : {"abc", "5:", "5:0", "5;2", "-1", "5,", ",5", "5:2:1",
+                          "99999999999"}) {
+    expect_input_error([&] { util::parse_plan("P", bad, ':'); }, "P", bad);
+  }
+}
+
+TEST(Config, EnvSummaryListsSetKnobsSorted) {
+  ::setenv("A3CS_TEST_ZZ", "2", 1);
+  ::setenv("A3CS_TEST_AA", "x y", 1);
+  const std::string summary = util::env_summary();
+  const std::size_t aa = summary.find("A3CS_TEST_AA=x y");
+  const std::size_t zz = summary.find("A3CS_TEST_ZZ=2");
+  ASSERT_NE(aa, std::string::npos) << summary;
+  ASSERT_NE(zz, std::string::npos) << summary;
+  EXPECT_LT(aa, zz);
+  ::unsetenv("A3CS_TEST_ZZ");
+  ::unsetenv("A3CS_TEST_AA");
 }
 
 TEST(Config, EnvStringFallsBack) {

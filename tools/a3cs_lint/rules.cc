@@ -158,6 +158,32 @@ void rule_det_rand(const Ctx& c) {
   }
 }
 
+// ----------------------------------------------------------- inp-raw-parse --
+
+// Text from outside the program becomes a number through util/config.h's one
+// whole-string policy (InputError naming the source); the C and std::sto*
+// parsers accept "12abc", skip whitespace or wrap on overflow.
+void rule_inp_raw_parse(const Ctx& c) {
+  if (starts_with(c.path, "src/util/") || starts_with(c.path, "tests/")) {
+    return;
+  }
+  static const std::set<std::string> kRaw = {
+      "atoi", "atol", "atoll", "atof", "strtol", "strtoll", "strtoul",
+      "strtoull", "strtod", "strtof", "strtold", "stoi", "stol", "stoll",
+      "stoul", "stoull", "stof", "stod", "stold"};
+  const auto& toks = c.toks();
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].kind != TokKind::kIdent || !kRaw.count(toks[i].text)) continue;
+    // `.stoi(` or `->stoi(` (the lexer splits `->`): a member, not libc.
+    const bool member = c.punct_at(i - 1, ".") || c.punct_at(i - 1, ">");
+    if (!c.punct_at(i + 1, "(") || member) continue;
+    c.report(toks[i].line, "inp-raw-parse",
+             toks[i].text + "() parses a prefix and never says whose input "
+                            "was bad; use util::parse_int/parse_double/"
+                            "env_int (util/config.h)");
+  }
+}
+
 // ----------------------------------------------------------- det-time-seed --
 
 bool is_clock_token(const Ctx& c, std::size_t i) {
@@ -562,6 +588,7 @@ std::vector<Finding> lint_file_model(const FileModel& model) {
   rule_det_wall_clock(ctx);
   rule_det_bench_clock(ctx);
   rule_det_unordered_iter(ctx);
+  rule_inp_raw_parse(ctx);
   rule_ser_pair(ctx);
   rule_ser_raw_io(ctx);
   rule_conc_raw_thread(ctx);
@@ -618,6 +645,8 @@ std::vector<std::pair<std::string, std::string>> rule_catalog() {
        "clock read inside numeric code (tensor/nn/nas/rl/das/accel/arcade)"},
       {"hyg-pragma-once", "header does not start with #pragma once"},
       {"hyg-using-namespace", "using-namespace directive in a header"},
+      {"inp-raw-parse",
+       "ato*/strto*/std::sto* number parse outside src/util/ and tests/"},
       {"ser-field-coverage",
        "data member of a save_state/load_state class missing from either "
        "body"},

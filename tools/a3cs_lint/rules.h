@@ -36,6 +36,9 @@
 //                           atomic/mutex type
 //   hyg-pragma-once         header does not start with #pragma once
 //   hyg-using-namespace     using-namespace directive in a header
+//   inp-raw-parse           ato*/strto*/std::sto* outside src/util/ and
+//                           tests/ — text from outside the program goes
+//                           through util/config.h's strict parse
 //
 // Suppression: `// A3CS_LINT(rule-id)` on (or alone on the line above) the
 // offending line, or a `path rule-id` line in tools/a3cs_lint/baseline.txt.
