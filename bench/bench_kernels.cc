@@ -1,6 +1,6 @@
 // Execution-layer microbenchmarks on the perf registry (BENCH_KERNELS.json):
 // GEMM (paper conv shapes + 256^3) against the pre-threading naive i-k-j
-// seed kernel, Conv2d forward, DepthwiseConv2d forward and forward+backward,
+// seed kernel, Conv2d and DepthwiseConv2d forward and forward+backward,
 // im2col, and VecEnv::step across thread counts. GEMM, conv and depthwise
 // sweep the kernel-backend dimension too: each
 // available backend (scalar, and avx2 where the host supports it) gets its
@@ -129,32 +129,56 @@ BENCH("gemm") {
   }
 }
 
-BENCH("conv2d_fwd") {
-  // The paper's 3x3 conv stage lowered through im2col + the backend conv
-  // forward kernels; sweeps the backend dimension like "gemm" above.
-  const int n = b.smoke() ? 2 : 8;
-  const int ch = b.smoke() ? 4 : 32;
-  const int oc = b.smoke() ? 4 : 32;
-  const int hw = b.smoke() ? 8 : 28;
-  util::Rng rng(11);
-  nn::Conv2d conv("bench_conv", ch, oc, 3, 1, 1, rng);
-  const Tensor x = random_tensor(Shape::nchw(n, ch, hw, hw), 5);
-  // flops: im2col is data movement; the matmul is 2 * OC * C*KH*KW per
-  // output element, OH == H and OW == W at stride 1 pad 1.
-  const std::int64_t flops = 2ll * oc * (ch * 9ll) * (n * hw * hw);
-  const std::string shape = std::to_string(n) + "x" + std::to_string(ch) +
-                            "x" + std::to_string(hw) + "x" +
-                            std::to_string(hw) + "_k3";
-  for (const std::string& backend : tensor::backend::available_names()) {
-    tensor::backend::ScopedBackend scoped(*backend_by_name(backend));
-    for (int threads : thread_counts(b.smoke())) {
-      b.config(shape + "_" + backend)
-          .threads(threads)
-          .work(flops, 0)
-          .run([&] { conv.forward(x); });
+namespace {
+
+// Conv2d: the three dominant conv geometries of a 6-cell co-search at the
+// 5-step update batch (8 envs x 5 steps = 40), k3 stride 1 pad 1 (the
+// teacher's and the plain-conv candidates' shape): 32 channels on the 2x2
+// map (ckk 288, 4 output columns per sample), 8 on 6x6 (ckk 72, 36) and 16
+// on 3x3 (ckk 144, 9). im2col and the backend conv kernels run inside
+// Conv2d::forward; with `backward` each sample times a forward + backward
+// pair (backward consumes the forward's cache, 3 passes of flops).
+// Swept over backends like "gemm".
+void conv_cases(Bench& b, bool backward) {
+  struct Case {
+    int n, ch, hw;
+  };
+  const std::vector<Case> cases =
+      b.smoke() ? std::vector<Case>{{2, 4, 3}}
+                : std::vector<Case>{{40, 32, 2}, {40, 8, 6}, {40, 16, 3}};
+  for (const Case& cs : cases) {
+    util::Rng rng(11);
+    nn::Conv2d conv("bench_conv", cs.ch, cs.ch, 3, 1, 1, rng);
+    const Tensor x = random_tensor(Shape::nchw(cs.n, cs.ch, cs.hw, cs.hw), 5);
+    const Tensor g = random_tensor(x.shape(), 6);
+    // im2col/col2im are data movement; each matmul pass is
+    // 2 * OC * C*KH*KW per output element, OH == H and OW == W.
+    const std::int64_t flops = (backward ? 3 : 1) * 2ll * cs.ch *
+                               (cs.ch * 9ll) * (cs.n * cs.hw * cs.hw);
+    const std::string shape = std::to_string(cs.n) + "x" +
+                              std::to_string(cs.ch) + "x" +
+                              std::to_string(cs.hw) + "x" +
+                              std::to_string(cs.hw) + "_k3";
+    for (const std::string& backend : tensor::backend::available_names()) {
+      tensor::backend::ScopedBackend scoped(*backend_by_name(backend));
+      for (int threads : thread_counts(b.smoke())) {
+        b.config(shape + "_" + backend)
+            .threads(threads)
+            .work(flops, 0)
+            .run([&] {
+              conv.forward(x);
+              if (backward) conv.backward(g);
+            });
+      }
     }
   }
 }
+
+}  // namespace
+
+BENCH("conv2d_fwd") { conv_cases(b, false); }
+
+BENCH("conv2d_bwd") { conv_cases(b, true); }
 
 namespace {
 

@@ -23,8 +23,9 @@
 # (bench_kernels in smoke mode, self-diffed through bench_report --check
 # and --chrome-check). The TSan pass
 # instead targets the parallel execution layer: the thread pool itself plus
-# every kernel and subsystem that dispatches onto it (GEMM/im2col, VecEnv
-# stepping, the top-K NAS backward) and the guard's cross-thread pieces
+# every kernel and subsystem that dispatches onto it (GEMM/im2col, the
+# Conv2d/depthwise layer fan-outs with their 1-4 thread bit-exactness
+# checks, VecEnv stepping, the top-K NAS backward) and the guard's cross-thread pieces
 # (the global FaultInjector, the metrics it bumps), run with A3CS_THREADS=4
 # so the pool actually fans out. The standalone UBSan pass sweeps the
 # numeric layers — tensor kernels, nn layers/optimizers, the NAS/DAS/accel
@@ -43,7 +44,7 @@ BUILD="$ROOT/build-san-$SAN"
 SMOKE=""
 
 if [ "$SAN" = "thread" ]; then
-  TESTS="thread_pool_test tensor_test arcade_test determinism_test guard_test serve_test"
+  TESTS="thread_pool_test tensor_test nn_layers_test arcade_test determinism_test guard_test serve_test"
   # Skip the (wall-clock) stall-watchdog cases: TSan's slowdown makes any
   # timing threshold meaningless.
   GUARD_FILTER="-*Stall*"

@@ -16,6 +16,19 @@ using tensor::gemm_raw;
 
 // ---------------------------------------------------------------- Conv2d --
 
+namespace {
+
+// Batch columns per shard of the conv forward and column-gradient fan-outs:
+// about 64K multiply-adds (one column costs out_c * ckk), rounded up to
+// whole 16-column register tiles.
+std::int64_t column_grain(int out_c, int ckk) {
+  const std::int64_t col_work = static_cast<std::int64_t>(out_c) * ckk;
+  const std::int64_t cols = std::max<std::int64_t>(1, 65536 / col_work);
+  return (cols + 15) / 16 * 16;
+}
+
+}  // namespace
+
 Conv2d::Conv2d(std::string name, int in_c, int out_c, int kernel, int stride,
                int pad, util::Rng& rng)
     : name_(std::move(name)),
@@ -47,8 +60,8 @@ Tensor Conv2d::forward(const Tensor& x) {
   A3CS_PROF_SCOPE("conv-fwd");
   {
     // One FMA per (sample, out-channel, ckk, output-cell); weights and cols
-    // read once each per use, output written once (float32). The zero-weight
-    // skip below only reduces *measured* time, not the analytic model.
+    // read once each per use, output written once (float32). The kernels'
+    // zero-weight skip is not subtracted from this analytic model.
     static obs::perf::WorkCounters& wc =
         obs::perf::WorkCounters::named("conv-fwd");
     const std::int64_t out_cells =
@@ -58,25 +71,21 @@ Tensor Conv2d::forward(const Tensor& x) {
                 static_cast<std::int64_t>(ckk) * batch_cols),
            4 * out_cells);
   }
-  // out_slice(OC x ohw) = W(OC x ckk) @ cols_slice(ckk x ohw) per sample.
-  // cols_slice starts at column n*ohw of the (ckk x N*ohw) matrix, so we
-  // cannot hand the whole batch to one GEMM; instead each (sample, out
-  // channel) row is an independent unit of work — disjoint output rows, so
-  // the fan-out over the pool is race-free and bit-exact at any thread count.
-  // The per-task kernel comes from the active backend (see
-  // tensor/backend/backend.h); shard boundaries are backend-independent.
+  // out[s, :, p] = bias + W(OC x ckk) @ cols[:, j] for batch column
+  // j = s * ohw + p. Every batch column is an independent unit of work with
+  // disjoint outputs, so the fan-out over the pool is race-free and
+  // bit-exact at any thread count. Shards are whole 16-column register tiles
+  // of the backend kernels (see tensor/backend/backend.h), which tile across
+  // sample boundaries; shard boundaries are backend-independent.
   const tensor::backend::Backend& be = tensor::backend::active();
-  const std::int64_t total = static_cast<std::int64_t>(geom_.n) * out_c_;
-  const std::int64_t row_work =
-      static_cast<std::int64_t>(ckk) * cols_per_sample;
-  const std::int64_t grain =
-      std::max<std::int64_t>(1, 65536 / std::max<std::int64_t>(1, row_work));
+  const std::int64_t grain = column_grain(out_c_, ckk);
   util::parallel_for(
-      0, total, grain,
-      [&](std::int64_t t0, std::int64_t t1) {
-        be.conv_forward_tasks(weight_.value.data(), bias_.value.data(),
-                              cached_cols_.data(), out.data(), out_c_, ckk,
-                              cols_per_sample, batch_cols, t0, t1);
+      0, batch_cols, grain,
+      [&](std::int64_t j0, std::int64_t j1) {
+        be.conv_forward_cols(weight_.value.data(), bias_.value.data(),
+                             cached_cols_.data(), out.data(), out_c_, ckk,
+                             cols_per_sample, batch_cols, static_cast<int>(j0),
+                             static_cast<int>(j1));
       },
       "conv-fwd");
   return out;
@@ -107,8 +116,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
 
   // Bias and weight gradients, fanned out over output channels: each oc owns
   // bias_.grad[oc] and its weight row, so shards write disjoint accumulators.
-  // The batch loop stays innermost and ascending inside the backend kernel,
-  // matching the serial accumulation order bit for bit (per backend).
+  // A shard is 4 out-channels, the lane width of the scalar wgrad tile; the
+  // kernel reduces samples and their batch columns ascending, matching the
+  // serial accumulation order bit for bit (per backend).
   const tensor::backend::Backend& be = tensor::backend::active();
   util::parallel_for(
       0, out_c_, 4,
@@ -120,16 +130,16 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       },
       "conv-bwd");
 
-  // Column gradient, fanned out over samples (disjoint column slices):
-  // grad_cols_slice(ckk x ohw) = W^T(ckk x OC) @ g(OC x ohw).
+  // Column gradient, fanned out over batch columns (disjoint columns):
+  // grad_cols[:, j] = W^T(ckk x OC) @ grad_out[s, :, p].
   Tensor grad_cols(Shape::mat(ckk, batch_cols));
   util::parallel_for(
-      0, geom_.n, 1,
-      [&](std::int64_t n0, std::int64_t n1) {
+      0, batch_cols, column_grain(out_c_, ckk),
+      [&](std::int64_t j0, std::int64_t j1) {
         be.conv_backward_colgrad(grad_out.data(), weight_.value.data(),
                                  grad_cols.data(), out_c_, ckk, ohw,
-                                 batch_cols, static_cast<int>(n0),
-                                 static_cast<int>(n1));
+                                 batch_cols, static_cast<int>(j0),
+                                 static_cast<int>(j1));
       },
       "conv-bwd");
 

@@ -118,6 +118,7 @@ BenchDoc parse_bench_doc(const JsonValue& root) {
   doc.meta.scale = require_number(*meta, "scale");
   doc.meta.smoke = require_bool(*meta, "smoke");
   doc.meta.wall_time = require_string(*meta, "wall_time");
+  doc.meta.hot_tu_flags = meta->string_or("hot_tu_flags", "");
 
   const JsonValue* results = root.find("results");
   if (results == nullptr || results->kind() != JsonValue::Kind::kArray) {

@@ -5,7 +5,7 @@
 //
 //   {"schema_version":1,"suite":"kernels",
 //    "meta":{"git_sha":...,"host":...,"threads":...,"scale":...,
-//            "smoke":...,"wall_time":...},
+//            "smoke":...,"wall_time":...,"hot_tu_flags":...},
 //    "results":[{"name":"gemm","config":"m256_k256_n256","threads":1,
 //                "repeats":12,"median_ms":...,"p10_ms":...,"p90_ms":...,
 //                "mean_ms":...,"steady":true,"throughput":...,

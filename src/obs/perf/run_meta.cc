@@ -19,6 +19,9 @@ namespace {
 #ifndef A3CS_GIT_SHA
 #define A3CS_GIT_SHA "unknown"
 #endif
+#ifndef A3CS_HOT_TU_FLAGS
+#define A3CS_HOT_TU_FLAGS ""
+#endif
 
 std::string host_fingerprint() {
   struct utsname u {};
@@ -43,6 +46,7 @@ RunMeta collect_run_meta() {
   meta.scale = util::bench_scale();
   meta.smoke = util::env_flag("A3CS_BENCH_SMOKE", false);
   meta.wall_time = util::iso8601_now();
+  meta.hot_tu_flags = A3CS_HOT_TU_FLAGS;
   return meta;
 }
 
@@ -57,6 +61,10 @@ std::string render_meta_json(const RunMeta& meta) {
   out += meta.smoke ? ",\"smoke\":true" : ",\"smoke\":false";
   out += ",\"wall_time\":";
   TraceWriter::append_json_string(out, meta.wall_time);
+  if (!meta.hot_tu_flags.empty()) {
+    out += ",\"hot_tu_flags\":";
+    TraceWriter::append_json_string(out, meta.hot_tu_flags);
+  }
   out += "}";
   return out;
 }

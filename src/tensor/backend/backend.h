@@ -10,11 +10,13 @@
 // fixed reduction order) holds per backend at every thread count.
 //
 // Two backends exist:
-//  - "scalar": the blocked 4x8 register-tile kernels, compiled with the
-//    portable baseline flags. This is the DEFAULT and is bit-exact with the
-//    pre-backend code: same instructions, same reduction order, same results.
+//  - "scalar": the blocked register-tile kernels (4x8 GEMM, 4x16 conv
+//    tiles in vector extensions), compiled for the portable baseline ISA at
+//    -O3 with -ffp-contract=off. This is the DEFAULT and is bit-exact with
+//    the pre-backend row loops: every output keeps the same operation
+//    sequence (no FMA, same reduction order), so the same results.
 //  - "avx2":   256-bit AVX2/FMA kernels (packed 6x16 GEMM micro-kernel,
-//    vectorized im2col/col2im, fused conv inner loops), compiled per-TU with
+//    vectorized im2col/col2im, 4x16 FMA conv tiles), compiled per-TU with
 //    -mavx2 -mfma and registered only when the host CPU supports both.
 //    Deterministic across thread counts, but NOT bit-identical to scalar:
 //    FMA contracts the multiply-add rounding step and the vectorized
@@ -47,14 +49,24 @@ namespace a3cs::tensor::backend {
 //    bit-exact across backends.
 //  col2im_channels: scatter-add column rows of channels [c0, c1) into the
 //    pre-zeroed NCHW gradient image, ascending column-row order per channel.
-//  conv_forward_tasks: compute conv output tasks [t0, t1) where task
-//    t = n * out_c + oc is one (sample, out-channel) output row:
-//    out_row = bias[oc] + W[oc, :] @ cols[:, n-slice].
+//  conv_forward_cols: conv output of batch columns [j0, j1) for every
+//    out-channel. Column j = s * cols_per_sample + p of the (ckk x
+//    batch_cols) im2col matrix is output cell p of sample s:
+//    out[s, oc, p] = bias[oc] + W[oc, :] @ cols[:, j]. Kernels tile the
+//    range across sample boundaries (register tiles of out-channels x batch
+//    columns) and scatter-store into the (n, oc, p) output. Scalar per-output
+//    sequence: bias, then `+= w * c` for kk ascending, skipping w == 0.
 //  conv_backward_wgrad: accumulate (+=) weight rows and bias entries for
-//    out-channels [oc0, oc1) from grad_out and the cached columns, batch
-//    ascending innermost.
-//  conv_backward_colgrad: write grad_cols column slices for samples
-//    [n0, n1): gc_slice = W^T @ grad_out_slice (overwrites, no +=).
+//    out-channels [oc0, oc1) from grad_out and the cached columns. Scalar
+//    per-output sequence: for each sample ascending, a double sum of the
+//    float products over that sample's columns ascending, then one float
+//    add into the gradient.
+//  conv_backward_colgrad: write (overwrite, no +=) grad_cols batch columns
+//    [j0, j1): grad_cols[:, j] = W^T @ grad_out[s, :, p]. Scalar per-output
+//    sequence: +0, then `+= w * g` for oc ascending, skipping w == 0.
+//  The zero-weight skips are part of the scalar bit-exact contract, not only
+//  of the time: they keep a -0.0 bias (or a -0.0 start) and stop 0 * inf
+//  from turning an output into NaN.
 //  dw_forward_planes: depthwise conv output planes [p0, p1), plane
 //    p = n * g.c + c: out = bias[c] + the K x K taps of weight row c over
 //    input plane p (g.kh == g.kw == K). Overwrites the output planes.
@@ -74,10 +86,10 @@ struct Backend {
   void (*col2im_channels)(const float* cols, const ConvGeometry& g, float* out,
                           int c0, int c1);
 
-  void (*conv_forward_tasks)(const float* weight, const float* bias,
-                             const float* cols, float* out, int out_c, int ckk,
-                             int cols_per_sample, int batch_cols,
-                             std::int64_t t0, std::int64_t t1);
+  void (*conv_forward_cols)(const float* weight, const float* bias,
+                            const float* cols, float* out, int out_c, int ckk,
+                            int cols_per_sample, int batch_cols, int j0,
+                            int j1);
 
   void (*conv_backward_wgrad)(const float* grad_out, const float* cols,
                               float* weight_grad, float* bias_grad, int n,
@@ -86,7 +98,7 @@ struct Backend {
 
   void (*conv_backward_colgrad)(const float* grad_out, const float* weight,
                                 float* grad_cols, int out_c, int ckk, int ohw,
-                                int batch_cols, int n0, int n1);
+                                int batch_cols, int j0, int j1);
 
   void (*dw_forward_planes)(const float* in, const float* weight,
                             const float* bias, const ConvGeometry& g,

@@ -21,6 +21,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -316,18 +317,6 @@ void col2im_channels(const float* in, const ConvGeometry& g, float* out,
   }
 }
 
-// FMA saxpy: y[0:len] += a * x[0:len].
-inline void saxpy_fma(float a, const float* x, float* y, int len) {
-  const __m256 av = _mm256_set1_ps(a);
-  int j = 0;
-  for (; j + 8 <= len; j += 8) {
-    _mm256_storeu_ps(
-        y + j, _mm256_fmadd_ps(av, _mm256_loadu_ps(x + j),
-                               _mm256_loadu_ps(y + j)));
-  }
-  for (; j < len; ++j) y[j] += a * x[j];
-}
-
 // sum_j x[j] in double precision: float values widened lane-wise into four
 // double accumulators, combined in a fixed order (so the result is
 // shard-independent), scalar tail last.
@@ -366,24 +355,99 @@ inline double dot_pd(const float* x, const float* y, int len) {
   return sum;
 }
 
-// Conv forward: bias broadcast then one fused saxpy per nonzero weight.
-void conv_forward_tasks(const float* weight, const float* bias,
-                        const float* cols, float* out, int out_c, int ckk,
-                        int cols_per_sample, int batch_cols, std::int64_t t0,
-                        std::int64_t t1) {
-  for (std::int64_t t = t0; t < t1; ++t) {
-    const int n = static_cast<int>(t / out_c);
-    const int oc = static_cast<int>(t % out_c);
-    float* orow =
-        out + (static_cast<std::size_t>(n) * out_c + oc) * cols_per_sample;
-    std::fill(orow, orow + cols_per_sample, bias[oc]);
-    const float* wrow = weight + static_cast<std::size_t>(oc) * ckk;
-    for (int kk = 0; kk < ckk; ++kk) {
-      const float wv = wrow[kk];
+// Conv register tiles over batch columns, the scalar backend's tile shape
+// with 8-lane FMA: one tile is 4 out-channels (forward) or 4 ckk rows
+// (colgrad) x 16 batch columns, spanning sample boundaries. Every output
+// runs the same fused sequence on every path (tile lanes and the std::fma
+// column tail alike), so results do not depend on the shard boundaries.
+// The zero-weight skip stays, as in the scalar tiles: it keeps a -0.0 bias
+// and keeps 0 * inf from turning an output into NaN.
+constexpr int kConvMR = 4;
+constexpr int kConvNV = 2;  // __m256 vectors per tile row: 16 batch columns
+constexpr int kConvNC = 8 * kConvNV;
+
+// Offset of batch column j of out-channel 0 in an (n, out_c, cps) tensor.
+inline std::size_t nchw_offset(int j, int out_c, int cps) {
+  const int s = j / cps;
+  return static_cast<std::size_t>(s) * out_c * cps + (j - s * cps);
+}
+
+template <int MR, int NV>
+inline void conv_fwd_tile(const float* weight, const float* bias,
+                          const float* cols, float* out, int out_c, int ckk,
+                          int cps, int batch_cols, int oc0, int j0) {
+  __m256 acc[MR][NV];
+  for (int r = 0; r < MR; ++r) {
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_set1_ps(bias[oc0 + r]);
+  }
+  const float* w = weight + static_cast<std::size_t>(oc0) * ckk;
+  const float* c = cols + j0;
+  for (int kk = 0; kk < ckk; ++kk, c += batch_cols) {
+    __m256 cv[NV];
+    for (int v = 0; v < NV; ++v) cv[v] = _mm256_loadu_ps(c + 8 * v);
+    for (int r = 0; r < MR; ++r) {
+      const float wv = w[static_cast<std::size_t>(r) * ckk + kk];
       if (wv == 0.0f) continue;
-      const float* crow = cols + static_cast<std::size_t>(kk) * batch_cols +
-                          static_cast<std::size_t>(n) * cols_per_sample;
-      saxpy_fma(wv, crow, orow, cols_per_sample);
+      const __m256 wb = _mm256_set1_ps(wv);
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(wb, cv[v], acc[r][v]);
+      }
+    }
+  }
+  alignas(32) float lanes[MR][8 * NV];
+  for (int r = 0; r < MR; ++r) {
+    for (int v = 0; v < NV; ++v) _mm256_store_ps(lanes[r] + 8 * v, acc[r][v]);
+  }
+  for (int l = 0; l < 8 * NV; ++l) {
+    float* o = out + nchw_offset(j0 + l, out_c, cps) +
+               static_cast<std::size_t>(oc0) * cps;
+    for (int r = 0; r < MR; ++r) {
+      o[static_cast<std::size_t>(r) * cps] = lanes[r][l];
+    }
+  }
+}
+
+template <int NV>
+void conv_fwd_block(const float* weight, const float* bias, const float* cols,
+                    float* out, int out_c, int ckk, int cps, int batch_cols,
+                    int j0) {
+  int oc = 0;
+  for (; oc + kConvMR <= out_c; oc += kConvMR) {
+    conv_fwd_tile<kConvMR, NV>(weight, bias, cols, out, out_c, ckk, cps,
+                               batch_cols, oc, j0);
+  }
+  for (; oc < out_c; ++oc) {
+    conv_fwd_tile<1, NV>(weight, bias, cols, out, out_c, ckk, cps, batch_cols,
+                         oc, j0);
+  }
+}
+
+// Conv forward of batch columns [j0, j1): 16- then 8-column tiles, then a
+// std::fma tail per column.
+void conv_forward_cols(const float* weight, const float* bias,
+                       const float* cols, float* out, int out_c, int ckk,
+                       int cols_per_sample, int batch_cols, int j0, int j1) {
+  const int cps = cols_per_sample;
+  int j = j0;
+  for (; j + kConvNC <= j1; j += kConvNC) {
+    conv_fwd_block<kConvNV>(weight, bias, cols, out, out_c, ckk, cps,
+                            batch_cols, j);
+  }
+  for (; j + 8 <= j1; j += 8) {
+    conv_fwd_block<1>(weight, bias, cols, out, out_c, ckk, cps, batch_cols, j);
+  }
+  for (; j < j1; ++j) {
+    float* o = out + nchw_offset(j, out_c, cps);
+    for (int oc = 0; oc < out_c; ++oc) {
+      const float* wrow = weight + static_cast<std::size_t>(oc) * ckk;
+      float acc = bias[oc];
+      for (int kk = 0; kk < ckk; ++kk) {
+        const float wv = wrow[kk];
+        if (wv == 0.0f) continue;
+        acc = std::fma(wv, cols[static_cast<std::size_t>(kk) * batch_cols + j],
+                       acc);
+      }
+      o[static_cast<std::size_t>(oc) * cps] = acc;
     }
   }
 }
@@ -409,22 +473,84 @@ void conv_backward_wgrad(const float* grad_out, const float* cols,
   }
 }
 
-// Conv column gradient: zero-fill then one fused saxpy per nonzero weight.
+// Column-gradient tile: ckk rows [kk0, kk0 + MR) x the gathered batch
+// columns of `gblock` ((out_c x 8 * NV), row-major).
+template <int MR, int NV>
+inline void conv_colgrad_tile(const float* gblock, const float* weight,
+                              float* grad_cols, int out_c, int ckk,
+                              int batch_cols, int kk0, int j0) {
+  __m256 acc[MR][NV];
+  for (int r = 0; r < MR; ++r) {
+    for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
+  }
+  for (int oc = 0; oc < out_c; ++oc) {
+    __m256 gv[NV];
+    for (int v = 0; v < NV; ++v) {
+      gv[v] = _mm256_loadu_ps(gblock + static_cast<std::size_t>(oc) * 8 * NV +
+                              8 * v);
+    }
+    const float* w = weight + static_cast<std::size_t>(oc) * ckk + kk0;
+    for (int r = 0; r < MR; ++r) {
+      if (w[r] == 0.0f) continue;
+      const __m256 wb = _mm256_set1_ps(w[r]);
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(wb, gv[v], acc[r][v]);
+      }
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    float* gc = grad_cols + static_cast<std::size_t>(kk0 + r) * batch_cols + j0;
+    for (int v = 0; v < NV; ++v) _mm256_storeu_ps(gc + 8 * v, acc[r][v]);
+  }
+}
+
+template <int NV>
+void conv_colgrad_block(const float* grad_out, const float* weight,
+                        float* grad_cols, float* gblock, int out_c, int ckk,
+                        int cps, int batch_cols, int j0) {
+  constexpr int nc = 8 * NV;
+  for (int c = 0; c < nc; ++c) {
+    const float* g = grad_out + nchw_offset(j0 + c, out_c, cps);
+    for (int oc = 0; oc < out_c; ++oc) {
+      gblock[static_cast<std::size_t>(oc) * nc + c] =
+          g[static_cast<std::size_t>(oc) * cps];
+    }
+  }
+  int kk = 0;
+  for (; kk + kConvMR <= ckk; kk += kConvMR) {
+    conv_colgrad_tile<kConvMR, NV>(gblock, weight, grad_cols, out_c, ckk,
+                                   batch_cols, kk, j0);
+  }
+  for (; kk < ckk; ++kk) {
+    conv_colgrad_tile<1, NV>(gblock, weight, grad_cols, out_c, ckk,
+                             batch_cols, kk, j0);
+  }
+}
+
+// Conv column gradient of batch columns [j0, j1), overwriting.
 void conv_backward_colgrad(const float* grad_out, const float* weight,
                            float* grad_cols, int out_c, int ckk, int ohw,
-                           int batch_cols, int n0, int n1) {
-  for (int n = n0; n < n1; ++n) {
-    const float* g_slice =
-        grad_out + static_cast<std::size_t>(n) * out_c * ohw;
+                           int batch_cols, int j0, int j1) {
+  std::vector<float> gblock(static_cast<std::size_t>(out_c) * kConvNC);
+  int j = j0;
+  for (; j + kConvNC <= j1; j += kConvNC) {
+    conv_colgrad_block<kConvNV>(grad_out, weight, grad_cols, gblock.data(),
+                                out_c, ckk, ohw, batch_cols, j);
+  }
+  for (; j + 8 <= j1; j += 8) {
+    conv_colgrad_block<1>(grad_out, weight, grad_cols, gblock.data(), out_c,
+                          ckk, ohw, batch_cols, j);
+  }
+  for (; j < j1; ++j) {
+    const float* g = grad_out + nchw_offset(j, out_c, ohw);
     for (int kk = 0; kk < ckk; ++kk) {
-      float* gc = grad_cols + static_cast<std::size_t>(kk) * batch_cols +
-                  static_cast<std::size_t>(n) * ohw;
-      std::fill(gc, gc + ohw, 0.0f);
+      float acc = 0.0f;
       for (int oc = 0; oc < out_c; ++oc) {
         const float wv = weight[static_cast<std::size_t>(oc) * ckk + kk];
         if (wv == 0.0f) continue;
-        saxpy_fma(wv, g_slice + static_cast<std::size_t>(oc) * ohw, gc, ohw);
+        acc = std::fma(wv, g[static_cast<std::size_t>(oc) * ohw], acc);
       }
+      grad_cols[static_cast<std::size_t>(kk) * batch_cols + j] = acc;
     }
   }
 }
@@ -575,7 +701,7 @@ const Backend* avx2_backend() {
   if (!supported) return nullptr;
   static const Backend kAvx2{
       "avx2",            gemm_rows,           im2col_rows,
-      col2im_channels,   conv_forward_tasks,  conv_backward_wgrad,
+      col2im_channels,   conv_forward_cols,   conv_backward_wgrad,
       conv_backward_colgrad, dw_forward_planes, dw_backward_channels,
   };
   return &kAvx2;

@@ -1,12 +1,16 @@
 // The blocked-scalar reference backend: the portable kernels moved verbatim
-// from tensor/ops.cc and nn/layers.cc, plus the depthwise kernels, which
-// restructure the loops but keep every per-element operation order.
-// Compiled with the baseline flags only (no -mavx2/-mfma), so on every host
-// A3CS_BACKEND=scalar is bit-identical to the historical results at every
-// thread count.
+// from tensor/ops.cc and nn/layers.cc, plus the depthwise kernels and the
+// conv register tiles, which restructure the loops but keep every
+// per-element operation order. Compiled for the baseline ISA (no
+// -mavx2/-mfma) at -O3 with -ffp-contract=off (src/CMakeLists.txt): -O3
+// never reassociates float math, and with contraction off every
+// `a += b * c` stays a rounded multiply then a rounded add on any target.
+// So on every host A3CS_BACKEND=scalar is bit-identical to the historical
+// results at every thread count.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "tensor/backend/backend.h"
@@ -14,6 +18,27 @@
 namespace a3cs::tensor::backend {
 
 namespace {
+
+// The register tiles use GCC/Clang vector extensions rather than plain
+// loops: a v4f multiply or add is four lane-wise IEEE operations on the
+// baseline ISA, and the tile shape is fixed in the source. Left to GCC 12's
+// -O3 loop vectorizer, the plain-loop GEMM tile ran 2-3x slower than at -O2
+// and the depthwise loops 1.2-2.5x slower, so this TU is built with
+// -fno-tree-loop-vectorize; -O3 stays for the complete unrolling that keeps
+// a tile in registers. With -ffp-contract=off, `acc += w * c` never becomes
+// an FMA, even on a target that has one.
+typedef float v4f __attribute__((vector_size(16)));
+typedef float v2f __attribute__((vector_size(8)));
+typedef double v2d __attribute__((vector_size(16)));
+typedef double v4d __attribute__((vector_size(32)));
+
+inline v4f load4(const float* p) {
+  v4f v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store4(float* p, v4f v) { std::memcpy(p, &v, sizeof v); }
 
 // Register-tile sizes of the blocked GEMM micro-kernel. Per C element the
 // reduction always runs kk ascending, so results do not depend on the tile
@@ -44,23 +69,53 @@ inline void store_tile(const float (*acc)[kNR], float* c, int i0, int j0,
 }
 
 // Full kMR x kNR tile of the !trans_b path with COMPILE-TIME loop bounds:
-// at -O2 the constant-bound loops fully unroll and the accumulator tile
-// lives in registers for the whole kk reduction, so each A value and B row
+// the constant-bound loops fully unroll and the accumulator tile lives in
+// registers for the whole kk reduction, so each A value and B row
 // segment is reused kMR times and C is touched once instead of k times.
 // (Variable-bound edge tiles spill the accumulator and run ~3x slower.)
 template <bool TransA>
 inline void micro_tile_full(const float* a, const float* b, float* c, int i0,
                             int j0, int k, int n, float alpha, float beta,
                             int a_cols, int b_cols) {
-  float acc[kMR][kNR] = {};
+  v4f acc[kMR][kNR / 4] = {};
   for (int kk = 0; kk < k; ++kk) {
     const float* brow = b + static_cast<std::size_t>(kk) * b_cols + j0;
+    const v4f b0 = load4(brow);
+    const v4f b1 = load4(brow + 4);
     for (int r = 0; r < kMR; ++r) {
       const float av = a_at(a, TransA, a_cols, i0 + r, kk);
-      for (int j = 0; j < kNR; ++j) acc[r][j] += av * brow[j];
+      acc[r][0] += av * b0;
+      acc[r][1] += av * b1;
     }
   }
-  store_tile(acc, c, i0, j0, kMR, kNR, n, alpha, beta);
+  float tile[kMR][kNR];
+  std::memcpy(tile, acc, sizeof tile);
+  store_tile(tile, c, i0, j0, kMR, kNR, n, alpha, beta);
+}
+
+// B^T dot products of a full row panel against C columns jc and jc + 1,
+// stored at tile columns j and j + 1: kMR x 2 chains, each still
+// sum = 0; sum += a * b over kk ascending, run interleaved so their adds
+// overlap instead of each waiting on its own previous add.
+inline void dot_pair_bt(const float* a, const float* b, float (*acc)[kNR],
+                        int i0, int jc, int j, int k, int a_cols,
+                        int b_cols) {
+  const float* b0 = b + static_cast<std::size_t>(jc) * b_cols;
+  const float* b1 = b0 + b_cols;
+  const float* arow = a + static_cast<std::size_t>(i0) * a_cols;
+  float s0[kMR] = {};
+  float s1[kMR] = {};
+  for (int kk = 0; kk < k; ++kk) {
+    for (int r = 0; r < kMR; ++r) {
+      const float av = arow[static_cast<std::size_t>(r) * a_cols + kk];
+      s0[r] += av * b0[kk];
+      s1[r] += av * b1[kk];
+    }
+  }
+  for (int r = 0; r < kMR; ++r) {
+    acc[r][j] = s0[r];
+    acc[r][j + 1] = s1[r];
+  }
 }
 
 // C[r0:r1, :] = alpha * A[r0:r1, :] @ B + beta * C[r0:r1, :].
@@ -99,7 +154,13 @@ void gemm_rows(const float* a, bool trans_a, const float* b, bool trans_b,
         }
       } else {
         // B^T case: both reductions run over contiguous rows of A and B.
-        for (int j = 0; j < nr; ++j) {
+        int j = 0;
+        if (!trans_a && mr == kMR) {
+          for (; j + 2 <= nr; j += 2) {
+            dot_pair_bt(a, b, acc, i0, j0 + j, j, k, a_cols, b_cols);
+          }
+        }
+        for (; j < nr; ++j) {
           const float* bcol = b + static_cast<std::size_t>(j0 + j) * b_cols;
           for (int r = 0; r < mr; ++r) {
             float sum = 0.0f;
@@ -186,75 +247,271 @@ void col2im_channels(const float* in, const ConvGeometry& g, float* out,
   }
 }
 
-// One (sample, out-channel) output row per task: bias broadcast, then a
-// saxpy per nonzero weight. The zero-weight skip only changes measured
-// time, never results.
-void conv_forward_tasks(const float* weight, const float* bias,
-                        const float* cols, float* out, int out_c, int ckk,
-                        int cols_per_sample, int batch_cols, std::int64_t t0,
-                        std::int64_t t1) {
-  for (std::int64_t t = t0; t < t1; ++t) {
-    const int n = static_cast<int>(t / out_c);
-    const int oc = static_cast<int>(t % out_c);
-    float* orow =
-        out + (static_cast<std::size_t>(n) * out_c + oc) * cols_per_sample;
-    std::fill(orow, orow + cols_per_sample, bias[oc]);
-    const float* wrow = weight + static_cast<std::size_t>(oc) * ckk;
-    for (int kk = 0; kk < ckk; ++kk) {
-      const float wv = wrow[kk];
+// ---- Conv register tiles over batch columns ----------------------------
+//
+// `cols` is (ckk x batch_cols) with samples contiguous along the column axis
+// (column j = s * cps + p), so a tile spans batch columns of several samples
+// at once: a cps = 4 conv row is too short to vectorize, a 16-column batch
+// block is not. Every lane is one output element and runs exactly the row
+// loop's operation sequence (forward: bias, then `acc += w * c` for kk
+// ascending; colgrad: +0, then `acc += w * g` for oc ascending; both skip
+// zero weights), so the tiles are bit-identical to the row loops whatever
+// the shard boundaries and thread count.
+//
+// The zero-weight skip is part of the result, not only of the time: with a
+// -0.0 bias and a skipped w == 0, the output stays -0.0 where
+// -0.0 + (+0 * c) would give +0, and a skipped w == 0 against an inf column
+// keeps the output finite where 0 * inf would give NaN.
+constexpr int kConvMR = 4;  // out-channels (forward) or ckk rows (colgrad)
+constexpr int kConvNV = 4;  // v4f vectors per tile row: 16 batch columns
+constexpr int kConvNC = 4 * kConvNV;
+
+// A v4f widened to doubles as two v2d halves. Accumulators stay v2d: GCC
+// keeps a 32-byte v4d in memory on a 16-byte-vector ISA, so only the
+// conversion goes through one (where it lowers to two cvtps2pd).
+struct Wide {
+  v2d lo, hi;
+};
+
+inline void widen_add(Wide& acc, v4f x) {
+  const v4d d = __builtin_convertvector(x, v4d);
+  acc.lo += __builtin_shufflevector(d, d, 0, 1);
+  acc.hi += __builtin_shufflevector(d, d, 2, 3);
+}
+
+inline v4f narrow(const Wide& x) {
+  const v2f lo = __builtin_convertvector(x.lo, v2f);
+  const v2f hi = __builtin_convertvector(x.hi, v2f);
+  return __builtin_shufflevector(lo, hi, 0, 1, 2, 3);
+}
+
+// Offset of batch column j of out-channel 0 in an (n, out_c, cps) tensor.
+inline std::size_t nchw_offset(int j, int out_c, int cps) {
+  const int s = j / cps;
+  return static_cast<std::size_t>(s) * out_c * cps + (j - s * cps);
+}
+
+// Forward tile: out-channels [oc0, oc0 + MR) x batch columns
+// [j0, j0 + 4 * NV), scatter-stored into the (n, oc, p) output.
+template <int MR, int NV>
+inline void conv_fwd_tile(const float* weight, const float* bias,
+                          const float* cols, float* out, int out_c, int ckk,
+                          int cps, int batch_cols, int oc0, int j0) {
+  v4f acc[MR][NV];
+  for (int r = 0; r < MR; ++r) {
+    const float b = bias[oc0 + r];  // splat, not 0 + b: keeps a -0.0 bias
+    for (int v = 0; v < NV; ++v) acc[r][v] = v4f{b, b, b, b};
+  }
+  const float* w = weight + static_cast<std::size_t>(oc0) * ckk;
+  const float* c = cols + j0;
+  for (int kk = 0; kk < ckk; ++kk, c += batch_cols) {
+    v4f cv[NV];
+    for (int v = 0; v < NV; ++v) cv[v] = load4(c + 4 * v);
+    for (int r = 0; r < MR; ++r) {
+      const float wv = w[static_cast<std::size_t>(r) * ckk + kk];
       if (wv == 0.0f) continue;
-      const float* crow = cols + static_cast<std::size_t>(kk) * batch_cols +
-                          static_cast<std::size_t>(n) * cols_per_sample;
-      for (int j = 0; j < cols_per_sample; ++j) orow[j] += wv * crow[j];
+      for (int v = 0; v < NV; ++v) acc[r][v] += wv * cv[v];
+    }
+  }
+  for (int v = 0; v < NV; ++v) {
+    for (int l = 0; l < 4; ++l) {
+      float* o = out + nchw_offset(j0 + 4 * v + l, out_c, cps) +
+                 static_cast<std::size_t>(oc0) * cps;
+      for (int r = 0; r < MR; ++r) {
+        o[static_cast<std::size_t>(r) * cps] = acc[r][v][l];
+      }
     }
   }
 }
 
-// Weight/bias gradient accumulation for out-channels [oc0, oc1): the batch
-// loop stays innermost and ascending with double accumulators, matching the
-// serial accumulation order bit for bit.
+template <int NV>
+void conv_fwd_block(const float* weight, const float* bias, const float* cols,
+                    float* out, int out_c, int ckk, int cps, int batch_cols,
+                    int j0) {
+  int oc = 0;
+  for (; oc + kConvMR <= out_c; oc += kConvMR) {
+    conv_fwd_tile<kConvMR, NV>(weight, bias, cols, out, out_c, ckk, cps,
+                               batch_cols, oc, j0);
+  }
+  for (; oc < out_c; ++oc) {
+    conv_fwd_tile<1, NV>(weight, bias, cols, out, out_c, ckk, cps, batch_cols,
+                         oc, j0);
+  }
+}
+
+// Conv output batch columns [j0, j1) of every out-channel: 16-column tiles,
+// then 4-column tiles, then single columns, all with the same per-output
+// sequence.
+void conv_forward_cols(const float* weight, const float* bias,
+                       const float* cols, float* out, int out_c, int ckk,
+                       int cols_per_sample, int batch_cols, int j0, int j1) {
+  const int cps = cols_per_sample;
+  int j = j0;
+  for (; j + kConvNC <= j1; j += kConvNC) {
+    conv_fwd_block<kConvNV>(weight, bias, cols, out, out_c, ckk, cps,
+                            batch_cols, j);
+  }
+  for (; j + 4 <= j1; j += 4) {
+    conv_fwd_block<1>(weight, bias, cols, out, out_c, ckk, cps, batch_cols, j);
+  }
+  for (; j < j1; ++j) {
+    float* o = out + nchw_offset(j, out_c, cps);
+    for (int oc = 0; oc < out_c; ++oc) {
+      const float* wrow = weight + static_cast<std::size_t>(oc) * ckk;
+      float acc = bias[oc];
+      for (int kk = 0; kk < ckk; ++kk) {
+        const float wv = wrow[kk];
+        if (wv == 0.0f) continue;
+        acc += wv * cols[static_cast<std::size_t>(kk) * batch_cols + j];
+      }
+      o[static_cast<std::size_t>(oc) * cps] = acc;
+    }
+  }
+}
+
+// Weight/bias gradients of out-channels [oc0, oc1). Four out-channels ride
+// the four lanes of a v4f (grad_out gathered once per block into
+// lane-interleaved batch columns); each (oc, kk) lane keeps the row loop's
+// sequence: per sample a double sum of float products over the sample's
+// columns ascending, then one float add into the gradient, samples
+// ascending.
+template <int KB>
+void conv_wgrad_rows(const v4f* g4, const float* cols, float* weight_grad,
+                     int n, int ckk, int cps, int batch_cols, int oc0, int mr,
+                     int kk0) {
+  v4f w[KB] = {};
+  for (int r = 0; r < mr; ++r) {
+    const float* wrow = weight_grad + static_cast<std::size_t>(oc0 + r) * ckk;
+    for (int kb = 0; kb < KB; ++kb) w[kb][r] = wrow[kk0 + kb];
+  }
+  const float* c = cols + static_cast<std::size_t>(kk0) * batch_cols;
+  for (int s = 0, j = 0; s < n; ++s) {
+    Wide acc[KB] = {};
+    for (const int end = j + cps; j < end; ++j) {
+      const v4f g = g4[j];
+      for (int kb = 0; kb < KB; ++kb) {
+        const float cv = c[static_cast<std::size_t>(kb) * batch_cols + j];
+        widen_add(acc[kb], g * cv);
+      }
+    }
+    for (int kb = 0; kb < KB; ++kb) w[kb] += narrow(acc[kb]);
+  }
+  for (int r = 0; r < mr; ++r) {
+    float* wrow = weight_grad + static_cast<std::size_t>(oc0 + r) * ckk;
+    for (int kb = 0; kb < KB; ++kb) wrow[kk0 + kb] = w[kb][r];
+  }
+}
+
 void conv_backward_wgrad(const float* grad_out, const float* cols,
                          float* weight_grad, float* bias_grad, int n,
                          int out_c, int ckk, int ohw, int batch_cols, int oc0,
                          int oc1) {
-  for (int oc = oc0; oc < oc1; ++oc) {
-    float* wrow = weight_grad + static_cast<std::size_t>(oc) * ckk;
-    for (int s = 0; s < n; ++s) {
-      const float* grow =
-          grad_out + (static_cast<std::size_t>(s) * out_c + oc) * ohw;
-      double acc = 0.0;
-      for (int j = 0; j < ohw; ++j) acc += grow[j];
-      bias_grad[oc] += static_cast<float>(acc);
-      // grad_W(OC x ckk) += g(OC x ohw) @ cols_slice^T(ohw x ckk)
-      for (int kk = 0; kk < ckk; ++kk) {
-        const float* crow = cols + static_cast<std::size_t>(kk) * batch_cols +
-                            static_cast<std::size_t>(s) * ohw;
-        double wacc = 0.0;
-        for (int j = 0; j < ohw; ++j) wacc += grow[j] * crow[j];
-        wrow[kk] += static_cast<float>(wacc);
+  std::vector<v4f> g4(static_cast<std::size_t>(batch_cols));
+  for (int ob = oc0; ob < oc1; ob += 4) {
+    const int mr = std::min(4, oc1 - ob);
+    // Lane r of batch column j holds grad_out[s, ob + r, p]; unused lanes 0.
+    for (int j = 0; j < batch_cols; ++j) {
+      const float* g = grad_out + nchw_offset(j, out_c, ohw) +
+                       static_cast<std::size_t>(ob) * ohw;
+      v4f v = {};
+      for (int r = 0; r < mr; ++r) v[r] = g[static_cast<std::size_t>(r) * ohw];
+      g4[static_cast<std::size_t>(j)] = v;
+    }
+    v4f bg = {};
+    for (int r = 0; r < mr; ++r) bg[r] = bias_grad[ob + r];
+    for (int s = 0, j = 0; s < n; ++s) {
+      Wide acc = {};
+      for (const int end = j + ohw; j < end; ++j) {
+        widen_add(acc, g4[static_cast<std::size_t>(j)]);
       }
+      bg += narrow(acc);
+    }
+    for (int r = 0; r < mr; ++r) bias_grad[ob + r] = bg[r];
+    int kk = 0;
+    for (; kk + 4 <= ckk; kk += 4) {
+      conv_wgrad_rows<4>(g4.data(), cols, weight_grad, n, ckk, ohw,
+                         batch_cols, ob, mr, kk);
+    }
+    for (; kk < ckk; ++kk) {
+      conv_wgrad_rows<1>(g4.data(), cols, weight_grad, n, ckk, ohw,
+                         batch_cols, ob, mr, kk);
     }
   }
 }
 
-// Column-gradient slices for samples [n0, n1):
-// grad_cols_slice(ckk x ohw) = W^T(ckk x OC) @ g(OC x ohw).
+// Column-gradient tile: ckk rows [kk0, kk0 + MR) x the gathered batch
+// columns of `gblock` ((out_c x 4 * NV), row-major).
+template <int MR, int NV>
+inline void conv_colgrad_tile(const float* gblock, const float* weight,
+                              float* grad_cols, int out_c, int ckk,
+                              int batch_cols, int kk0, int j0) {
+  v4f acc[MR][NV] = {};  // +0, like the row loop's zero fill
+  for (int oc = 0; oc < out_c; ++oc) {
+    v4f gv[NV];
+    for (int v = 0; v < NV; ++v) {
+      gv[v] = load4(gblock + static_cast<std::size_t>(oc) * 4 * NV + 4 * v);
+    }
+    const float* w = weight + static_cast<std::size_t>(oc) * ckk + kk0;
+    for (int r = 0; r < MR; ++r) {
+      const float wv = w[r];
+      if (wv == 0.0f) continue;
+      for (int v = 0; v < NV; ++v) acc[r][v] += wv * gv[v];
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    float* gc = grad_cols + static_cast<std::size_t>(kk0 + r) * batch_cols + j0;
+    for (int v = 0; v < NV; ++v) store4(gc + 4 * v, acc[r][v]);
+  }
+}
+
+template <int NV>
+void conv_colgrad_block(const float* grad_out, const float* weight,
+                        float* grad_cols, float* gblock, int out_c, int ckk,
+                        int cps, int batch_cols, int j0) {
+  constexpr int nc = 4 * NV;
+  for (int c = 0; c < nc; ++c) {
+    const float* g = grad_out + nchw_offset(j0 + c, out_c, cps);
+    for (int oc = 0; oc < out_c; ++oc) {
+      gblock[static_cast<std::size_t>(oc) * nc + c] =
+          g[static_cast<std::size_t>(oc) * cps];
+    }
+  }
+  int kk = 0;
+  for (; kk + kConvMR <= ckk; kk += kConvMR) {
+    conv_colgrad_tile<kConvMR, NV>(gblock, weight, grad_cols, out_c, ckk,
+                                   batch_cols, kk, j0);
+  }
+  for (; kk < ckk; ++kk) {
+    conv_colgrad_tile<1, NV>(gblock, weight, grad_cols, out_c, ckk,
+                             batch_cols, kk, j0);
+  }
+}
+
+// Column gradient of batch columns [j0, j1):
+// grad_cols[:, j] = W^T(ckk x OC) @ grad_out[s, :, p] (overwrites).
 void conv_backward_colgrad(const float* grad_out, const float* weight,
                            float* grad_cols, int out_c, int ckk, int ohw,
-                           int batch_cols, int n0, int n1) {
-  for (int n = n0; n < n1; ++n) {
-    const float* g_slice =
-        grad_out + static_cast<std::size_t>(n) * out_c * ohw;
+                           int batch_cols, int j0, int j1) {
+  std::vector<float> gblock(static_cast<std::size_t>(out_c) * kConvNC);
+  int j = j0;
+  for (; j + kConvNC <= j1; j += kConvNC) {
+    conv_colgrad_block<kConvNV>(grad_out, weight, grad_cols, gblock.data(),
+                                out_c, ckk, ohw, batch_cols, j);
+  }
+  for (; j + 4 <= j1; j += 4) {
+    conv_colgrad_block<1>(grad_out, weight, grad_cols, gblock.data(), out_c,
+                          ckk, ohw, batch_cols, j);
+  }
+  for (; j < j1; ++j) {
+    const float* g = grad_out + nchw_offset(j, out_c, ohw);
     for (int kk = 0; kk < ckk; ++kk) {
-      float* gc = grad_cols + static_cast<std::size_t>(kk) * batch_cols +
-                  static_cast<std::size_t>(n) * ohw;
-      std::fill(gc, gc + ohw, 0.0f);
+      float acc = 0.0f;
       for (int oc = 0; oc < out_c; ++oc) {
         const float wv = weight[static_cast<std::size_t>(oc) * ckk + kk];
         if (wv == 0.0f) continue;
-        const float* grow = g_slice + static_cast<std::size_t>(oc) * ohw;
-        for (int j = 0; j < ohw; ++j) gc[j] += wv * grow[j];
+        acc += wv * g[static_cast<std::size_t>(oc) * ohw];
       }
+      grad_cols[static_cast<std::size_t>(kk) * batch_cols + j] = acc;
     }
   }
 }
@@ -390,7 +647,7 @@ void dw_backward_channels(const float* grad_out, const float* in,
 const Backend& scalar_backend() {
   static const Backend kScalar{
       "scalar",          gemm_rows,           im2col_rows,
-      col2im_channels,   conv_forward_tasks,  conv_backward_wgrad,
+      col2im_channels,   conv_forward_cols,   conv_backward_wgrad,
       conv_backward_colgrad, dw_forward_planes, dw_backward_channels,
   };
   return kScalar;

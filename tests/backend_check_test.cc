@@ -9,12 +9,15 @@
 // cases always run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "conv_shapes.h"
 #include "nas/arch.h"
 #include "nas/ops.h"
 #include "tensor/backend/backend.h"
@@ -319,72 +322,105 @@ TEST_F(BackendGrid, Im2colAndCol2imBitExactAcrossStridePadGrid) {
   }
 }
 
+// Shard cuts of [0, total): the whole range, whole tiles (the layer's grain
+// unit: 16 batch columns, 4 out-channels) and a ragged split that starts
+// shards mid-tile.
+std::vector<std::vector<int>> shard_cuts(int total, int tile) {
+  std::vector<int> tiles;
+  for (int j = 0; j < total; j += tile) tiles.push_back(j);
+  tiles.push_back(total);
+  std::vector<int> ragged = {0};
+  for (const int cut : {3, 7, 23, 61}) {
+    if (cut < total) ragged.push_back(cut);
+  }
+  ragged.push_back(total);
+  return {{0, total}, tiles, ragged};
+}
+
+bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 TEST_F(BackendGrid, ConvKernelsMatchScalarUnderTolerance) {
-  // Drives the three conv shard kernels directly over the full task ranges,
-  // with a few zero weights to exercise the zero-skip paths.
-  const int n = 2, out_c = 5, in_c = 3, kh = 3, oh = 6, ow = 7;
-  const int ckk = in_c * kh * kh;
-  const int ohw = oh * ow;
-  const int batch_cols = n * ohw;
+  // Drives the three conv shard kernels directly at every conv geometry of
+  // the search (plus out_c and batch widths off the tile grid), over whole,
+  // tile-aligned and ragged shard cuts. Scalar vs avx2 must agree under the
+  // tolerance; each backend must be bitwise independent of the cuts. A few
+  // zero weights exercise the zero-skip paths.
+  std::vector<testing::ConvShape> shapes = testing::search_conv_shapes();
+  shapes.push_back({2, 3, 5, 3, 1, 6, 7});
+  shapes.push_back({3, 5, 6, 3, 1, 3, 3});
+  shapes.push_back({1, 4, 7, 3, 1, 3, 3});
+  const backend::Backend* backends[] = {&backend::scalar_backend(),
+                                        backend::avx2_backend()};
+  const char* what[] = {"conv-fwd", "conv-wgrad", "conv-bgrad",
+                        "conv-colgrad"};
   util::Rng rng(31);
-  auto weight = random_vec(static_cast<std::int64_t>(out_c) * ckk, rng);
-  weight[3] = 0.0f;
-  weight[ckk + 11] = 0.0f;
-  const auto bias = random_vec(out_c, rng);
-  const auto cols = random_vec(static_cast<std::int64_t>(ckk) * batch_cols,
-                               rng);
-  const auto grad_out = random_vec(static_cast<std::int64_t>(n) * out_c * ohw,
-                                   rng);
-  const backend::Backend& sc = backend::scalar_backend();
-  const backend::Backend& av = *backend::avx2_backend();
+  for (const testing::ConvShape& cs : shapes) {
+    SCOPED_TRACE(cs.label());
+    const int n = cs.n, out_c = cs.out_c, ckk = cs.ckk(), ohw = cs.cps();
+    const int batch_cols = cs.batch_cols();
+    auto weight = random_vec(static_cast<std::int64_t>(out_c) * ckk, rng);
+    for (std::size_t i = 3; i < weight.size(); i += 11) weight[i] = 0.0f;
+    const auto bias = random_vec(out_c, rng);
+    const auto cols = random_vec(static_cast<std::int64_t>(ckk) * batch_cols,
+                                 rng);
+    const auto grad_out =
+        random_vec(static_cast<std::int64_t>(n) * out_c * ohw, rng);
+    const auto wg0 = random_vec(static_cast<std::int64_t>(out_c) * ckk, rng);
+    const auto bg0 = random_vec(out_c, rng);
 
-  // Forward.
-  std::vector<float> out_ref(static_cast<std::size_t>(n) * out_c * ohw);
-  std::vector<float> out_avx(out_ref.size());
-  sc.conv_forward_tasks(weight.data(), bias.data(), cols.data(),
-                        out_ref.data(), out_c, ckk, ohw, batch_cols, 0,
-                        static_cast<std::int64_t>(n) * out_c);
-  av.conv_forward_tasks(weight.data(), bias.data(), cols.data(),
-                        out_avx.data(), out_c, ckk, ohw, batch_cols, 0,
-                        static_cast<std::int64_t>(n) * out_c);
-  auto res = backend::compare_elementwise(
-      out_ref.data(), out_avx.data(),
-      static_cast<std::int64_t>(out_ref.size()),
-      backend::tolerance_for_reduction(ckk), "conv-fwd");
-  EXPECT_TRUE(res.ok) << res.message;
-
-  // Weight/bias gradient (+= semantics: start from identical nonzero state).
-  const auto wg0 = random_vec(static_cast<std::int64_t>(out_c) * ckk, rng);
-  const auto bg0 = random_vec(out_c, rng);
-  std::vector<float> wg_ref = wg0, wg_avx = wg0;
-  std::vector<float> bg_ref = bg0, bg_avx = bg0;
-  sc.conv_backward_wgrad(grad_out.data(), cols.data(), wg_ref.data(),
-                         bg_ref.data(), n, out_c, ckk, ohw, batch_cols, 0,
-                         out_c);
-  av.conv_backward_wgrad(grad_out.data(), cols.data(), wg_avx.data(),
-                         bg_avx.data(), n, out_c, ckk, ohw, batch_cols, 0,
-                         out_c);
-  const auto wopt = backend::tolerance_for_reduction(n * ohw);
-  res = backend::compare_elementwise(wg_ref.data(), wg_avx.data(),
-                                     static_cast<std::int64_t>(wg_ref.size()),
-                                     wopt, "conv-wgrad");
-  EXPECT_TRUE(res.ok) << res.message;
-  res = backend::compare_elementwise(bg_ref.data(), bg_avx.data(), out_c,
-                                     wopt, "conv-bgrad");
-  EXPECT_TRUE(res.ok) << res.message;
-
-  // Column gradient (overwrite semantics).
-  std::vector<float> gc_ref(static_cast<std::size_t>(ckk) * batch_cols);
-  std::vector<float> gc_avx(gc_ref.size());
-  sc.conv_backward_colgrad(grad_out.data(), weight.data(), gc_ref.data(),
-                           out_c, ckk, ohw, batch_cols, 0, n);
-  av.conv_backward_colgrad(grad_out.data(), weight.data(), gc_avx.data(),
-                           out_c, ckk, ohw, batch_cols, 0, n);
-  res = backend::compare_elementwise(gc_ref.data(), gc_avx.data(),
-                                     static_cast<std::int64_t>(gc_ref.size()),
-                                     backend::tolerance_for_reduction(out_c),
-                                     "conv-colgrad");
-  EXPECT_TRUE(res.ok) << res.message;
+    // got[backend] = {out, wg, bg, gc} of the whole-range call.
+    std::vector<std::vector<float>> got[2];
+    const auto col_cuts = shard_cuts(batch_cols, 16);
+    const auto oc_cuts = shard_cuts(out_c, 4);
+    for (int bi = 0; bi < 2; ++bi) {
+      const backend::Backend& be = *backends[bi];
+      for (std::size_t c = 0; c < col_cuts.size(); ++c) {
+        const std::vector<int>& cuts = col_cuts[c];
+        std::vector<float> out(static_cast<std::size_t>(n) * out_c * ohw);
+        std::vector<float> gc(static_cast<std::size_t>(ckk) * batch_cols);
+        for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+          be.conv_forward_cols(weight.data(), bias.data(), cols.data(),
+                               out.data(), out_c, ckk, ohw, batch_cols,
+                               cuts[i], cuts[i + 1]);
+          be.conv_backward_colgrad(grad_out.data(), weight.data(), gc.data(),
+                                   out_c, ckk, ohw, batch_cols, cuts[i],
+                                   cuts[i + 1]);
+        }
+        // Weight/bias gradient (+= from nonzero state), sharded over
+        // out-channels.
+        std::vector<float> wg = wg0, bg = bg0;
+        const std::vector<int>& oc = oc_cuts[c];
+        for (std::size_t i = 0; i + 1 < oc.size(); ++i) {
+          be.conv_backward_wgrad(grad_out.data(), cols.data(), wg.data(),
+                                 bg.data(), n, out_c, ckk, ohw, batch_cols,
+                                 oc[i], oc[i + 1]);
+        }
+        if (got[bi].empty()) {
+          got[bi] = {out, wg, bg, gc};
+          continue;
+        }
+        const std::vector<float>* now[] = {&out, &wg, &bg, &gc};
+        for (int k = 0; k < 4; ++k) {
+          EXPECT_TRUE(bit_equal(got[bi][k], *now[k]))
+              << be.name << " " << what[k] << " depends on the shard cuts ("
+              << cuts.size() - 1 << " column shards)";
+        }
+      }
+    }
+    const auto wopt = backend::tolerance_for_reduction(n * ohw);
+    const backend::CheckOptions opts[] = {
+        backend::tolerance_for_reduction(ckk), wopt, wopt,
+        backend::tolerance_for_reduction(out_c)};
+    for (int k = 0; k < 4; ++k) {
+      const auto res = backend::compare_elementwise(
+          got[0][k].data(), got[1][k].data(),
+          static_cast<std::int64_t>(got[0][k].size()), opts[k], what[k]);
+      EXPECT_TRUE(res.ok) << res.message;
+    }
+  }
 }
 
 TEST_F(BackendGrid, DepthwiseKernelsMatchScalarAtSearchShapes) {

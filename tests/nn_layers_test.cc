@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "conv_shapes.h"
 #include "grad_check.h"
 #include "nn/blocks.h"
 #include "nn/layers.h"
@@ -365,6 +369,165 @@ TEST(Conv2d, RejectsWrongChannelCount) {
   nn::Conv2d conv("c", 2, 3, 3, 1, 1, rng);
   Tensor x(Shape::nchw(1, 5, 6, 6));
   EXPECT_THROW(conv.forward(x), std::runtime_error);
+}
+
+// The conv kernels as they stood before the batch-column register tiles,
+// copied verbatim: one (sample, out-channel) output row, one weight-gradient
+// row and one column-gradient slice at a time. The scalar backend must
+// reproduce them bit for bit.
+void reference_conv_forward_tasks(const float* weight, const float* bias,
+                                  const float* cols, float* out, int out_c,
+                                  int ckk, int cols_per_sample, int batch_cols,
+                                  std::int64_t t0, std::int64_t t1) {
+  for (std::int64_t t = t0; t < t1; ++t) {
+    const int n = static_cast<int>(t / out_c);
+    const int oc = static_cast<int>(t % out_c);
+    float* orow =
+        out + (static_cast<std::size_t>(n) * out_c + oc) * cols_per_sample;
+    std::fill(orow, orow + cols_per_sample, bias[oc]);
+    const float* wrow = weight + static_cast<std::size_t>(oc) * ckk;
+    for (int kk = 0; kk < ckk; ++kk) {
+      const float wv = wrow[kk];
+      if (wv == 0.0f) continue;
+      const float* crow = cols + static_cast<std::size_t>(kk) * batch_cols +
+                          static_cast<std::size_t>(n) * cols_per_sample;
+      for (int j = 0; j < cols_per_sample; ++j) orow[j] += wv * crow[j];
+    }
+  }
+}
+
+void reference_conv_backward_wgrad(const float* grad_out, const float* cols,
+                                   float* weight_grad, float* bias_grad, int n,
+                                   int out_c, int ckk, int ohw, int batch_cols,
+                                   int oc0, int oc1) {
+  for (int oc = oc0; oc < oc1; ++oc) {
+    float* wrow = weight_grad + static_cast<std::size_t>(oc) * ckk;
+    for (int s = 0; s < n; ++s) {
+      const float* grow =
+          grad_out + (static_cast<std::size_t>(s) * out_c + oc) * ohw;
+      double acc = 0.0;
+      for (int j = 0; j < ohw; ++j) acc += grow[j];
+      bias_grad[oc] += static_cast<float>(acc);
+      // grad_W(OC x ckk) += g(OC x ohw) @ cols_slice^T(ohw x ckk)
+      for (int kk = 0; kk < ckk; ++kk) {
+        const float* crow = cols + static_cast<std::size_t>(kk) * batch_cols +
+                            static_cast<std::size_t>(s) * ohw;
+        double wacc = 0.0;
+        for (int j = 0; j < ohw; ++j) wacc += grow[j] * crow[j];
+        wrow[kk] += static_cast<float>(wacc);
+      }
+    }
+  }
+}
+
+void reference_conv_backward_colgrad(const float* grad_out, const float* weight,
+                                     float* grad_cols, int out_c, int ckk,
+                                     int ohw, int batch_cols, int n0, int n1) {
+  for (int n = n0; n < n1; ++n) {
+    const float* g_slice =
+        grad_out + static_cast<std::size_t>(n) * out_c * ohw;
+    for (int kk = 0; kk < ckk; ++kk) {
+      float* gc = grad_cols + static_cast<std::size_t>(kk) * batch_cols +
+                  static_cast<std::size_t>(n) * ohw;
+      std::fill(gc, gc + ohw, 0.0f);
+      for (int oc = 0; oc < out_c; ++oc) {
+        const float wv = weight[static_cast<std::size_t>(oc) * ckk + kk];
+        if (wv == 0.0f) continue;
+        const float* grow = g_slice + static_cast<std::size_t>(oc) * ohw;
+        for (int j = 0; j < ohw; ++j) gc[j] += wv * grow[j];
+      }
+    }
+  }
+}
+
+TEST(Conv2d, ScalarKernelsBitIdenticalToRowReferenceAtSearchShapes) {
+  std::vector<testing::ConvShape> shapes = testing::search_conv_shapes();
+  // Odd edges the search never hits: out_c not a multiple of the 4-channel
+  // tile, batches narrower than one 16-column tile or one 4-column vector.
+  shapes.push_back({3, 5, 6, 3, 1, 3, 3});
+  shapes.push_back({1, 4, 7, 3, 1, 3, 3});
+  shapes.push_back({2, 3, 5, 1, 1, 1, 1});
+  const float inf = std::numeric_limits<float>::infinity();
+  tensor::backend::ScopedBackend scalar(tensor::backend::scalar_backend());
+  util::Rng rng(108);
+  for (const testing::ConvShape& cs : shapes) {
+    SCOPED_TRACE(cs.label());
+    nn::Conv2d conv("conv", cs.in_c, cs.out_c, cs.kernel, cs.stride, cs.pad(),
+                    rng);
+    Tensor& weight = conv.weight().value;
+    Tensor& bias = conv.bias().value;
+    const int ckk = cs.ckk(), cps = cs.cps(), batch_cols = cs.batch_cols();
+    for (std::int64_t i = 0; i < bias.numel(); ++i) {
+      bias[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+    }
+    // Scattered zero weights; out-channel 0 is all zeros over a -0.0 bias
+    // (the skip keeps -0.0, an unskipped +0 * c would make it +0), and
+    // out-channel 1 skips every tap of input channel 0, which holds an inf
+    // (the skip keeps it finite, 0 * inf would be NaN).
+    for (std::int64_t i = 0; i < weight.numel(); i += 5) weight[i] = 0.0f;
+    for (int kk = 0; kk < ckk; ++kk) weight[kk] = 0.0f;
+    bias[0] = -0.0f;
+    if (cs.out_c > 1) {
+      for (int kk = 0; kk < cs.kernel * cs.kernel; ++kk) {
+        weight[ckk + kk] = 0.0f;
+      }
+    }
+    Tensor x = random_tensor(Shape::nchw(cs.n, cs.in_c, cs.h, cs.w), rng);
+    const int inf_sample = cs.n / 2;  // input channel 0, centre pixel
+    x[static_cast<std::int64_t>(inf_sample) * cs.in_c * cs.h * cs.w +
+      cs.h * cs.w / 2] = inf;
+    Tensor go = random_tensor(Shape::nchw(cs.n, cs.out_c, cs.oh(), cs.ow()),
+                              rng);
+    for (std::int64_t i = 0; i < go.numel(); i += 7) go[i] = 0.0f;
+    if (cs.out_c > 1) go[cps] = inf;  // sample 0, out-channel 1
+
+    // Reference: forward, then two accumulating backwards.
+    const auto g = tensor::ConvGeometry::make(x.shape(), cs.kernel, cs.kernel,
+                                              cs.stride, cs.pad());
+    Tensor cols(Shape::mat(ckk, batch_cols));
+    tensor::im2col(x, g, cols);
+    Tensor ref_out(Shape::nchw(cs.n, cs.out_c, cs.oh(), cs.ow()));
+    reference_conv_forward_tasks(weight.data(), bias.data(), cols.data(),
+                                 ref_out.data(), cs.out_c, ckk, cps,
+                                 batch_cols, 0,
+                                 static_cast<std::int64_t>(cs.n) * cs.out_c);
+    Tensor ref_wg(weight.shape()), ref_bg(bias.shape());
+    for (int pass = 0; pass < 2; ++pass) {
+      reference_conv_backward_wgrad(go.data(), cols.data(), ref_wg.data(),
+                                    ref_bg.data(), cs.n, cs.out_c, ckk, cps,
+                                    batch_cols, 0, cs.out_c);
+    }
+    Tensor ref_gc(Shape::mat(ckk, batch_cols));
+    reference_conv_backward_colgrad(go.data(), weight.data(), ref_gc.data(),
+                                    cs.out_c, ckk, cps, batch_cols, 0, cs.n);
+    Tensor ref_gi(x.shape());
+    tensor::col2im(ref_gc, g, ref_gi);
+
+    for (const int threads : {1, 2, 3, 4}) {
+      util::ThreadPool::set_global_threads(threads);
+      conv.zero_grad();
+      const Tensor out = conv.forward(x);
+      conv.backward(go);
+      conv.forward(x);
+      const Tensor gi = conv.backward(go);
+      EXPECT_TRUE(bit_equal(out, ref_out)) << "forward, t=" << threads;
+      EXPECT_TRUE(bit_equal(gi, ref_gi)) << "grad_input, t=" << threads;
+      EXPECT_TRUE(bit_equal(conv.weight().grad, ref_wg))
+          << "weight grad, t=" << threads;
+      EXPECT_TRUE(bit_equal(conv.bias().grad, ref_bg))
+          << "bias grad, t=" << threads;
+    }
+    // The edge cases really are exercised.
+    EXPECT_TRUE(std::signbit(ref_out[0]) && ref_out[0] == 0.0f);
+    if (cs.out_c > 1) {
+      const std::int64_t row =
+          (static_cast<std::int64_t>(inf_sample) * cs.out_c + 1) * cps;
+      for (int p = 0; p < cps; ++p) {
+        EXPECT_TRUE(std::isfinite(ref_out[row + p]));
+      }
+    }
+  }
+  util::ThreadPool::set_global_threads(1);
 }
 
 TEST(Linear, MatchesManualComputation) {

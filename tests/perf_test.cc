@@ -271,6 +271,26 @@ TEST(BenchJson, RenderParseRoundTripIsByteStable) {
   EXPECT_EQ(obs::perf::render_bench_json(parsed), rendered);
 }
 
+TEST(BenchJson, HotTuFlagsAreStampedAndOptional) {
+  // The build stamps the hot TUs' compile flags into every meta block.
+  EXPECT_NE(obs::perf::collect_run_meta().hot_tu_flags.find("-O3"),
+            std::string::npos);
+  BenchDoc doc;
+  doc.suite = "kernels";
+  doc.meta = fixed_meta();
+  const std::string without = obs::perf::render_bench_json(doc);
+  EXPECT_EQ(without.find("hot_tu_flags"), std::string::npos);
+  EXPECT_EQ(obs::perf::render_bench_json(
+                obs::perf::parse_bench_doc(obs::JsonValue::parse(without))),
+            without);
+  doc.meta.hot_tu_flags = "-O3";
+  const std::string with = obs::perf::render_bench_json(doc);
+  const BenchDoc parsed =
+      obs::perf::parse_bench_doc(obs::JsonValue::parse(with));
+  EXPECT_EQ(parsed.meta.hot_tu_flags, "-O3");
+  EXPECT_EQ(obs::perf::render_bench_json(parsed), with);
+}
+
 TEST(BenchJson, StrictParserRejectsSchemaViolations) {
   BenchDoc doc;
   doc.suite = "kernels";

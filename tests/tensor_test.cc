@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 
+#include "tensor/backend/backend.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace a3cs {
 namespace {
@@ -176,6 +179,61 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmCase{8, 8, 8, true, true, 1.5f, -0.5f},
                       GemmCase{16, 3, 2, false, true, 1.0f, 1.0f},
                       GemmCase{2, 16, 3, true, false, -1.0f, 0.0f}));
+
+// The scalar backend's contract: every C element is the serial float dot
+// product (sum = 0; sum += a * b over kk ascending), scaled once, whatever
+// the register tiling, the shard and the thread count.
+TEST(Gemm, ScalarBackendBitIdenticalToSerialDotProducts) {
+  const GemmCase cases[] = {
+      // The search's Linear layers: forward (B^T), weight and input grads.
+      {40, 128, 256, false, true, 1.0f, 0.0f},
+      {8, 128, 256, false, true, 1.0f, 0.0f},
+      {40, 256, 4, false, true, 1.0f, 0.0f},
+      {256, 40, 128, true, false, 1.0f, 1.0f},
+      {40, 256, 128, false, false, 1.0f, 0.0f},
+      // Edge tiles of every transpose combination, with alpha/beta.
+      {7, 13, 9, false, false, 0.5f, -1.5f},
+      {7, 13, 9, true, false, 1.0f, 0.0f},
+      {7, 13, 9, false, true, -2.0f, 0.25f},
+      {7, 13, 9, true, true, 1.0f, 1.0f}};
+  tensor::backend::ScopedBackend scalar(tensor::backend::scalar_backend());
+  util::Rng rng(78);
+  for (const GemmCase& p : cases) {
+    Tensor a(p.ta ? Shape::mat(p.k, p.m) : Shape::mat(p.m, p.k));
+    Tensor b(p.tb ? Shape::mat(p.n, p.k) : Shape::mat(p.k, p.n));
+    Tensor c0(Shape::mat(p.m, p.n));
+    for (Tensor* t : {&a, &b, &c0}) {
+      for (std::int64_t i = 0; i < t->numel(); ++i) {
+        (*t)[i] = static_cast<float>(rng.uniform(-1, 1));
+      }
+    }
+    Tensor ref = c0;
+    for (int i = 0; i < p.m; ++i) {
+      for (int j = 0; j < p.n; ++j) {
+        float sum = 0.0f;
+        for (int kk = 0; kk < p.k; ++kk) {
+          const float av = p.ta ? a.at2(kk, i) : a.at2(i, kk);
+          const float bv = p.tb ? b.at2(j, kk) : b.at2(kk, j);
+          sum += av * bv;
+        }
+        float& out = ref.at2(i, j);
+        out = p.beta == 0.0f ? p.alpha * sum : p.beta * out + p.alpha * sum;
+      }
+    }
+    for (const int threads : {1, 4}) {
+      util::ThreadPool::set_global_threads(threads);
+      Tensor c = c0;
+      tensor::gemm(a, p.ta, b, p.tb, c, p.alpha, p.beta);
+      EXPECT_EQ(std::memcmp(c.data(), ref.data(),
+                            static_cast<std::size_t>(c.numel()) *
+                                sizeof(float)),
+                0)
+          << p.m << "x" << p.k << "x" << p.n << " ta" << p.ta << " tb"
+          << p.tb << " t=" << threads;
+    }
+  }
+  util::ThreadPool::set_global_threads(1);
+}
 
 TEST(Gemm, DimensionMismatchThrows) {
   Tensor a(Shape::mat(2, 3)), b(Shape::mat(4, 5)), c(Shape::mat(2, 5));
