@@ -11,6 +11,7 @@
 #
 # The default ASan/UBSan pass covers the util + obs layers (atomic metrics,
 # the shared trace writer, the profiler's thread-local cursors), the
+# inference forwards' grow-only per-thread column workspaces (infer_test), the
 # checkpoint subsystem (sectioned container parsing of adversarial bytes,
 # the full save/restore round-trip) and the training-health guard (fault
 # injection, rollback recovery), the perf observability layer (bench
@@ -25,7 +26,8 @@
 # instead targets the parallel execution layer: the thread pool itself plus
 # every kernel and subsystem that dispatches onto it (GEMM/im2col, the
 # Conv2d/depthwise layer fan-outs with their 1-4 thread bit-exactness
-# checks, VecEnv stepping, the top-K NAS backward) and the guard's cross-thread pieces
+# checks, the inference forwards and their per-thread column workspaces,
+# VecEnv stepping, the top-K NAS backward) and the guard's cross-thread pieces
 # (the global FaultInjector, the metrics it bumps), run with A3CS_THREADS=4
 # so the pool actually fans out. The standalone UBSan pass sweeps the
 # numeric layers — tensor kernels, nn layers/optimizers, the NAS/DAS/accel
@@ -44,17 +46,17 @@ BUILD="$ROOT/build-san-$SAN"
 SMOKE=""
 
 if [ "$SAN" = "thread" ]; then
-  TESTS="thread_pool_test tensor_test nn_layers_test arcade_test determinism_test guard_test serve_test"
+  TESTS="thread_pool_test tensor_test nn_layers_test infer_test arcade_test determinism_test guard_test serve_test"
   # Skip the (wall-clock) stall-watchdog cases: TSan's slowdown makes any
   # timing threshold meaningless.
   GUARD_FILTER="-*Stall*"
   export A3CS_THREADS="${A3CS_THREADS:-4}"
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 elif [ "$SAN" = "undefined" ]; then
-  TESTS="tensor_test nn_layers_test nn_optim_test nn_zoo_test rl_test nas_test accel_test das_test core_test"
+  TESTS="tensor_test nn_layers_test infer_test nn_optim_test nn_zoo_test rl_test nas_test accel_test das_test core_test"
   GUARD_FILTER=""
 else
-  TESTS="util_test obs_test thread_pool_test ckpt_test io_test guard_test guard_recovery_test perf_test serve_test fleet_test fleet_resume_test"
+  TESTS="util_test obs_test thread_pool_test infer_test ckpt_test io_test guard_test guard_recovery_test perf_test serve_test fleet_test fleet_resume_test"
   GUARD_FILTER=""
   SMOKE="cosearch_full cosearch_fleet bench_kernels bench_report predictor_server"
 fi
@@ -179,9 +181,11 @@ fi
 # bench_kernels --backends prints one usable backend per line.
 if [ "$status" -eq 0 ]; then
   cmake --build "$BUILD" -j "$(nproc)" --target bench_kernels \
-    tensor_test nn_layers_test determinism_test backend_check_test >/dev/null
+    tensor_test nn_layers_test infer_test determinism_test \
+    backend_check_test >/dev/null
   if "$BUILD/bench/bench_kernels" --backends | grep -qx avx2; then
-    for t in tensor_test nn_layers_test determinism_test backend_check_test; do
+    for t in tensor_test nn_layers_test infer_test determinism_test \
+        backend_check_test; do
       echo "== $t ($SAN, A3CS_BACKEND=avx2) =="
       A3CS_BACKEND=avx2 "$BUILD/tests/$t" || status=$?
     done

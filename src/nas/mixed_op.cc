@@ -33,7 +33,7 @@ MixedOp::MixedOp(std::string name, int in_c, int out_c, int stride,
   sens_.resize(static_cast<std::size_t>(n));
 }
 
-nn::Tensor MixedOp::forward(const nn::Tensor& x) {
+nn::Module& MixedOp::choose() {
   if (argmax_mode_) {
     last_sample_.index = alpha_.argmax();
     last_sample_.relaxed.assign(static_cast<std::size_t>(num_candidates()),
@@ -42,11 +42,20 @@ nn::Tensor MixedOp::forward(const nn::Tensor& x) {
   } else {
     last_sample_ = alpha_.sample(*sampler_, *tau_);
   }
+  return *ops_[static_cast<std::size_t>(last_sample_.index)];
+}
+
+nn::Tensor MixedOp::forward(const nn::Tensor& x) {
+  nn::Module& op = choose();
   cached_input_ = x;
-  cached_output_ =
-      ops_[static_cast<std::size_t>(last_sample_.index)]->forward(x);
+  cached_output_ = op.forward(x);
   has_cache_ = true;
   return cached_output_;
+}
+
+nn::Tensor MixedOp::infer(nn::Tensor x) {
+  has_cache_ = false;
+  return choose().infer(std::move(x));
 }
 
 nn::Tensor MixedOp::backward(const nn::Tensor& grad_out) {
@@ -78,13 +87,13 @@ nn::Tensor MixedOp::backward(const nn::Tensor& grad_out) {
           for (int r = static_cast<int>(r0); r < static_cast<int>(r1); ++r) {
             const int k = order_[static_cast<std::size_t>(r)];
             // <dL/dOut, O_k(x)>: reuse the cached output for the activated
-            // path; evaluate a fresh forward (no backward) for the others.
-            const nn::Tensor& out_k =
-                (k == last_sample_.index)
-                    ? cached_output_
-                    : ops_[static_cast<std::size_t>(k)]->forward(
-                          cached_input_);
-            sens_[static_cast<std::size_t>(k)] = grad_out.dot(out_k);
+            // path; run a cache-free inference for the others.
+            sens_[static_cast<std::size_t>(k)] =
+                k == last_sample_.index
+                    ? grad_out.dot(cached_output_)
+                    : grad_out.dot(
+                          ops_[static_cast<std::size_t>(k)]->infer(
+                              cached_input_));
           }
         },
         "nas-topk");

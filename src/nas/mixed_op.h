@@ -26,6 +26,9 @@ class MixedOp : public nn::Module {
           util::Rng* sampler, const double* tau, int backward_paths);
 
   nn::Tensor forward(const nn::Tensor& x) override;
+  // Draws the same sample as forward (and sets last_choice()), runs the
+  // chosen candidate's infer and drops any cache, so backward() throws.
+  nn::Tensor infer(nn::Tensor x) override;
   nn::Tensor backward(const nn::Tensor& grad_out) override;
   // Supernet WEIGHTS only; alpha is exposed separately via alpha_param().
   void collect_parameters(std::vector<nn::Parameter*>& out) override;
@@ -57,6 +60,10 @@ class MixedOp : public nn::Module {
   const double* tau_;    // shared temperature (not owned)
   int backward_paths_;   // K of Eq. 7
   bool argmax_mode_ = false;
+
+  // Sets last_sample_ for the next forward/infer: argmax(alpha) in argmax
+  // mode, else one Gumbel draw from the shared sampler.
+  nn::Module& choose();
 
   GumbelSample last_sample_;
   nn::Tensor cached_input_;

@@ -35,6 +35,13 @@ nn::Tensor Supernet::forward(const nn::Tensor& x) {
   return fc_relu_.forward(fc_.forward(flatten_.forward(cur)));
 }
 
+nn::Tensor Supernet::infer(nn::Tensor x) {
+  A3CS_PROF_SCOPE("supernet-infer");
+  x = stem_relu_.infer(stem_.infer(std::move(x)));
+  for (auto& cell : cells_) x = cell->infer(std::move(x));
+  return fc_relu_.infer(fc_.infer(flatten_.infer(std::move(x))));
+}
+
 nn::Tensor Supernet::backward(const nn::Tensor& grad_out) {
   A3CS_PROF_SCOPE("supernet-backward");
   nn::Tensor cur =

@@ -27,6 +27,7 @@ class Supernet : public nn::Module {
   Supernet(const nn::ObsSpec& obs, SupernetConfig cfg, util::Rng& rng);
 
   nn::Tensor forward(const nn::Tensor& x) override;
+  nn::Tensor infer(nn::Tensor x) override;
   nn::Tensor backward(const nn::Tensor& grad_out) override;
   // Weights only (stem, all candidate ops, fc); alphas via alpha_params().
   void collect_parameters(std::vector<nn::Parameter*>& out) override;

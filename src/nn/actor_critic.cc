@@ -32,6 +32,16 @@ AcOutput ActorCriticNet::forward(const Tensor& obs) {
   return out;
 }
 
+AcOutput ActorCriticNet::infer(const Tensor& obs) {
+  Tensor features = backbone_->infer(obs);
+  A3CS_CHECK(features.shape().rank() == 2,
+             "backbone must emit (N, F) features");
+  AcOutput out;
+  out.logits = policy_head_.infer(features);
+  out.value = value_head_.infer(std::move(features));
+  return out;
+}
+
 void ActorCriticNet::backward(const Tensor& dlogits, const Tensor& dvalue) {
   A3CS_CHECK(has_cache_, "ActorCriticNet: backward before forward");
   Tensor g_feat = policy_head_.backward(dlogits);

@@ -26,6 +26,8 @@ class ActorCriticNet {
                  int num_actions, util::Rng& rng);
 
   AcOutput forward(const Tensor& obs);
+  // forward() through Module::infer: the same outputs, no backward cache.
+  AcOutput infer(const Tensor& obs);
 
   // dlogits: (N, num_actions); dvalue: (N, 1). Accumulates into grads.
   void backward(const Tensor& dlogits, const Tensor& dvalue);

@@ -27,6 +27,16 @@ Tensor ResidualBlock::forward(const Tensor& x) {
   return relu2_.forward(main);
 }
 
+Tensor ResidualBlock::infer(Tensor x) {
+  Tensor main = conv2_.infer(relu1_.infer(conv1_.infer(x)));
+  if (identity_skip_) {
+    main += x;
+  } else {
+    main += proj_->infer(std::move(x));
+  }
+  return relu2_.infer(std::move(main));
+}
+
 Tensor ResidualBlock::backward(const Tensor& grad_out) {
   Tensor g = relu2_.backward(grad_out);
   // The add node fans the gradient out to both paths unchanged.
@@ -63,6 +73,13 @@ Tensor InvertedResidual::forward(const Tensor& x) {
   return out;
 }
 
+Tensor InvertedResidual::infer(Tensor x) {
+  Tensor out = project_.infer(
+      relu2_.infer(dw_.infer(relu1_.infer(expand_.infer(x)))));
+  if (has_skip_) out += x;
+  return out;
+}
+
 Tensor InvertedResidual::backward(const Tensor& grad_out) {
   Tensor g = expand_.backward(
       relu1_.backward(dw_.backward(relu2_.backward(project_.backward(grad_out)))));
@@ -84,9 +101,14 @@ SkipOp::SkipOp(std::string name, int in_c, int out_c, int stride)
 }
 
 Tensor SkipOp::forward(const Tensor& x) {
+  Tensor out = infer(x);
+  cached_in_shape_ = x.shape();
+  return out;
+}
+
+Tensor SkipOp::infer(Tensor x) {
   A3CS_CHECK(x.shape().rank() == 4 && x.shape()[1] == in_c_,
              name_ + ": input shape mismatch");
-  cached_in_shape_ = x.shape();
   if (in_c_ == out_c_ && stride_ == 1) return x;
   const int n = x.shape()[0], h = x.shape()[2], w = x.shape()[3];
   const int oh = (h + stride_ - 1) / stride_;

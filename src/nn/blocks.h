@@ -15,6 +15,7 @@ class ResidualBlock : public Module {
                 util::Rng& rng);
 
   Tensor forward(const Tensor& x) override;
+  Tensor infer(Tensor x) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   std::string name() const override { return name_; }
@@ -37,6 +38,7 @@ class InvertedResidual : public Module {
                    int expansion, int stride, util::Rng& rng);
 
   Tensor forward(const Tensor& x) override;
+  Tensor infer(Tensor x) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   std::string name() const override { return name_; }
@@ -63,6 +65,7 @@ class SkipOp : public Module {
   SkipOp(std::string name, int in_c, int out_c, int stride);
 
   Tensor forward(const Tensor& x) override;
+  Tensor infer(Tensor x) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>&) override {}
   std::string name() const override { return name_; }

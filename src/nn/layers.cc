@@ -43,20 +43,51 @@ Conv2d::Conv2d(std::string name, int in_c, int out_c, int kernel, int stride,
   he_normal(weight_.value, in_c * kernel * kernel, rng);
 }
 
-Tensor Conv2d::forward(const Tensor& x) {
+ConvGeometry Conv2d::geometry(const Tensor& x) const {
   A3CS_CHECK(x.shape().rank() == 4 && x.shape()[1] == in_c_,
              name_ + ": input shape mismatch " + x.shape().to_string());
-  geom_ = ConvGeometry::make(x.shape(), kernel_, kernel_, stride_, pad_);
+  return ConvGeometry::make(x.shape(), kernel_, kernel_, stride_, pad_);
+}
+
+Tensor Conv2d::forward(const Tensor& x) {
+  geom_ = geometry(x);
+  // im2col writes every cell, so the last forward's columns are reused as
+  // they are while the shape holds (the batch forward's shape is fixed).
+  const Shape cols_shape = Shape::mat(in_c_ * kernel_ * kernel_,
+                                      geom_.n * geom_.oh * geom_.ow);
+  if (cached_cols_.shape() != cols_shape) cached_cols_ = Tensor(cols_shape);
+  Tensor out = run(x, geom_, cached_cols_.data());
+  has_cache_ = true;
+  return out;
+}
+
+Tensor Conv2d::infer(Tensor x) {
+  const ConvGeometry g = geometry(x);
+  // One grow-only column workspace per thread: the runner-up forwards of
+  // Eq. 7 run on pool workers, each with its own. It is moved out for the
+  // call, so a forward nested on this thread (a pool task the caller runs
+  // while it waits inside run()) finds it empty and allocates its own,
+  // never writing into columns in use.
+  thread_local std::vector<float> workspace;
+  std::vector<float> cols = std::move(workspace);
+  const std::size_t need = static_cast<std::size_t>(in_c_) * kernel_ *
+                           kernel_ * g.n * g.oh * g.ow;
+  if (cols.size() < need) cols.resize(need);
+  Tensor out = run(x, g, cols.data());
+  if (cols.size() > workspace.size()) workspace = std::move(cols);
+  return out;
+}
+
+Tensor Conv2d::run(const Tensor& x, const ConvGeometry& g,
+                   float* cols) const {
   const int ckk = in_c_ * kernel_ * kernel_;
-  const int cols_per_sample = geom_.oh * geom_.ow;
-  cached_cols_ = Tensor(Shape::mat(ckk, geom_.n * cols_per_sample));
+  const int cols_per_sample = g.oh * g.ow;
   // im2col lays samples out contiguously along the column axis, so a single
   // whole-batch call produces per-sample (ckk x ohw) slices.
-  tensor::im2col(x, geom_, cached_cols_);
-  has_cache_ = true;
+  tensor::im2col(x.data(), g, cols);
 
-  Tensor out(Shape::nchw(geom_.n, out_c_, geom_.oh, geom_.ow));
-  const int batch_cols = geom_.n * cols_per_sample;
+  Tensor out(Shape::nchw(g.n, out_c_, g.oh, g.ow));
+  const int batch_cols = g.n * cols_per_sample;
   A3CS_PROF_SCOPE("conv-fwd");
   {
     // One FMA per (sample, out-channel, ckk, output-cell); weights and cols
@@ -65,7 +96,7 @@ Tensor Conv2d::forward(const Tensor& x) {
     static obs::perf::WorkCounters& wc =
         obs::perf::WorkCounters::named("conv-fwd");
     const std::int64_t out_cells =
-        static_cast<std::int64_t>(geom_.n) * out_c_ * cols_per_sample;
+        static_cast<std::int64_t>(g.n) * out_c_ * cols_per_sample;
     wc.add(2 * out_cells * ckk,
            4 * (static_cast<std::int64_t>(out_c_) * ckk +
                 static_cast<std::int64_t>(ckk) * batch_cols),
@@ -82,9 +113,9 @@ Tensor Conv2d::forward(const Tensor& x) {
   util::parallel_for(
       0, batch_cols, grain,
       [&](std::int64_t j0, std::int64_t j1) {
-        be.conv_forward_cols(weight_.value.data(), bias_.value.data(),
-                             cached_cols_.data(), out.data(), out_c_, ckk,
-                             cols_per_sample, batch_cols, static_cast<int>(j0),
+        be.conv_forward_cols(weight_.value.data(), bias_.value.data(), cols,
+                             out.data(), out_c_, ckk, cols_per_sample,
+                             batch_cols, static_cast<int>(j0),
                              static_cast<int>(j1));
       },
       "conv-fwd");
@@ -169,12 +200,17 @@ DepthwiseConv2d::DepthwiseConv2d(std::string name, int channels, int kernel,
 }
 
 Tensor DepthwiseConv2d::forward(const Tensor& x) {
+  Tensor out = run(x);
+  cached_input_ = x;
+  has_cache_ = true;
+  return out;
+}
+
+Tensor DepthwiseConv2d::run(const Tensor& x) const {
   A3CS_CHECK(x.shape().rank() == 4 && x.shape()[1] == channels_,
              name_ + ": input shape mismatch");
   const auto g =
       ConvGeometry::make(x.shape(), kernel_, kernel_, stride_, pad_);
-  cached_input_ = x;
-  has_cache_ = true;
   Tensor out(Shape::nchw(g.n, channels_, g.oh, g.ow));
   const std::int64_t taps = static_cast<std::int64_t>(kernel_) * kernel_;
   const std::int64_t plane_out = static_cast<std::int64_t>(g.oh) * g.ow;
@@ -266,10 +302,15 @@ Linear::Linear(std::string name, int in_features, int out_features,
 }
 
 Tensor Linear::forward(const Tensor& x) {
-  A3CS_CHECK(x.shape().rank() == 2 && x.shape()[1] == in_f_,
-             name_ + ": input shape mismatch " + x.shape().to_string());
+  Tensor out = run(x);
   cached_input_ = x;
   has_cache_ = true;
+  return out;
+}
+
+Tensor Linear::run(const Tensor& x) const {
+  A3CS_CHECK(x.shape().rank() == 2 && x.shape()[1] == in_f_,
+             name_ + ": input shape mismatch " + x.shape().to_string());
   const int n = x.shape()[0];
   Tensor out(Shape::mat(n, out_f_));
   for (int i = 0; i < n; ++i) {
@@ -313,11 +354,16 @@ void Linear::collect_parameters(std::vector<Parameter*>& out) {
 Tensor ReLU::forward(const Tensor& x) {
   cached_input_ = x;
   has_cache_ = true;
-  Tensor out = x;
-  for (std::int64_t i = 0; i < out.numel(); ++i) {
-    if (out[i] < 0.0f) out[i] = 0.0f;
-  }
-  return out;
+  return infer(x);
+}
+
+Tensor ReLU::infer(Tensor x) {
+  // A select, not a conditional store, so the loop vectorizes; `< 0` keeps
+  // -0.0 and NaN as they are.
+  float* o = x.data();
+  const std::int64_t n = x.numel();
+  for (std::int64_t i = 0; i < n; ++i) o[i] = o[i] < 0.0f ? 0.0f : o[i];
+  return x;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
@@ -325,9 +371,10 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   A3CS_CHECK(grad_out.same_shape(cached_input_),
              name_ + ": grad_out shape mismatch");
   Tensor grad_input = grad_out;
-  for (std::int64_t i = 0; i < grad_input.numel(); ++i) {
-    if (cached_input_[i] <= 0.0f) grad_input[i] = 0.0f;
-  }
+  float* g = grad_input.data();
+  const float* in = cached_input_.data();
+  const std::int64_t n = grad_input.numel();
+  for (std::int64_t i = 0; i < n; ++i) g[i] = in[i] <= 0.0f ? 0.0f : g[i];
   has_cache_ = false;
   return grad_input;
 }
@@ -340,6 +387,13 @@ Tensor Flatten::forward(const Tensor& x) {
   const int n = x.shape()[0];
   const int f = static_cast<int>(x.numel() / n);
   return x.reshaped(Shape::mat(n, f));
+}
+
+Tensor Flatten::infer(Tensor x) {
+  A3CS_CHECK(x.shape().rank() == 4, name_ + ": expects NCHW input");
+  const int n = x.shape()[0];
+  const int f = static_cast<int>(x.numel() / n);
+  return Tensor(Shape::mat(n, f), std::move(x.vec()));
 }
 
 Tensor Flatten::backward(const Tensor& grad_out) {
@@ -357,6 +411,11 @@ Tensor Sequential::forward(const Tensor& x) {
   Tensor cur = x;
   for (auto& child : children_) cur = child->forward(cur);
   return cur;
+}
+
+Tensor Sequential::infer(Tensor x) {
+  for (auto& child : children_) x = child->infer(std::move(x));
+  return x;
 }
 
 Tensor Sequential::backward(const Tensor& grad_out) {

@@ -20,6 +20,7 @@ class Conv2d : public Module {
          int pad, util::Rng& rng);
 
   Tensor forward(const Tensor& x) override;
+  Tensor infer(Tensor x) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   std::string name() const override { return name_; }
@@ -34,11 +35,19 @@ class Conv2d : public Module {
   Parameter& bias() { return bias_; }
 
  private:
+  tensor::ConvGeometry geometry(const Tensor& x) const;
+  // The shared forward arithmetic: im2col of `x` into `cols` (room for
+  // C*KH*KW x N*OH*OW floats), then the column fan-out into the output.
+  Tensor run(const Tensor& x, const tensor::ConvGeometry& g,
+             float* cols) const;
+
   std::string name_;
   int in_c_, out_c_, kernel_, stride_, pad_;
   Parameter weight_;  // (OC, C*KH*KW)
   Parameter bias_;    // (OC)
-  Tensor cached_cols_;          // (C*KH*KW, N*OH*OW): im2col of last input
+  // (C*KH*KW, N*OH*OW): im2col of the last forward's input, reused as the
+  // next forward's buffer while the shape holds.
+  Tensor cached_cols_;
   tensor::ConvGeometry geom_{};
   bool has_cache_ = false;
 };
@@ -50,6 +59,7 @@ class DepthwiseConv2d : public Module {
                   int pad, util::Rng& rng);
 
   Tensor forward(const Tensor& x) override;
+  Tensor infer(Tensor x) override { return run(x); }
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   std::string name() const override { return name_; }
@@ -59,6 +69,8 @@ class DepthwiseConv2d : public Module {
   int stride() const { return stride_; }
 
  private:
+  Tensor run(const Tensor& x) const;  // the shared forward arithmetic
+
   std::string name_;
   int channels_, kernel_, stride_, pad_;
   Parameter weight_;  // (C, KH*KW)
@@ -74,6 +86,7 @@ class Linear : public Module {
          float init_scale = 1.0f);
 
   Tensor forward(const Tensor& x) override;
+  Tensor infer(Tensor x) override { return run(x); }
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   std::string name() const override { return name_; }
@@ -82,6 +95,8 @@ class Linear : public Module {
   int out_features() const { return out_f_; }
 
  private:
+  Tensor run(const Tensor& x) const;  // the shared forward arithmetic
+
   std::string name_;
   int in_f_, out_f_;
   Parameter weight_;  // (OUT, IN)
@@ -90,12 +105,13 @@ class Linear : public Module {
   bool has_cache_ = false;
 };
 
-// Elementwise max(x, 0).
+// Elementwise max(x, 0); -0.0 and NaN pass through unchanged.
 class ReLU : public Module {
  public:
   explicit ReLU(std::string name = "relu") : name_(std::move(name)) {}
 
   Tensor forward(const Tensor& x) override;
+  Tensor infer(Tensor x) override;  // in place on `x`
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>&) override {}
   std::string name() const override { return name_; }
@@ -112,6 +128,7 @@ class Flatten : public Module {
   explicit Flatten(std::string name = "flatten") : name_(std::move(name)) {}
 
   Tensor forward(const Tensor& x) override;
+  Tensor infer(Tensor x) override;  // moves `x`'s buffer, no copy
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>&) override {}
   std::string name() const override { return name_; }
@@ -129,6 +146,7 @@ class Sequential : public Module {
   Sequential& add(std::unique_ptr<Module> m);
 
   Tensor forward(const Tensor& x) override;
+  Tensor infer(Tensor x) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   std::string name() const override { return name_; }

@@ -11,6 +11,17 @@
 //   net.zero_grad();
 //
 // backward(g) must be called at most once per forward() and returns dL/dx.
+//
+// Forwards that no backward will read (rollout policy steps, bootstrap
+// values, the distillation teacher, the Eq. 7 runner-up candidates, eval)
+// call infer(x) instead: the bit-identical output of forward(x), with no
+// backward cache built. infer draws every RNG sample forward would (a
+// MixedOp still samples its Gumbel choice). It leaves the cache of an
+// earlier forward() alone, except where it re-draws what that forward
+// sampled: a MixedOp drops its cache, so a backward() after an infer()
+// throws instead of mixing two samples. Leaves share one code path between
+// the two (forward = cache, then the infer arithmetic); composites wire
+// infer through their children.
 #pragma once
 
 #include <memory>
@@ -47,6 +58,11 @@ class Module {
 
   // Computes the output for `x` and caches activations for backward().
   virtual Tensor forward(const Tensor& x) = 0;
+
+  // forward(x) without the backward cache (see the file comment). `x` is
+  // taken by value so elementwise modules can work in place. The default
+  // builds the cache anyway; every module in the library overrides it.
+  virtual Tensor infer(Tensor x) { return forward(x); }
 
   // Given dL/d(output of last forward), accumulates parameter gradients and
   // returns dL/d(input of last forward).

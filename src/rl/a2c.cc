@@ -37,10 +37,11 @@ LossCoefficients no_distill_coefficients() {
 
 RolloutLoss rollout_loss(nn::ActorCriticNet& net, const Rollout& rollout,
                          const A2cConfig& cfg, nn::ActorCriticNet* teacher) {
-  // Bootstrap values for the post-rollout states (V(s_L) per env). This
-  // forward's caches are overwritten by the batch forward below, which is
-  // fine: we only need the values.
-  const auto boot = net.forward(rollout.last_obs);
+  // Bootstrap values for the post-rollout states (V(s_L) per env): only the
+  // values are needed, so no backward cache. It runs before the batch
+  // forward, whose caches the backward reads (a supernet's infer drops them)
+  // and whose Gumbel draws follow this one's on the shared sampler.
+  const auto boot = net.infer(rollout.last_obs);
 
   // Batch forward over every rollout entry (step-major stacking).
   const Tensor batch_obs = rollout.stacked_obs();
@@ -63,7 +64,7 @@ RolloutLoss rollout_loss(nn::ActorCriticNet& net, const Rollout& rollout,
   LossCoefficients coef = cfg.loss;
   if (teacher != nullptr &&
       (coef.distill_actor != 0.0 || coef.distill_critic != 0.0)) {
-    const auto tea = teacher->forward(batch_obs);
+    const auto tea = teacher->infer(batch_obs);
     teacher_probs = Tensor(tea.logits.shape());
     tensor::softmax_rows(tea.logits, teacher_probs);
     teacher_values = tea.value;

@@ -29,7 +29,7 @@ EvalResult evaluate_agent(nn::ActorCriticNet& net,
     }
 
     while (!done) {
-      const auto ac = net.forward(obs);
+      const auto ac = net.infer(obs);
       int action;
       if (cfg.sample_actions) {
         action = sample_actions(ac.logits, rng).front();

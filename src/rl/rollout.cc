@@ -51,7 +51,7 @@ Rollout RolloutCollector::collect(ActorCriticNet& net, int length) {
   out.obs.reserve(static_cast<std::size_t>(length));
   for (int t = 0; t < length; ++t) {
     out.obs.push_back(current_obs_);
-    const auto ac = net.forward(current_obs_);
+    const auto ac = net.infer(current_obs_);
     auto actions = sample_actions(ac.logits, rng_);
     const auto& step = envs_.step(actions);
     out.actions.push_back(std::move(actions));

@@ -46,7 +46,8 @@ namespace a3cs::tensor::backend {
 //    to C = beta * C.
 //  im2col_rows: fill column-matrix rows [cr0, cr1) (each row is one
 //    (channel, ky, kx) triple) from the NCHW input. Pure data movement —
-//    bit-exact across backends.
+//    bit-exact across backends. Writes every cell of those rows, padding
+//    zeros included, so callers reuse column buffers without clearing.
 //  col2im_channels: scatter-add column rows of channels [c0, c1) into the
 //    pre-zeroed NCHW gradient image, ascending column-row order per channel.
 //  conv_forward_cols: conv output of batch columns [j0, j1) for every

@@ -182,31 +182,66 @@ void gemm_rows(const float* a, bool trans_a, const float* b, bool trans_b,
 }
 
 // Fills column-matrix rows [cr0, cr1); each row is one (channel, ky, kx)
-// triple, filled column-major over (n, oy, ox) with zero padding.
+// triple, filled column-major over (n, oy, ox) with zero padding. A 1x1,
+// stride-1, unpadded conv's row is its channel's planes, copied whole.
+// Otherwise a row computes once the output rectangle [y_lo, y_hi) x
+// [x_lo, x_hi) whose input cells are in bounds (the same for every sample),
+// zero-fills the whole row in one pass if any cell lies outside it, and
+// copies the rectangle with no per-element check. The short copy loops stay
+// inline; per-segment library copies made 2x2 and 3x3 maps slower than the
+// checked loop.
 void im2col_rows(const float* in, const ConvGeometry& g, float* out, int cr0,
                  int cr1) {
   const int hw = g.h * g.w;
   const int ohw = g.oh * g.ow;
   const int col_cols = g.n * ohw;
+  if (g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0) {
+    for (int cr = cr0; cr < cr1; ++cr) {
+      float* orow = out + static_cast<std::size_t>(cr) * col_cols;
+      for (int n = 0; n < g.n; ++n) {
+        const float* img = in + (static_cast<std::size_t>(n) * g.c + cr) * hw;
+        std::copy(img, img + hw, orow + static_cast<std::size_t>(n) * ohw);
+      }
+    }
+    return;
+  }
+  const int s = g.stride;
+  // Output index o maps to input index o * s - pad + off, which is >= 0
+  // from o = first(pad - off) on and < extent until first(extent + pad -
+  // off), where first(v) = ceil(v / s) clamped at 0.
+  const auto first = [s](int v) { return v <= 0 ? 0 : (v + s - 1) / s; };
   for (int cr = cr0; cr < cr1; ++cr) {
     const int kw_off = cr % g.kw;
     const int kh_off = (cr / g.kw) % g.kh;
     const int ch = cr / (g.kw * g.kh);
     float* orow = out + static_cast<std::size_t>(cr) * col_cols;
+    const int x_lo = std::min(g.ow, first(g.pad - kw_off));
+    const int x_hi =
+        std::max(x_lo, std::min(g.ow, first(g.w + g.pad - kw_off)));
+    const int y_lo = std::min(g.oh, first(g.pad - kh_off));
+    const int y_hi =
+        std::max(y_lo, std::min(g.oh, first(g.h + g.pad - kh_off)));
+    if (x_lo > 0 || x_hi < g.ow || y_lo > 0 || y_hi < g.oh) {
+      std::fill(orow, orow + col_cols, 0.0f);
+    }
+    if (x_lo == x_hi || y_lo == y_hi) continue;
+    const int width = x_hi - x_lo;
+    const std::ptrdiff_t src_step = static_cast<std::ptrdiff_t>(s) * g.w;
+    const float* src0 = in + static_cast<std::size_t>(ch) * hw +
+                        static_cast<std::ptrdiff_t>(y_lo * s - g.pad + kh_off) *
+                            g.w +
+                        (x_lo * s - g.pad + kw_off);
     for (int n = 0; n < g.n; ++n) {
-      const float* img = in + (static_cast<std::size_t>(n) * g.c + ch) * hw;
-      float* ocell = orow + static_cast<std::size_t>(n) * ohw;
-      for (int oy = 0; oy < g.oh; ++oy) {
-        const int iy = oy * g.stride - g.pad + kh_off;
-        if (iy < 0 || iy >= g.h) {
-          std::fill(ocell, ocell + g.ow, 0.0f);
-          ocell += g.ow;
-          continue;
-        }
-        const float* irow = img + static_cast<std::size_t>(iy) * g.w;
-        for (int ox = 0; ox < g.ow; ++ox) {
-          const int ix = ox * g.stride - g.pad + kw_off;
-          *ocell++ = (ix < 0 || ix >= g.w) ? 0.0f : irow[ix];
+      const float* src = src0 + static_cast<std::size_t>(n) * g.c * hw;
+      float* dst = orow + static_cast<std::size_t>(n) * ohw +
+                   static_cast<std::size_t>(y_lo) * g.ow + x_lo;
+      for (int oy = y_lo; oy < y_hi; ++oy, src += src_step, dst += g.ow) {
+        if (s == 1) {
+          for (int i = 0; i < width; ++i) dst[i] = src[i];
+        } else {
+          for (int i = 0; i < width; ++i) {
+            dst[i] = src[static_cast<std::ptrdiff_t>(i) * s];
+          }
         }
       }
     }

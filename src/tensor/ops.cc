@@ -104,10 +104,16 @@ ConvGeometry ConvGeometry::make(const Shape& input, int kh, int kw, int stride,
 }
 
 void im2col(const Tensor& input, const ConvGeometry& g, Tensor& cols) {
+  A3CS_CHECK(input.shape() == Shape::nchw(g.n, g.c, g.h, g.w),
+             "im2col input shape mismatch");
+  A3CS_CHECK(cols.shape() == Shape::mat(g.c * g.kh * g.kw, g.n * g.oh * g.ow),
+             "im2col output shape mismatch");
+  im2col(input.data(), g, cols.data());
+}
+
+void im2col(const float* in, const ConvGeometry& g, float* out) {
   const int col_rows = g.c * g.kh * g.kw;
   const int col_cols = g.n * g.oh * g.ow;
-  A3CS_CHECK(cols.shape() == Shape::mat(col_rows, col_cols),
-             "im2col output shape mismatch");
   A3CS_PROF_SCOPE("im2col");
   {
     // Pure data movement: every output cell is one gather (or zero fill);
@@ -118,8 +124,6 @@ void im2col(const Tensor& input, const ConvGeometry& g, Tensor& cols) {
         static_cast<std::int64_t>(col_rows) * col_cols;
     wc.add(0, 4 * cells, 4 * cells);
   }
-  const float* in = input.data();
-  float* out = cols.data();
   // Each output row belongs to exactly one (channel, ky, kx) triple, so the
   // rows can be filled independently. Grain is derived from the row width
   // only, keeping shard boundaries thread-count independent.

@@ -47,6 +47,10 @@ struct ConvGeometry {
 
 // cols must be (c*kh*kw) x (n*oh*ow).
 void im2col(const Tensor& input, const ConvGeometry& g, Tensor& cols);
+// The same over raw buffers: `input` holds the NCHW image of `g`, `cols`
+// room for (c*kh*kw) * (n*oh*ow) floats. im2col writes every cell, so
+// `cols` needs no clearing beforehand.
+void im2col(const float* input, const ConvGeometry& g, float* cols);
 
 // Scatter-add the column matrix back into an NCHW gradient image.
 // `grad_input` is zeroed first.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/logging.h"
 
@@ -46,6 +47,11 @@ float Tensor::at4(int n, int c, int h, int w) const {
 }
 
 void Tensor::fill(float v) { std::fill(data_.begin(), data_.end(), v); }
+
+void Tensor::zero() {
+  if (data_.empty()) return;
+  std::memset(data_.data(), 0, data_.size() * sizeof(float));
+}
 
 Tensor Tensor::reshaped(Shape new_shape) const {
   A3CS_CHECK(new_shape.numel() == shape_.numel(),

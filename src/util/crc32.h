@@ -1,6 +1,7 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum guarding
-// every checkpoint section against torn writes and bit rot. Table-driven,
-// incremental: crc32_update lets callers fold large payloads in chunks.
+// every checkpoint section against torn writes and bit rot. Table-driven
+// (slicing-by-8, byte order independent), incremental: crc32_update lets
+// callers fold large payloads in chunks.
 #pragma once
 
 #include <cstddef>

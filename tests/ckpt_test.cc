@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -59,6 +60,48 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   std::uint32_t crc = 0;
   for (char c : data) crc = util::crc32_update(crc, &c, 1);
   EXPECT_EQ(crc, util::crc32(data.data(), data.size()));
+}
+
+// The bytewise table loop crc32_update used before slicing-by-8, the
+// reference the sliced loop must reproduce exactly.
+std::uint32_t crc32_bytewise(std::uint32_t crc, const unsigned char* p,
+                             std::size_t len) {
+  crc ^= 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    std::uint32_t c = (crc ^ p[i]) & 0xFFu;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    crc = c ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseAtEveryAlignmentAndLength) {
+  util::Rng rng(17);
+  std::vector<unsigned char> buf(70000 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.uniform_int(256));
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 9; ++len) lengths.push_back(len);
+  for (const std::size_t len : {15, 16, 17, 63, 64, 65, 4097, 70000}) {
+    lengths.push_back(len);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t len : lengths) {
+      const unsigned char* p = buf.data() + offset;
+      EXPECT_EQ(util::crc32(p, len), crc32_bytewise(0, p, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  // Chained updates over chunk sizes that leave every remainder mod 8.
+  for (const std::size_t chunk : {1, 3, 7, 8, 9, 13, 64, 1000}) {
+    const std::size_t total = 10007;
+    std::uint32_t crc = 0;
+    for (std::size_t at = 0; at < total; at += chunk) {
+      crc = util::crc32_update(crc, buf.data() + 3 + at,
+                               std::min(chunk, total - at));
+    }
+    EXPECT_EQ(crc, crc32_bytewise(0, buf.data() + 3, total))
+        << "chunk " << chunk;
+  }
 }
 
 // ---------------------------------------------------------- atomic file

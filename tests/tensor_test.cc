@@ -306,6 +306,65 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{2, 2, 6, 6, 5, 1, 2},
                       ConvCase{1, 1, 3, 3, 3, 2, 1}));
 
+// The per-element bounds-checked im2col loop the scalar backend ran before
+// its unchecked-interior rewrite: the bit-exact reference for it.
+void im2col_checked(const Tensor& x, const ConvGeometry& g, Tensor& cols) {
+  const int hw = g.h * g.w, ohw = g.oh * g.ow, col_cols = g.n * ohw;
+  for (int cr = 0; cr < g.c * g.kh * g.kw; ++cr) {
+    const int kw_off = cr % g.kw;
+    const int kh_off = (cr / g.kw) % g.kh;
+    const int ch = cr / (g.kw * g.kh);
+    float* ocell = cols.data() + static_cast<std::size_t>(cr) * col_cols;
+    for (int n = 0; n < g.n; ++n) {
+      const float* img =
+          x.data() + (static_cast<std::size_t>(n) * g.c + ch) * hw;
+      for (int oy = 0; oy < g.oh; ++oy) {
+        const int iy = oy * g.stride - g.pad + kh_off;
+        for (int ox = 0; ox < g.ow; ++ox) {
+          const int ix = ox * g.stride - g.pad + kw_off;
+          *ocell++ = (iy < 0 || iy >= g.h || ix < 0 || ix >= g.w)
+                         ? 0.0f
+                         : img[static_cast<std::size_t>(iy) * g.w + ix];
+        }
+      }
+    }
+  }
+}
+
+TEST(Im2Col, ScalarBitExactWithCheckedLoopAcrossStridesAndPads) {
+  // Strides 1-3, pads from 0 past k/2 (whole border rows and columns of
+  // zeros, interiors that are empty), 1x1 plane copies and non-square maps.
+  tensor::backend::ScopedBackend use(tensor::backend::scalar_backend());
+  util::Rng rng(21);
+  int cases = 0;
+  for (const int k : {1, 2, 3, 5}) {
+    for (const int stride : {1, 2, 3}) {
+      for (int pad = 0; pad <= k + 1; ++pad) {
+        for (const auto& [h, w] : {std::pair{1, 1}, std::pair{2, 3},
+                                   std::pair{5, 4}, std::pair{7, 9}}) {
+          if (h + 2 * pad < k || w + 2 * pad < k) continue;
+          Tensor x(Shape::nchw(2, 3, h, w));
+          for (std::int64_t i = 0; i < x.numel(); ++i) {
+            x[i] = static_cast<float>(rng.uniform(-1, 1));
+          }
+          const auto g = ConvGeometry::make(x.shape(), k, k, stride, pad);
+          const Shape cols_shape =
+              Shape::mat(g.c * k * k, g.n * g.oh * g.ow);
+          Tensor want(cols_shape), got(cols_shape, 7.0f);
+          im2col_checked(x, g, want);
+          tensor::im2col(x, g, got);
+          ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                   sizeof(float) * want.numel()))
+              << "k" << k << " s" << stride << " p" << pad << " " << h
+              << "x" << w;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 150);
+}
+
 TEST(ConvGeometry, OutputDims) {
   const auto g = ConvGeometry::make(Shape::nchw(1, 3, 12, 12), 3, 3, 2, 1);
   EXPECT_EQ(g.oh, 6);
