@@ -27,7 +27,8 @@
 # every kernel and subsystem that dispatches onto it (GEMM/im2col, the
 # Conv2d/depthwise layer fan-outs with their 1-4 thread bit-exactness
 # checks, the inference forwards and their per-thread column workspaces,
-# VecEnv stepping, the top-K NAS backward) and the guard's cross-thread pieces
+# VecEnv stepping, the top-K NAS backward, the DAS sweeps, concurrent serve
+# batches) and the guard's cross-thread pieces
 # (the global FaultInjector, the metrics it bumps), run with A3CS_THREADS=4
 # so the pool actually fans out. The standalone UBSan pass sweeps the
 # numeric layers — tensor kernels, nn layers/optimizers, the NAS/DAS/accel

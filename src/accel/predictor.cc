@@ -74,38 +74,26 @@ Predictor::Predictor(FpgaBudget budget, EnergyModel energy,
                      CostWeights weights)
     : budget_(budget), energy_(energy), weights_(weights) {}
 
-namespace {
-
-// The one spec -> workload decomposition, shared by prepare_network and the
-// stack-buffered one-shot path in evaluate(specs, ...) so the two entry
-// points stay bit-exact by construction.
-inline LayerWorkload layer_workload(const nn::LayerSpec& spec) {
-  using Kind = nn::LayerSpec::Kind;
-  LayerWorkload wl;
-  wl.macs = static_cast<double>(spec.macs());
-  // Depthwise layers have no input-channel reduction to parallelize, which
-  // is exactly why dataflow choice matters per layer.
-  wl.ic = spec.kind == Kind::kDepthwiseConv ? 1 : spec.in_c;
-  wl.oc = spec.out_c;
-  wl.out_h = spec.out_h;
-  wl.out_w = spec.out_w;
-  wl.kernel = spec.kernel;
-  wl.group = spec.group;
-  wl.in_bytes = static_cast<double>(spec.input_elems()) * 2.0;
-  wl.w_bytes = static_cast<double>(spec.weight_elems()) * 2.0;
-  wl.out_bytes = static_cast<double>(spec.output_elems()) * 2.0;
-  wl.psum_bytes = static_cast<double>(spec.output_elems()) * 4.0;
-  return wl;
-}
-
-}  // namespace
-
 PreparedNetwork prepare_network(const std::vector<nn::LayerSpec>& specs) {
+  using Kind = nn::LayerSpec::Kind;
   PreparedNetwork net;
   net.num_groups = nn::num_groups(specs);
   net.layers.reserve(specs.size());
   for (const nn::LayerSpec& spec : specs) {
-    net.layers.push_back(layer_workload(spec));
+    LayerWorkload& wl = net.layers.emplace_back();
+    wl.macs = static_cast<double>(spec.macs());
+    // Depthwise layers have no input-channel reduction to parallelize, which
+    // is exactly why dataflow choice matters per layer.
+    wl.ic = spec.kind == Kind::kDepthwiseConv ? 1 : spec.in_c;
+    wl.oc = spec.out_c;
+    wl.out_h = spec.out_h;
+    wl.out_w = spec.out_w;
+    wl.kernel = spec.kernel;
+    wl.group = spec.group;
+    wl.in_bytes = static_cast<double>(spec.input_elems()) * 2.0;
+    wl.w_bytes = static_cast<double>(spec.weight_elems()) * 2.0;
+    wl.out_bytes = static_cast<double>(spec.output_elems()) * 2.0;
+    wl.psum_bytes = static_cast<double>(spec.output_elems()) * 4.0;
   }
   return net;
 }
@@ -226,32 +214,21 @@ LayerCost Predictor::layer_cost(const LayerWorkload& wl,
 
 HwEval Predictor::evaluate(const std::vector<nn::LayerSpec>& specs,
                            const AcceleratorConfig& config) const {
-  return evaluate_loop(
-      specs.size(), nn::num_groups(specs), config,
-      [&specs](std::size_t i) { return layer_workload(specs[i]); });
+  return evaluate(prepare_network(specs), config);
 }
 
 HwEval Predictor::evaluate(const PreparedNetwork& net,
                            const AcceleratorConfig& config) const {
-  return evaluate_loop(
-      net.layers.size(), net.num_groups, config,
-      [&net](std::size_t i) -> const LayerWorkload& { return net.layers[i]; });
-}
-
-template <typename LayerAt>
-HwEval Predictor::evaluate_loop(std::size_t num_layers, int num_groups,
-                                const AcceleratorConfig& config,
-                                LayerAt&& layer_at) const {
   A3CS_PROF_SCOPE("predictor-eval");
   static obs::Counter& evals =
       obs::MetricsRegistry::global().counter("predictor.evals");
   evals.inc();
   A3CS_CHECK(!config.chunks.empty(), "accelerator needs at least one chunk");
-  A3CS_CHECK(static_cast<int>(config.group_to_chunk.size()) >= num_groups,
+  A3CS_CHECK(static_cast<int>(config.group_to_chunk.size()) >= net.num_groups,
              "group_to_chunk smaller than the network's group count");
 
   HwEval eval;
-  eval.layers.reserve(num_layers);
+  eval.layers.reserve(net.layers.size());
   eval.chunk_cycles.assign(static_cast<std::size_t>(config.num_chunks()), 0.0);
 
   // Resources: 1 DSP per PE; SRAM and DRAM bandwidth shared in proportion to
@@ -276,8 +253,7 @@ HwEval Predictor::evaluate_loop(std::size_t num_layers, int num_groups,
 
   std::vector<double> chunk_sram_needed(
       static_cast<std::size_t>(config.num_chunks()), 0.0);
-  for (std::size_t li = 0; li < num_layers; ++li) {
-    const LayerWorkload& wl = layer_at(li);
+  for (const LayerWorkload& wl : net.layers) {
     const int chunk_idx =
         config.group_to_chunk[static_cast<std::size_t>(wl.group)];
     A3CS_CHECK(chunk_idx >= 0 && chunk_idx < config.num_chunks(),

@@ -16,7 +16,6 @@
 // BRAM slices proportional to each chunk's DSP share.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "accel/hw_types.h"
@@ -26,10 +25,9 @@ namespace a3cs::accel {
 
 // Config-independent per-layer workload quantities — everything evaluate()
 // needs from a LayerSpec, decomposed once per network instead of once per
-// candidate config. The serving layer (src/serve) hoists this out of the
-// per-config loop: a batched request touching thousands of configs pays the
-// decomposition exactly once. Values are the *same doubles* the spec-based
-// path computes, so prepared evaluation is bit-exact with evaluate(specs,...).
+// candidate config. Sweeps (DAS, the DAS baselines, batched serving) hoist
+// this out of their per-config loop, so thousands of candidates pay the
+// decomposition exactly once.
 struct LayerWorkload {
   double macs = 0.0;
   int ic = 1;  // reduction channels (1 for depthwise — nothing to reduce)
@@ -105,13 +103,15 @@ class Predictor {
                      EnergyModel energy = EnergyModel{},
                      CostWeights weights = CostWeights{});
 
-  HwEval evaluate(const std::vector<nn::LayerSpec>& specs,
+  // Evaluates one config against a hoisted decomposition (see
+  // LayerWorkload): the path for sweeps, where one network meets thousands
+  // of candidate configs.
+  HwEval evaluate(const PreparedNetwork& net,
                   const AcceleratorConfig& config) const;
 
-  // Same evaluation from a hoisted decomposition (bit-exact with the
-  // spec-based overload; see LayerWorkload). The fast path for batched
-  // serving, where one network meets thousands of candidate configs.
-  HwEval evaluate(const PreparedNetwork& net,
+  // One-shot convenience: evaluate(prepare_network(specs), config), for
+  // callers that score a network once (e.g. once per co-search iteration).
+  HwEval evaluate(const std::vector<nn::LayerSpec>& specs,
                   const AcceleratorConfig& config) const;
 
   // Scalar hardware cost L_cost for the search: weighted II (+ energy) plus
@@ -124,18 +124,6 @@ class Predictor {
   const CostWeights& cost_weights() const { return weights_; }
 
  private:
-  // Shared body of both evaluate() overloads, abstracted over how the i-th
-  // LayerWorkload is obtained: the spec-based path decomposes each layer
-  // on the fly (no per-call allocation or materialized array — this overload
-  // sits inside the DAS/NAS inner loops and a per-call heap pass measurably
-  // regresses bench predictor_eval), the prepared path reads its hoisted
-  // vector. Identical arithmetic in identical order keeps the two entry
-  // points bit-exact. Defined in predictor.cc; instantiated only there.
-  template <typename LayerAt>
-  HwEval evaluate_loop(std::size_t num_layers, int num_groups,
-                       const AcceleratorConfig& config,
-                       LayerAt&& layer_at) const;
-
   LayerCost layer_cost(const LayerWorkload& wl, const ChunkConfig& chunk,
                        double chunk_sram_bytes, double bytes_per_cycle) const;
 

@@ -6,12 +6,12 @@
 
 #include "accel/config_io.h"
 #include "obs/metrics.h"
+#include "obs/perf/work_counters.h"
 #include "obs/profile.h"
-// Deliberate upward edge — see the das.h include note. A3CS_LINT(arch-layering)
-#include "serve/service.h"
 #include "tensor/serialize.h"
 #include "util/logging.h"
 #include "util/state_io.h"
+#include "util/thread_pool.h"
 
 namespace a3cs::das {
 
@@ -31,33 +31,46 @@ struct DrawnSample {
 
 struct EvaluatedSample {
   accel::AcceleratorConfig config;
-  serve::CachedEvalPtr value;  // shared with the service's memo-cache
-
-  const accel::HwEval& eval() const { return value->eval; }
-  double cost() const { return value->cost; }
+  HwEval eval;
+  double cost = 0.0;
 };
 
-// All predictor sweeps go through the serving layer: the per-layer
-// decomposition is hoisted into `net`, repeated configs hit the memo-cache,
-// and PredictorService::evaluate_batch fans the misses over the pool with
-// fixed sharding — bit-exact with a serial loop at any thread count.
-void evaluate_batch(const AcceleratorSpace& space,
-                    serve::PredictorService& service,
-                    const serve::PreparedNet& net,
+// The one candidate ordering of every DAS sweep: a feasible accelerator beats
+// an infeasible one, then the lower scalar cost wins.
+bool better(const HwEval& eval, double cost, const HwEval& than_eval,
+            double than_cost) {
+  if (eval.feasible != than_eval.feasible) return eval.feasible;
+  return cost < than_cost;
+}
+
+// Decodes and scores every drawn sample against the hoisted decomposition
+// `net`, one pool task per sample. Each task writes only its own slot and the
+// predictor is pure, so the results are bit-exact with a serial loop at any
+// thread count.
+void evaluate_batch(const AcceleratorSpace& space, const Predictor& predictor,
+                    const accel::PreparedNetwork& net,
                     const std::vector<DrawnSample>& drawn,
                     std::vector<EvaluatedSample>& out) {
   A3CS_PROF_SCOPE("das-eval");
-  std::vector<accel::AcceleratorConfig> configs(drawn.size());
-  for (std::size_t i = 0; i < drawn.size(); ++i) {
-    configs[i] = space.decode(drawn[i].choices);
-  }
-  std::vector<serve::ServeResult> results =
-      service.evaluate_batch(net, configs);
+  // Documented estimate, not a measured count: the analytic predictor does a
+  // few dozen scalar ops per layer, so one evaluation is roughly layers * 64
+  // flops.
+  static obs::perf::WorkCounters& work =
+      obs::perf::WorkCounters::named("das-eval");
+  const std::int64_t n = static_cast<std::int64_t>(drawn.size());
+  work.add(64 * n * static_cast<std::int64_t>(net.layers.size()), 0, 0);
   out.resize(drawn.size());
-  for (std::size_t i = 0; i < drawn.size(); ++i) {
-    out[i].config = std::move(configs[i]);
-    out[i].value = std::move(results[i].value);
-  }
+  util::parallel_for(
+      0, n, 1,
+      [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t i = b; i < e; ++i) {
+          EvaluatedSample& ev = out[static_cast<std::size_t>(i)];
+          ev.config = space.decode(drawn[static_cast<std::size_t>(i)].choices);
+          ev.eval = predictor.evaluate(net, ev.config);
+          ev.cost = predictor.scalar_cost(ev.eval);
+        }
+      },
+      "das-eval");
 }
 
 }  // namespace
@@ -66,7 +79,6 @@ DasEngine::DasEngine(const AcceleratorSpace& space, const Predictor& predictor,
                      DasConfig cfg)
     : space_(space),
       predictor_(predictor),
-      service_(predictor),
       cfg_(cfg),
       opt_(cfg.lr),
       rng_(cfg.seed),
@@ -90,9 +102,9 @@ double DasEngine::step(const std::vector<nn::LayerSpec>& specs, int n) {
   params.reserve(phis_.size());
   for (auto& phi : phis_) params.push_back(&phi.param());
 
-  // Hoist the per-layer decomposition + signature once per step() call; the
+  // Hoist the per-layer decomposition once per step() call; the
   // co-search loop mutates the network between calls, never within one.
-  const serve::PreparedNet net = service_.prepare(specs);
+  const accel::PreparedNetwork net = accel::prepare_network(specs);
   std::vector<DrawnSample> drawn;
   std::vector<EvaluatedSample> evaluated;
   for (int it = 0; it < n; ++it) {
@@ -120,34 +132,30 @@ double DasEngine::step(const std::vector<nn::LayerSpec>& specs, int n) {
     }
 
     // Phase 2 (parallel): evaluate the predictor on every drawn config.
-    evaluate_batch(space_, service_, net, drawn, evaluated);
+    evaluate_batch(space_, predictor_, net, drawn, evaluated);
 
     // Phase 3 (serial, in draw order): incumbent, baseline and gradients.
     for (int s = 0; s < samples_per_iter; ++s) {
       const DrawnSample& d = drawn[static_cast<std::size_t>(s)];
       const EvaluatedSample& ev = evaluated[static_cast<std::size_t>(s)];
       if (!has_best_seen_ ||
-          (ev.eval().feasible && !best_seen_eval_.feasible) ||
-          (ev.eval().feasible == best_seen_eval_.feasible &&
-           ev.cost() < best_seen_cost_)) {
+          better(ev.eval, ev.cost, best_seen_eval_, best_seen_cost_)) {
         has_best_seen_ = true;
         best_seen_config_ = ev.config;
-        best_seen_eval_ = ev.eval();
-        best_seen_cost_ = ev.cost();
+        best_seen_eval_ = ev.eval;
+        best_seen_cost_ = ev.cost;
       }
       if (d.explore) continue;
-      last_cost = ev.cost();
+      last_cost = ev.cost;
 
-      double signal = cfg_.log_cost ? std::log(ev.cost() + 1e-9) : ev.cost();
-      if (cfg_.use_baseline) {
-        if (!baseline_init_) {
-          baseline_ = signal;
-          baseline_init_ = true;
-        } else {
-          baseline_ = 0.95 * baseline_ + 0.05 * signal;
-        }
-        signal -= baseline_;
+      double signal = std::log(ev.cost + 1e-9);
+      if (!baseline_init_) {
+        baseline_ = signal;
+        baseline_init_ = true;
+      } else {
+        baseline_ = 0.95 * baseline_ + 0.05 * signal;
       }
+      signal -= baseline_;
       signal /= samples_per_iter;
 
       // The hard one-hot made only the sampled choice contribute, so each
@@ -289,34 +297,28 @@ DasResult DasEngine::search(const std::vector<nn::LayerSpec>& specs) {
   result.best_cost = std::numeric_limits<double>::infinity();
   bool have_best = false;
   result.cost_curve.reserve(static_cast<std::size_t>(cfg_.iterations));
-  const serve::PreparedNet net = service_.prepare(specs);
+  const accel::PreparedNetwork net = accel::prepare_network(specs);
   for (int it = 0; it < cfg_.iterations; ++it) {
     const double cost = step(specs, 1);
     result.cost_curve.push_back(cost);
-    // Track the best *derived* config periodically (and at the end). The
-    // derived argmax often repeats across checks once phi converges, so this
-    // goes through the memo-cache too.
+    // Track the best *derived* config periodically (and at the end).
     if ((it + 1) % 25 == 0 || it + 1 == cfg_.iterations) {
       const AcceleratorConfig cand = derive();
-      const serve::ServeResult r = service_.evaluate_one(net, cand);
-      const HwEval& eval = r.eval();
-      const double cand_cost = r.cost();
-      if (!have_best || (eval.feasible && !result.eval.feasible) ||
-          (eval.feasible == result.eval.feasible &&
-           cand_cost < result.best_cost)) {
+      HwEval eval = predictor_.evaluate(net, cand);
+      const double cand_cost = predictor_.scalar_cost(eval);
+      if (!have_best ||
+          better(eval, cand_cost, result.eval, result.best_cost)) {
         have_best = true;
         result.config = cand;
-        result.eval = eval;
+        result.eval = std::move(eval);
         result.best_cost = cand_cost;
       }
     }
   }
   // The incumbent (best sampled candidate) may beat the derived argmax; the
   // search's answer is whichever is better under the same cost model.
-  if (has_best_seen_ &&
-      ((best_seen_eval_.feasible && !result.eval.feasible) ||
-       (best_seen_eval_.feasible == result.eval.feasible &&
-        best_seen_cost_ < result.best_cost))) {
+  if (has_best_seen_ && better(best_seen_eval_, best_seen_cost_, result.eval,
+                               result.best_cost)) {
     result.config = best_seen_config_;
     result.eval = best_seen_eval_;
     result.best_cost = best_seen_cost_;
@@ -334,8 +336,7 @@ DasResult random_search(const AcceleratorSpace& space,
   bool have_best = false;
   // Draw serially (fixed RNG order), evaluate in parallel blocks, reduce
   // serially in draw order — identical results at any thread count.
-  serve::PredictorService service(predictor);
-  const serve::PreparedNet net = service.prepare(specs);
+  const accel::PreparedNetwork net = accel::prepare_network(specs);
   constexpr int kBlock = 256;
   std::vector<DrawnSample> drawn;
   std::vector<EvaluatedSample> evaluated;
@@ -345,17 +346,15 @@ DasResult random_search(const AcceleratorSpace& space,
     for (int i = 0; i < count; ++i) {
       drawn[static_cast<std::size_t>(i)].choices = space.random_choices(rng);
     }
-    evaluate_batch(space, service, net, drawn, evaluated);
-    for (int i = 0; i < count; ++i) {
-      const EvaluatedSample& ev = evaluated[static_cast<std::size_t>(i)];
-      result.cost_curve.push_back(ev.cost());
-      if (!have_best || (ev.eval().feasible && !result.eval.feasible) ||
-          (ev.eval().feasible == result.eval.feasible &&
-           ev.cost() < result.best_cost)) {
+    evaluate_batch(space, predictor, net, drawn, evaluated);
+    for (const EvaluatedSample& ev : evaluated) {
+      result.cost_curve.push_back(ev.cost);
+      if (!have_best ||
+          better(ev.eval, ev.cost, result.eval, result.best_cost)) {
         have_best = true;
         result.config = ev.config;
-        result.eval = ev.eval();
-        result.best_cost = ev.cost();
+        result.eval = ev.eval;
+        result.best_cost = ev.cost;
       }
     }
   }
@@ -374,8 +373,7 @@ DasResult exhaustive_search(const AcceleratorSpace& space,
   std::vector<int> choices(static_cast<std::size_t>(space.num_knobs()), 0);
   // Enumerate the odometer serially into fixed-size blocks, evaluate each
   // block in parallel, reduce serially in enumeration order.
-  serve::PredictorService service(predictor);
-  const serve::PreparedNet net = service.prepare(specs);
+  const accel::PreparedNetwork net = accel::prepare_network(specs);
   constexpr int kBlock = 512;
   std::vector<DrawnSample> drawn;
   std::vector<EvaluatedSample> evaluated;
@@ -397,15 +395,14 @@ DasResult exhaustive_search(const AcceleratorSpace& space,
       }
       if (k == space.num_knobs()) exhausted = true;
     }
-    evaluate_batch(space, service, net, drawn, evaluated);
+    evaluate_batch(space, predictor, net, drawn, evaluated);
     for (const EvaluatedSample& ev : evaluated) {
-      if (!have_best || (ev.eval().feasible && !result.eval.feasible) ||
-          (ev.eval().feasible == result.eval.feasible &&
-           ev.cost() < result.best_cost)) {
+      if (!have_best ||
+          better(ev.eval, ev.cost, result.eval, result.best_cost)) {
         have_best = true;
         result.config = ev.config;
-        result.eval = ev.eval();
-        result.best_cost = ev.cost();
+        result.eval = ev.eval;
+        result.best_cost = ev.cost;
       }
     }
   }

@@ -7,22 +7,20 @@
 //
 //   phi* = argmin_phi sum_m GS_hard(phi^m) * L_cost(hw({GS_hard(phi^m)}), net)
 //
-// with an EMA baseline subtracted from the cost signal for variance
-// reduction (standard for single-sample estimators; ablatable via config).
+// with log(cost) as the signal (scale-free across networks whose cycle counts
+// differ by orders of magnitude) and an EMA baseline subtracted from it for
+// variance reduction (standard for single-sample estimators). Every sample is
+// scored by a direct accel::Predictor call, the "fast and reliable
+// estimation during search" of paper Sec. V-A.
 #pragma once
 
 #include <iosfwd>
-#include <memory>
 #include <vector>
 
 #include "accel/predictor.h"
 #include "accel/space.h"
 #include "nas/gumbel.h"
 #include "nn/optim.h"
-// Deliberate upward edge in the layer DAG: the DAS sweep routes candidate
-// evaluations through the serve-layer predictor service (PR 8) so sweeps
-// share the memo-cache with external clients. A3CS_LINT(arch-layering)
-#include "serve/service.h"
 #include "util/rng.h"
 
 namespace a3cs::das {
@@ -39,13 +37,9 @@ struct DasConfig {
   double tau_init = 5.0;
   double tau_decay = 0.997;
   double tau_min = 0.3;
-  bool use_baseline = true;  // subtract an EMA of the cost from the signal
   // Fraction of evaluation samples drawn uniformly at random (exploration);
   // they update the incumbent only, never the gradient estimator.
   double explore_eps = 0.15;
-  // Feed log(cost) into the estimator so the signal is scale-free across
-  // networks whose cycle counts differ by orders of magnitude.
-  bool log_cost = true;
   std::uint64_t seed = 3;
 };
 
@@ -91,25 +85,15 @@ class DasEngine {
   // Checkpointing: the COMPLETE search state — phi logits, their Adam
   // moments, the sample RNG, temperature, EMA baseline and the incumbent —
   // so a restored engine continues the search bit-exactly. load throws on
-  // knob-count mismatch or truncation. The memo-cache is deliberately NOT
-  // serialized: the predictor is pure, so a cold cache only re-derives
-  // bit-identical values.
+  // knob-count mismatch or truncation.
   void save_state(std::ostream& out) const;
   void load_state(std::istream& in);
-
-  // The serving front end every predictor sweep goes through (memo-cache +
-  // batched evaluation; src/serve). Exposed for cache stats/clearing.
-  serve::PredictorService& service() { return service_; }
-  const serve::PredictorService& service() const { return service_; }
 
  private:
   const AcceleratorSpace& space_;
   const Predictor& predictor_;
-  // The service wraps the cache, which is deliberately NOT serialized
-  // (warm-up repopulates it deterministically); cfg_ is construction
-  // config, re-supplied on resume.
-  serve::PredictorService service_;  // A3CS_LINT(ser-field-coverage)
-  DasConfig cfg_;                    // A3CS_LINT(ser-field-coverage)
+  // Construction config, re-supplied on resume.
+  DasConfig cfg_;  // A3CS_LINT(ser-field-coverage)
   std::vector<nas::GumbelCategorical> phis_;
   nn::Adam opt_;
   util::Rng rng_;

@@ -66,17 +66,6 @@ std::string HealthReport::summary() const {
   return oss.str();
 }
 
-HealthVerdict check_finite(Check check, double value, const char* what) {
-  HealthVerdict v;
-  v.check = check;
-  v.value = value;
-  if (!std::isfinite(value)) {
-    v.severity = Severity::kError;
-    v.detail = std::string(what) + " is non-finite";
-  }
-  return v;
-}
-
 HealthMonitor::HealthMonitor(HealthConfig cfg)
     : cfg_(cfg), reward_ewma_(cfg.reward_ewma_alpha) {}
 

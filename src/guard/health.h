@@ -122,8 +122,4 @@ class HealthMonitor {
   std::int64_t best_iter_ = 0;
 };
 
-// Stateless helper for call sites outside the engine loop (e.g. the guarded
-// rl::a2c_update): an error verdict when `value` is non-finite, OK otherwise.
-HealthVerdict check_finite(Check check, double value, const char* what);
-
 }  // namespace a3cs::guard

@@ -1,11 +1,8 @@
 #include "rl/a2c.h"
 
+#include <cmath>
 #include <limits>
 
-// Deliberate upward edge in the layer DAG: the trainer feeds per-update
-// vitals to the guard-layer health monitor (PR 4); inverting it would need
-// a callback interface for one call site. A3CS_LINT(arch-layering)
-#include "guard/health.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -109,9 +106,7 @@ UpdateStats a2c_update(nn::ActorCriticNet& net, const Rollout& rollout,
       obs::MetricsRegistry::global().gauge("train.param_norm");
 
   auto params = net.parameters();
-  const guard::HealthVerdict loss_verdict = guard::check_finite(
-      guard::Check::kLossFinite, stats.loss.total, "a2c loss");
-  if (loss_verdict.severity == guard::Severity::kError) {
+  if (!std::isfinite(stats.loss.total)) {
     // The head gradients are built from the same poisoned terms; dropping
     // the batch before backward keeps the accumulated grads clean.
     net.zero_grad();

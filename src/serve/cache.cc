@@ -53,62 +53,6 @@ CachedEvalPtr ShardedCache::peek(const CacheKey& key) {
   return it->second->value;
 }
 
-CachedEvalPtr ShardedCache::lookup(const CacheKey& key) {
-  if (!cfg_.enabled) return nullptr;
-  static obs::Counter& hits = global_counter("serve.cache.hits");
-  static obs::Counter& misses = global_counter("serve.cache.misses");
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(key.digest);
-  if (it == shard.map.end()) {
-    misses.inc();
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits.inc();
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->value;
-}
-
-void ShardedCache::touch(const CacheKey& key) {
-  if (!cfg_.enabled) return;
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(key.digest);
-  if (it != shard.map.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  }
-}
-
-void ShardedCache::insert(const CacheKey& key, CachedEvalPtr value) {
-  if (!cfg_.enabled || value == nullptr) return;
-  static obs::Counter& inserts = global_counter("serve.cache.inserts");
-  static obs::Counter& evictions = global_counter("serve.cache.evictions");
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(key.digest);
-  if (it != shard.map.end()) {
-    // Refresh: same digest means same canonical content; keep the newer
-    // value pointer and promote.
-    it->second->value = std::move(value);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  shard.lru.push_front(Entry{key.digest, std::move(value)});
-  shard.map.emplace(key.digest, shard.lru.begin());
-  inserts.inc();
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-  size_.fetch_add(1, std::memory_order_relaxed);
-  while (static_cast<std::int64_t>(shard.lru.size()) > capacity_per_shard_) {
-    shard.map.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    evictions.inc();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    size_.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
 void ShardedCache::replay(const std::vector<ReplayOp>& ops) {
   if (!cfg_.enabled || ops.empty()) return;
   static obs::Counter& inserts = global_counter("serve.cache.inserts");

@@ -6,13 +6,13 @@
 // HwEval deep copy — and an entry evicted mid-flight stays alive for the
 // clients already holding it.
 //
-// Concurrency: every shard operation is safe from any thread. peek() reads
-// without promoting, so batched callers can fan lookups across the pool and
-// replay recency updates serially (PredictorService does exactly this; the
+// Protocol: peek() then replay(). peek() reads without promoting, so batched
+// callers fan lookups across the pool and then replay the recency updates and
+// inserts serially (PredictorService::evaluate_batch does exactly this; the
 // cache's content after a batch is then a pure function of the batch
-// sequence, independent of thread count). Correctness never depends on cache
-// state: the predictor is pure, so a lost entry only costs a recompute of a
-// bit-identical value.
+// sequence, independent of thread count). Every shard operation is safe from
+// any thread. Correctness never depends on cache state: the predictor is
+// pure, so a lost entry only costs a recompute of a bit-identical value.
 //
 // Env overrides (CacheConfig::with_env_overrides):
 //   A3CS_CACHE=0|1            disable/enable caching (default on)
@@ -45,7 +45,8 @@ struct CacheConfig {
   bool enabled = true;
 
   // Returns a copy with A3CS_CACHE / A3CS_CACHE_SHARDS / A3CS_CACHE_CAPACITY
-  // applied on top (env wins). Out-of-range values are clamped to >= 1.
+  // applied on top (env wins). A malformed or out-of-range value (shards or
+  // capacity below 1) throws util::InputError (src/util/config.h).
   CacheConfig with_env_overrides() const;
 };
 
@@ -63,34 +64,25 @@ class ShardedCache {
   ShardedCache(const ShardedCache&) = delete;
   ShardedCache& operator=(const ShardedCache&) = delete;
 
-  // Hit: promotes the entry to most-recently-used and returns it.
-  // Miss (or cache disabled): returns nullptr. Counts a hit or miss.
-  CachedEvalPtr lookup(const CacheKey& key);
-
-  // Like lookup() but never touches recency (for parallel lookup phases
-  // whose recency updates are replayed serially via touch()).
+  // Hit: returns the entry without touching recency. Miss (or cache
+  // disabled): returns nullptr. Counts a hit or miss; callers that act on a
+  // hit replay its recency update through replay().
   CachedEvalPtr peek(const CacheKey& key);
 
-  // Promotes `key` to most-recently-used if present; no-op otherwise.
-  void touch(const CacheKey& key);
-
-  // Inserts (or refreshes) an entry as most-recently-used, evicting from the
-  // shard's LRU tail while over per-shard capacity. No-op when disabled.
-  void insert(const CacheKey& key, CachedEvalPtr value);
-
-  // One step of a batched recency replay: insert `*insert_value` when
-  // non-null, touch otherwise (see replay()).
+  // One step of a batched recency replay: insert `*insert_value` as
+  // most-recently-used (refreshing an existing entry, evicting from the
+  // shard's LRU tail while over per-shard capacity) when non-null; otherwise
+  // promote the key to most-recently-used if present, counting no hit.
   struct ReplayOp {
     CacheKey key;
     const CachedEvalPtr* insert_value = nullptr;  // null => touch
   };
 
   // Applies ops in index order *within each shard*, taking every shard lock
-  // once instead of once per op. Shards are mutually independent LRU
-  // domains, so the resulting cache state is byte-identical to issuing the
-  // ops one at a time in sequence. This is the serial-replay fast path of
-  // PredictorService::evaluate_batch — per-op lock round trips dominated the
-  // warm-batch profile before batching.
+  // once instead of once per op (per-op lock round trips dominated the
+  // warm-batch profile). Shards are mutually independent LRU domains, so the
+  // resulting cache state is byte-identical to applying the ops one at a time
+  // in index order. No-op when disabled.
   void replay(const std::vector<ReplayOp>& ops);
 
   void clear();

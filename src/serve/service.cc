@@ -21,15 +21,6 @@ namespace {
 // fans out — each miss costs microseconds).
 constexpr std::int64_t kCheapPhaseMinParallel = 2048;
 
-// Documented estimate, not a measured count (same model the DAS sweep used):
-// the analytic predictor does a few dozen scalar ops per layer, so one
-// evaluation is roughly layers * 64 flops.
-void count_eval_work(std::int64_t evals, std::int64_t layers) {
-  static obs::perf::WorkCounters& wc =
-      obs::perf::WorkCounters::named("serve-eval");
-  wc.add(64 * evals * layers, 0, 0);
-}
-
 }  // namespace
 
 PredictorService::PredictorService(const accel::Predictor& predictor,
@@ -62,21 +53,6 @@ CachedEvalPtr PredictorService::compute(
   value->eval = predictor_.evaluate(net.net, config);
   value->cost = predictor_.scalar_cost(value->eval);
   return value;
-}
-
-ServeResult PredictorService::evaluate_one(
-    const PreparedNet& net, const accel::AcceleratorConfig& config) {
-  static obs::Counter& requests =
-      obs::MetricsRegistry::global().counter("serve.requests");
-  requests.inc();
-  const CacheKey key = cache_key(net.signature, config, salt_);
-  if (CachedEvalPtr hit = cache_.lookup(key)) {
-    return ServeResult{std::move(hit), true};
-  }
-  CachedEvalPtr value = compute(net, config);
-  count_eval_work(1, net.signature.num_layers);
-  cache_.insert(key, value);
-  return ServeResult{std::move(value), false};
 }
 
 std::vector<ServeResult> PredictorService::evaluate_batch(
@@ -163,7 +139,12 @@ std::vector<ServeResult> PredictorService::evaluate_batch(
   }
   const std::int64_t m = static_cast<std::int64_t>(miss.size());
   if (m > 0) {
-    count_eval_work(m, net.signature.num_layers);
+    // Documented estimate, not a measured count (the same model as the DAS
+    // sweep's das-eval counter): the analytic predictor does a few dozen
+    // scalar ops per layer, so one evaluation is roughly layers * 64 flops.
+    static obs::perf::WorkCounters& work =
+        obs::perf::WorkCounters::named("serve-eval");
+    work.add(64 * m * net.signature.num_layers, 0, 0);
     util::parallel_for(
         0, m, 1,
         [&](std::int64_t b, std::int64_t e) {

@@ -66,9 +66,6 @@ class PredictorService {
   // predictors differ in budget/energy/cost weights.
   PreparedNet prepare(const std::vector<nn::LayerSpec>& specs) const;
 
-  ServeResult evaluate_one(const PreparedNet& net,
-                           const accel::AcceleratorConfig& config);
-
   std::vector<ServeResult> evaluate_batch(
       const PreparedNet& net,
       const std::vector<accel::AcceleratorConfig>& configs);

@@ -5,10 +5,14 @@
 // tolerance — against runs at several other thread counts.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "accel/config_io.h"
 #include "arcade/games.h"
 #include "arcade/vec_env.h"
+#include "das/das.h"
 #include "nas/mixed_op.h"
 #include "nn/layers.h"
 #include "nn/zoo.h"
@@ -201,6 +205,117 @@ TEST(Determinism, ShortA2cRunBitExact) {
   const auto ref = at_threads(1, run);
   for (int threads : kThreadCounts) {
     expect_bits_equal(ref, at_threads(threads, run), threads, "a2c run");
+  }
+}
+
+// ------------------------------------------------------------------ das ---
+
+// Every HwEval field in one vector, so two evaluations compare bit-exactly.
+std::vector<double> eval_fields(const accel::HwEval& e) {
+  std::vector<double> out = {static_cast<double>(e.feasible),
+                             e.ii_cycles,
+                             e.latency_cycles,
+                             e.fps,
+                             e.energy_nj,
+                             static_cast<double>(e.dsp_used),
+                             e.bram_used,
+                             e.resource_overflow};
+  for (const accel::LayerCost& lc : e.layers) {
+    out.insert(out.end(), {lc.compute_cycles, lc.memory_cycles, lc.cycles,
+                           lc.sram_bytes, lc.dram_bytes, lc.energy_nj,
+                           static_cast<double>(lc.chunk)});
+  }
+  out.insert(out.end(), e.chunk_cycles.begin(), e.chunk_cycles.end());
+  return out;
+}
+
+struct DasSweeps {
+  std::string step_state;               // save_state after step()
+  das::DasResult incumbent;             // the stepped engine's incumbent
+  std::vector<das::DasResult> results;  // search, random, exhaustive
+};
+
+// DAS draws its samples serially, fans the predictor evaluations over the
+// pool and replays the incumbent/baseline/gradient bookkeeping in draw
+// order, so the whole search state must be byte-identical at any thread
+// count, and every reported evaluation must equal a serial predictor call.
+TEST(Determinism, DasSweepsBitExact) {
+  const auto specs =
+      nn::zoo_model_specs("ResNet-14", nn::ObsSpec{3, 12, 12}, 4);
+  const accel::AcceleratorSpace space(3, nn::num_groups(specs));
+  // One chunk, one group: the smallest space (55296 configs) for the
+  // exhaustive baseline.
+  std::vector<nn::LayerSpec> tiny_specs = {
+      nn::LayerSpec::conv("c", 8, 16, 3, 1, 12, 12)};
+  nn::assign_sequential_groups(tiny_specs);
+  const accel::AcceleratorSpace tiny_space(1, 1);
+  const accel::Predictor predictor;
+
+  auto run = [&]() {
+    DasSweeps out;
+    das::DasConfig cfg;
+    cfg.samples_per_iter = 4;
+    das::DasEngine stepper(space, predictor, cfg);
+    stepper.step(specs, 20);
+    std::ostringstream state;
+    stepper.save_state(state);
+    out.step_state = state.str();
+    out.incumbent.config = stepper.incumbent();
+    out.incumbent.eval = stepper.incumbent_eval();
+    out.incumbent.best_cost = stepper.incumbent_cost();
+
+    cfg.iterations = 60;
+    das::DasEngine searcher(space, predictor, cfg);
+    out.results.push_back(searcher.search(specs));
+    // 600 samples: two full 256-config blocks, then a ragged one of 88.
+    out.results.push_back(
+        das::random_search(space, predictor, specs, 600, 17));
+    out.results.push_back(
+        das::exhaustive_search(tiny_space, predictor, tiny_specs));
+    return out;
+  };
+
+  const char* const kNames[] = {"search", "random_search",
+                                "exhaustive_search"};
+  const std::vector<nn::LayerSpec>* const kSpecs[] = {&specs, &specs,
+                                                      &tiny_specs};
+  auto expect_serial_evals = [&](const DasSweeps& s, int threads) {
+    auto expect_serial = [&](const das::DasResult& r,
+                             const std::vector<nn::LayerSpec>& net,
+                             const char* what) {
+      const accel::HwEval serial = predictor.evaluate(net, r.config);
+      EXPECT_EQ(eval_fields(r.eval), eval_fields(serial))
+          << what << " at " << threads << " threads";
+      EXPECT_EQ(r.best_cost, predictor.scalar_cost(serial))
+          << what << " at " << threads << " threads";
+    };
+    expect_serial(s.incumbent, specs, "step incumbent");
+    ASSERT_EQ(s.results.size(), 3u);
+    for (std::size_t i = 0; i < s.results.size(); ++i) {
+      expect_serial(s.results[i], *kSpecs[i], kNames[i]);
+    }
+  };
+
+  const DasSweeps ref = at_threads(1, run);
+  ASSERT_EQ(ref.results[1].cost_curve.size(), 600u);
+  expect_serial_evals(ref, 1);
+  for (int threads : {2, 3, 4}) {
+    const DasSweeps got = at_threads(threads, run);
+    EXPECT_EQ(got.step_state, ref.step_state)
+        << "DasEngine state diverges at " << threads << " threads";
+    expect_serial_evals(got, threads);
+    for (std::size_t i = 0; i < ref.results.size(); ++i) {
+      const das::DasResult& a = ref.results[i];
+      const das::DasResult& b = got.results[i];
+      EXPECT_EQ(accel::encode_config(b.config), accel::encode_config(a.config))
+          << kNames[i] << " at " << threads << " threads";
+      EXPECT_EQ(eval_fields(b.eval), eval_fields(a.eval))
+          << kNames[i] << " at " << threads << " threads";
+      EXPECT_EQ(b.best_cost, a.best_cost)
+          << kNames[i] << " at " << threads << " threads";
+      EXPECT_EQ(b.cost_curve, a.cost_curve)
+          << kNames[i] << " at " << threads << " threads";
+    }
   }
 }
 

@@ -191,15 +191,6 @@ TEST(HealthMonitor, WorstPrefersErrorOverWarning) {
   EXPECT_NE(report.summary().find("loss_finite(error)"), std::string::npos);
 }
 
-TEST(CheckFinite, HelperFlagsOnlyNonFinite) {
-  EXPECT_EQ(guard::check_finite(guard::Check::kLossFinite, 1.0, "x").severity,
-            guard::Severity::kOk);
-  EXPECT_EQ(guard::check_finite(guard::Check::kLossFinite, kNan, "x").severity,
-            guard::Severity::kError);
-  EXPECT_EQ(guard::check_finite(guard::Check::kLossFinite, kInf, "x").severity,
-            guard::Severity::kError);
-}
-
 // ------------------------------------------------------- guard policy
 
 guard::HealthReport error_report() {

@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/config_io.h"
@@ -18,6 +19,7 @@
 #include "serve/key.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
+#include "util/config.h"
 #include "util/thread_pool.h"
 
 namespace a3cs {
@@ -176,31 +178,50 @@ serve::CachedEvalPtr value_of(double cost) {
   return v;
 }
 
+// Helpers for the cache's one protocol: replay() applies inserts and
+// recency touches in order, peek() reads without promoting.
+void replay_insert(serve::ShardedCache& cache, std::uint64_t n,
+                   const serve::CachedEvalPtr& value) {
+  serve::ShardedCache::ReplayOp op;
+  op.key = key_of(n);
+  op.insert_value = &value;
+  cache.replay({op});
+}
+
+void replay_touch(serve::ShardedCache& cache, std::uint64_t n) {
+  serve::ShardedCache::ReplayOp op;
+  op.key = key_of(n);
+  cache.replay({op});
+}
+
 TEST(ServeCache, LruEvictionOrderWithinOneShard) {
   serve::CacheConfig cfg;
   cfg.shards = 1;
   cfg.capacity = 3;
   serve::ShardedCache cache(cfg);
-  cache.insert(key_of(1), value_of(1));
-  cache.insert(key_of(2), value_of(2));
-  cache.insert(key_of(3), value_of(3));
+  replay_insert(cache, 1, value_of(1));
+  replay_insert(cache, 2, value_of(2));
+  replay_insert(cache, 3, value_of(3));
   ASSERT_EQ(cache.size(), 3);
 
-  // Promote 1 → LRU order (old..new) is 2, 3, 1; inserting 4 evicts 2.
-  ASSERT_NE(cache.lookup(key_of(1)), nullptr);
-  cache.insert(key_of(4), value_of(4));
+  // A hit is a peek plus a recency replay: promote 1 → LRU order (old..new)
+  // is 2, 3, 1; inserting 4 evicts 2.
+  ASSERT_NE(cache.peek(key_of(1)), nullptr);
+  replay_touch(cache, 1);
+  replay_insert(cache, 4, value_of(4));
   EXPECT_EQ(cache.size(), 3);
   EXPECT_EQ(cache.peek(key_of(2)), nullptr);
   EXPECT_NE(cache.peek(key_of(3)), nullptr);
   EXPECT_NE(cache.peek(key_of(1)), nullptr);
   EXPECT_NE(cache.peek(key_of(4)), nullptr);
 
-  // touch() replays recency without counting a hit: touch 3, insert 5 → 1
-  // (now oldest) is evicted, 3 survives.
+  // A recency replay counts no hit: touch 3, insert 5 → 1 (now oldest) is
+  // evicted, 3 survives.
   const auto before = cache.stats();
-  cache.touch(key_of(3));
+  replay_touch(cache, 3);
   EXPECT_EQ(cache.stats().hits, before.hits);
-  cache.insert(key_of(5), value_of(5));
+  EXPECT_EQ(cache.stats().misses, before.misses);
+  replay_insert(cache, 5, value_of(5));
   EXPECT_EQ(cache.peek(key_of(1)), nullptr);
   EXPECT_NE(cache.peek(key_of(3)), nullptr);
 
@@ -216,10 +237,10 @@ TEST(ServeCache, EvictedEntryStaysAliveForHolders) {
   cfg.shards = 1;
   cfg.capacity = 1;
   serve::ShardedCache cache(cfg);
-  cache.insert(key_of(1), value_of(41));
-  const serve::CachedEvalPtr held = cache.lookup(key_of(1));
+  replay_insert(cache, 1, value_of(41));
+  const serve::CachedEvalPtr held = cache.peek(key_of(1));
   ASSERT_NE(held, nullptr);
-  cache.insert(key_of(2), value_of(42));  // evicts key 1
+  replay_insert(cache, 2, value_of(42));  // evicts key 1
   EXPECT_EQ(cache.peek(key_of(1)), nullptr);
   EXPECT_EQ(held->cost, 41.0);  // the shared_ptr keeps the value alive
 }
@@ -228,12 +249,13 @@ TEST(ServeCache, DisabledCacheIsInert) {
   serve::CacheConfig cfg;
   cfg.enabled = false;
   serve::ShardedCache cache(cfg);
-  cache.insert(key_of(1), value_of(1));
-  EXPECT_EQ(cache.lookup(key_of(1)), nullptr);
+  replay_insert(cache, 1, value_of(1));
+  EXPECT_EQ(cache.peek(key_of(1)), nullptr);
   EXPECT_EQ(cache.size(), 0);
   EXPECT_FALSE(cache.enabled());
   EXPECT_EQ(cache.stats().hits, 0);
   EXPECT_EQ(cache.stats().misses, 0);  // disabled lookups count nothing
+  EXPECT_EQ(cache.stats().inserts, 0);
 }
 
 TEST(ServeCache, EnvOverridesApply) {
@@ -250,6 +272,16 @@ TEST(ServeCache, EnvOverridesApply) {
   serve::ShardedCache cache(cfg);
   EXPECT_EQ(cache.shards(), 3);
   EXPECT_EQ(cache.capacity(), 30);  // ceil(30/3)*3
+
+  // Out-of-range values are input errors, not clamped.
+  const std::pair<const char*, const char*> bad[] = {
+      {"A3CS_CACHE_SHARDS", "0"}, {"A3CS_CACHE_CAPACITY", "-1"}};
+  for (const auto& [name, value] : bad) {
+    ASSERT_EQ(setenv(name, value, 1), 0);
+    EXPECT_THROW(serve::CacheConfig{}.with_env_overrides(), util::InputError)
+        << name << "=" << value;
+    unsetenv(name);
+  }
 }
 
 // --------------------------------------------------------------- service ---
@@ -309,20 +341,24 @@ TEST(ServeService, InFlightDuplicatesCollapseOntoOneEvaluation) {
   EXPECT_EQ(computed, 1);  // only the first occurrence paid
 }
 
-TEST(ServeService, EvaluateOneHitsAfterMiss) {
+TEST(ServeService, SecondBatchHitsAfterMiss) {
   const auto specs = test_specs("Vanilla");
   accel::Predictor predictor;
   serve::PredictorService service(predictor);
   const serve::PreparedNet net = service.prepare(specs);
   AcceleratorSpace space(2, nn::num_groups(specs));
-  const AcceleratorConfig cfg = sample_configs(space, 1, 11).front();
+  const std::vector<AcceleratorConfig> batch = sample_configs(space, 1, 11);
 
-  const auto first = service.evaluate_one(net, cfg);
-  EXPECT_FALSE(first.cached);
-  const auto second = service.evaluate_one(net, cfg);
-  EXPECT_TRUE(second.cached);
-  EXPECT_EQ(first.value, second.value);
-  expect_eval_identical(first.eval(), predictor.evaluate(specs, cfg));
+  const auto first = service.evaluate_batch(net, batch);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_FALSE(first[0].cached);
+  const auto second = service.evaluate_batch(net, batch);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_TRUE(second[0].cached);
+  EXPECT_EQ(first[0].value, second[0].value);
+  EXPECT_EQ(service.cache().stats().hits, 1);
+  EXPECT_EQ(service.cache().stats().misses, 1);
+  expect_eval_identical(first[0].eval(), predictor.evaluate(specs, batch[0]));
 }
 
 TEST(ServeService, SaltSeparatesPredictors) {
@@ -334,9 +370,10 @@ TEST(ServeService, SaltSeparatesPredictors) {
   EXPECT_NE(sa.predictor_salt(), sb.predictor_salt());
 }
 
-// Concurrent hammering: many threads doing independent evaluate_one calls
-// against one service — the shard mutexes and counters must hold up under
-// TSan, and every result must stay correct.
+// Concurrent hammering: many threads issuing independent one-config batches
+// against one service (peeks, replays, inserts and evictions racing across
+// shards) — the shard mutexes and counters must hold up under TSan, and
+// every result must stay correct.
 TEST(ServeService, ConcurrentLookupsAndInsertsAreSafe) {
   const auto specs = test_specs("Vanilla");
   accel::Predictor predictor;
@@ -359,7 +396,7 @@ TEST(ServeService, ConcurrentLookupsAndInsertsAreSafe) {
     for (std::int64_t i = b; i < e; ++i) {
       const std::size_t c = static_cast<std::size_t>(i) % configs.size();
       got[static_cast<std::size_t>(i)] =
-          service.evaluate_one(net, configs[c]).cost();
+          service.evaluate_batch(net, {configs[c]}).front().cost();
     }
   });
   util::ThreadPool::set_global_threads(1);
