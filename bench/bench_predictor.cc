@@ -71,6 +71,31 @@ BENCH("predictor_eval") {
   }
 }
 
+// The same evaluations on a network decomposed once by prepare_network: the
+// path every DAS and serving sweep runs, without the per-call decomposition
+// the spec overload above pays.
+BENCH("predictor_eval_prepared") {
+  const std::vector<int> chunk_counts =
+      b.smoke() ? std::vector<int>{1} : std::vector<int>{1, 2, 4, 8};
+  const int batch = b.smoke() ? 4 : kBatch;
+  const accel::PreparedNetwork net = accel::prepare_network(r14_specs());
+  for (int chunks : chunk_counts) {
+    accel::Predictor pred;
+    accel::AcceleratorSpace space(chunks, nn::num_groups(r14_specs()));
+    util::Rng rng(1);
+    const auto cfg = space.decode(space.random_choices(rng));
+    b.config("chunks" + std::to_string(chunks))
+        .items(batch, "evals/s")
+        .budget(steady_budget(0.1))
+        .run([&] {
+          for (int i = 0; i < batch; ++i) {
+            volatile double sink = pred.evaluate(net, cfg).fps;
+            (void)sink;
+          }
+        });
+  }
+}
+
 BENCH("space_decode") {
   accel::AcceleratorSpace space(4, nn::num_groups(r14_specs()));
   util::Rng rng(2);
@@ -109,9 +134,9 @@ BENCH("das_step") {
 // Serving-layer throughput (docs/SERVING.md): one PredictorService fed
 // batches of candidate configs for the deepest zoo net. "cold" clears the
 // memo-cache before every batch (every config evaluated); "warm" pre-fills
-// it (every config a digest + shard-lock + refcount bump). The ISSUE-8
-// acceptance gate compares warm batched at 8 threads against cold serial:
-// the hit path must win on the predictor's own turf, a ~μs analytic model.
+// it (every config a digest, a hash probe under the cache lock and a
+// refcount bump). Warm batched at 8 threads must beat cold serial: the hit
+// path must win on the predictor's own turf, a ~μs analytic model.
 BENCH("serve_batch") {
   const auto specs = nn::zoo_model_specs("ResNet-74", nn::ObsSpec{3, 12, 12},
                                          4);

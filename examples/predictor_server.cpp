@@ -126,17 +126,17 @@ struct Server {
 };
 
 void print_cache_summary(const serve::PredictorService& service) {
-  const serve::ShardedCache::Stats s = service.cache().stats();
+  const serve::MemoCache::Stats s = service.cache().stats();
   std::fprintf(stderr,
                "[predictor_server] cache: hits=%lld misses=%lld "
                "(hit rate %.1f%%) inserts=%lld evictions=%lld "
-               "occupancy=%lld/%lld over %d shards\n",
+               "occupancy=%lld/%lld\n",
                static_cast<long long>(s.hits),
                static_cast<long long>(s.misses), 100.0 * s.hit_rate(),
                static_cast<long long>(s.inserts),
                static_cast<long long>(s.evictions),
                static_cast<long long>(s.size),
-               static_cast<long long>(s.capacity), s.shards);
+               static_cast<long long>(s.capacity));
 }
 
 }  // namespace

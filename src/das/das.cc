@@ -89,6 +89,12 @@ DasEngine::DasEngine(const AcceleratorSpace& space, const Predictor& predictor,
 }
 
 double DasEngine::step(const std::vector<nn::LayerSpec>& specs, int n) {
+  // Hoist the per-layer decomposition once per step() call; the
+  // co-search loop mutates the network between calls, never within one.
+  return step(accel::prepare_network(specs), n);
+}
+
+double DasEngine::step(const accel::PreparedNetwork& net, int n) {
   A3CS_PROF_SCOPE("das-step");
   static obs::Counter& steps =
       obs::MetricsRegistry::global().counter("das.steps");
@@ -102,11 +108,9 @@ double DasEngine::step(const std::vector<nn::LayerSpec>& specs, int n) {
   params.reserve(phis_.size());
   for (auto& phi : phis_) params.push_back(&phi.param());
 
-  // Hoist the per-layer decomposition once per step() call; the
-  // co-search loop mutates the network between calls, never within one.
-  const accel::PreparedNetwork net = accel::prepare_network(specs);
   std::vector<DrawnSample> drawn;
   std::vector<EvaluatedSample> evaluated;
+  std::vector<float> sens;
   for (int it = 0; it < n; ++it) {
     const int samples_per_iter = std::max(1, cfg_.samples_per_iter);
     // Phase 1 (serial): draw every sample of this iteration, consuming the
@@ -162,8 +166,7 @@ double DasEngine::step(const std::vector<nn::LayerSpec>& specs, int n) {
       // knob's sensitivity vector is zero except at the sampled index (the
       // relaxed softmax then spreads the gradient over all logits).
       for (std::size_t m = 0; m < phis_.size(); ++m) {
-        std::vector<float> sens(
-            static_cast<std::size_t>(phis_[m].num_choices()), 0.0f);
+        sens.assign(static_cast<std::size_t>(phis_[m].num_choices()), 0.0f);
         sens[static_cast<std::size_t>(d.gumbel[m].index)] =
             static_cast<float>(signal);
         phis_[m].accumulate_grad(d.gumbel[m], sens, tau_);
@@ -299,7 +302,7 @@ DasResult DasEngine::search(const std::vector<nn::LayerSpec>& specs) {
   result.cost_curve.reserve(static_cast<std::size_t>(cfg_.iterations));
   const accel::PreparedNetwork net = accel::prepare_network(specs);
   for (int it = 0; it < cfg_.iterations; ++it) {
-    const double cost = step(specs, 1);
+    const double cost = step(net, 1);
     result.cost_curve.push_back(cost);
     // Track the best *derived* config periodically (and at the end).
     if ((it + 1) % 25 == 0 || it + 1 == cfg_.iterations) {

@@ -62,6 +62,8 @@ class DasEngine {
   // loop, where phi persists while the network keeps changing). Returns the
   // sampled cost of the last step.
   double step(const std::vector<nn::LayerSpec>& specs, int n = 1);
+  // The same on a network already decomposed by accel::prepare_network.
+  double step(const accel::PreparedNetwork& net, int n = 1);
 
   // Current argmax-phi configuration / its evaluation.
   AcceleratorConfig derive() const;

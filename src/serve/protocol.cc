@@ -122,7 +122,7 @@ std::string handle_info(NetworkRegistry& registry, const obs::JsonValue& req,
 
 std::string handle_stats(const PredictorService& service,
                          const obs::JsonValue* id) {
-  const ShardedCache::Stats s = service.cache().stats();
+  const MemoCache::Stats s = service.cache().stats();
   std::string out = "{\"ok\":true,";
   append_id(out, id);
   append_kv_str(out, "op", "stats");
@@ -133,7 +133,6 @@ std::string handle_stats(const PredictorService& service,
   append_kv_num(out, "evictions", static_cast<double>(s.evictions));
   append_kv_num(out, "size", static_cast<double>(s.size));
   append_kv_num(out, "capacity", static_cast<double>(s.capacity));
-  append_kv_num(out, "shards", s.shards);
   append_kv_num(out, "hit_rate", s.hit_rate());
   out.back() = '}';
   return out;

@@ -13,16 +13,6 @@
 
 namespace a3cs::serve {
 
-namespace {
-
-// Keying and peeking cost ~100ns per config; the pool's wake/handoff cost is
-// tens of microseconds on busy or few-core hosts. Fan those phases out only
-// when a batch is large enough to amortize it (the evaluation phase always
-// fans out — each miss costs microseconds).
-constexpr std::int64_t kCheapPhaseMinParallel = 2048;
-
-}  // namespace
-
 PredictorService::PredictorService(const accel::Predictor& predictor,
                                    CacheConfig cache_cfg)
     : predictor_(predictor), cache_(cache_cfg) {
@@ -71,17 +61,13 @@ std::vector<ServeResult> PredictorService::evaluate_batch(
   requests.inc(n);
   batches.inc();
 
-  // Phase 1 (parallel, disjoint writes): one canonical digest per config.
+  // Phase 1 (serial): one canonical digest per config. Keying costs ~100 ns
+  // per config, far below the pool's wake/handoff cost at the batch sizes
+  // clients send.
   std::vector<CacheKey> keys(configs.size());
-  util::parallel_for(
-      0, n, 64,
-      [&](std::int64_t b, std::int64_t e) {
-        for (std::int64_t i = b; i < e; ++i) {
-          keys[static_cast<std::size_t>(i)] = cache_key(
-              net.signature, configs[static_cast<std::size_t>(i)], salt_);
-        }
-      },
-      "serve-key", kCheapPhaseMinParallel);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    keys[i] = cache_key(net.signature, configs[i], salt_);
+  }
 
   // Phase 2 (serial): dedup in-flight keys. Batch items with equal digests
   // collapse onto one slot, first occurrence wins, so a batch of duplicates
@@ -116,19 +102,12 @@ std::vector<ServeResult> PredictorService::evaluate_batch(
   }
   const std::int64_t u = static_cast<std::int64_t>(rep.size());
 
-  // Phase 3 (parallel): peek every unique key. peek() never touches
-  // recency, so this phase is order-independent; the recency replay in
-  // phase 5 is what the cache content depends on.
+  // Phase 3 (serial): peek every unique key. peek() never touches recency;
+  // the recency replay in phase 5 is what the cache content depends on.
   std::vector<CachedEvalPtr> values(rep.size());
-  util::parallel_for(
-      0, u, 64,
-      [&](std::int64_t b, std::int64_t e) {
-        for (std::int64_t i = b; i < e; ++i) {
-          const std::size_t slot = rep[static_cast<std::size_t>(i)];
-          values[static_cast<std::size_t>(i)] = cache_.peek(keys[slot]);
-        }
-      },
-      "serve-peek", kCheapPhaseMinParallel);
+  for (std::size_t i = 0; i < rep.size(); ++i) {
+    values[i] = cache_.peek(keys[rep[i]]);
+  }
 
   // Phase 4 (parallel, disjoint writes): evaluate the misses. The predictor
   // is a pure function, so each value is bit-exact with a serial loop.
@@ -163,7 +142,7 @@ std::vector<ServeResult> PredictorService::evaluate_batch(
   // count.
   std::vector<char> computed(rep.size(), 0);
   for (std::size_t uidx : miss) computed[uidx] = 1;
-  std::vector<ShardedCache::ReplayOp> ops(rep.size());
+  std::vector<MemoCache::ReplayOp> ops(rep.size());
   for (std::size_t i = 0; i < rep.size(); ++i) {
     ops[i].key = keys[rep[i]];
     ops[i].insert_value = computed[i] != 0 ? &values[i] : nullptr;

@@ -1,7 +1,7 @@
 // PredictorService: batched, cached, thread-fanned accelerator evaluation —
 // the serving-scale front end to accel::Predictor (docs/SERVING.md).
 //
-// One service wraps one predictor plus a ShardedCache. Clients prepare() a
+// One service wraps one predictor plus a MemoCache. Clients prepare() a
 // network once (hoisting the per-layer decomposition and the signature
 // digest out of every subsequent call), then evaluate_batch() candidate
 // configs by the thousands:
@@ -11,10 +11,10 @@
 //   auto results = service.evaluate_batch(net, configs);
 //
 // evaluate_batch pipeline (see the determinism note):
-//   1. parallel  key digests per config           (disjoint writes)
+//   1. serial    key digests per config
 //   2. serial    in-flight dedup: batch items with equal keys collapse onto
 //                one evaluation slot, first occurrence wins
-//   3. parallel  cache peek per unique key        (no recency update)
+//   3. serial    cache peek per unique key        (no recency update)
 //   4. parallel  predictor evaluation of the misses over util::ThreadPool
 //                with fixed sharding
 //   5. serial    recency replay + inserts in first-occurrence order,
@@ -71,8 +71,8 @@ class PredictorService {
       const std::vector<accel::AcceleratorConfig>& configs);
 
   const accel::Predictor& predictor() const { return predictor_; }
-  ShardedCache& cache() { return cache_; }
-  const ShardedCache& cache() const { return cache_; }
+  MemoCache& cache() { return cache_; }
+  const MemoCache& cache() const { return cache_; }
   std::uint64_t predictor_salt() const { return salt_; }
 
  private:
@@ -81,7 +81,7 @@ class PredictorService {
 
   const accel::Predictor& predictor_;
   std::uint64_t salt_ = 0;
-  ShardedCache cache_;
+  MemoCache cache_;
 };
 
 }  // namespace a3cs::serve

@@ -5,7 +5,7 @@
 // mutex guards which member: `std::deque<Task> queue_ A3CS_GUARDED_BY(mu_);`
 // makes any unlocked access a compile error instead of a TSan-only find.
 // Only the concurrency-bearing classes are annotated (util::ThreadPool,
-// serve::ShardedCache); the conc-lock-order lint family covers ordering
+// serve::MemoCache); the conc-lock-order lint family covers ordering
 // across the rest of the tree.
 #pragma once
 

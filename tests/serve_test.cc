@@ -1,5 +1,5 @@
 // Tests for the predictor-as-a-service layer (src/serve): canonical cache
-// keys, the sharded LRU memo-cache, batched evaluation bit-exactness across
+// keys, the LRU memo-cache, batched evaluation bit-exactness across
 // thread counts, and the NDJSON request protocol. docs/SERVING.md documents
 // the contracts asserted here.
 #include <gtest/gtest.h>
@@ -168,7 +168,7 @@ TEST(ServeCanonical, OneThirdSplitSurvivesRoundTrip) {
 // ----------------------------------------------------------------- cache ---
 
 serve::CacheKey key_of(std::uint64_t n) {
-  // Distinct synthetic digests; lo drives the in-shard hash, hi the stripe.
+  // Distinct synthetic digests; lo drives the hash index.
   return serve::CacheKey{serve::Digest128{n * 2654435761ull, n}};
 }
 
@@ -180,36 +180,35 @@ serve::CachedEvalPtr value_of(double cost) {
 
 // Helpers for the cache's one protocol: replay() applies inserts and
 // recency touches in order, peek() reads without promoting.
-void replay_insert(serve::ShardedCache& cache, std::uint64_t n,
+void replay_insert(serve::MemoCache& cache, std::uint64_t n,
                    const serve::CachedEvalPtr& value) {
-  serve::ShardedCache::ReplayOp op;
+  serve::MemoCache::ReplayOp op;
   op.key = key_of(n);
   op.insert_value = &value;
   cache.replay({op});
 }
 
-void replay_touch(serve::ShardedCache& cache, std::uint64_t n) {
-  serve::ShardedCache::ReplayOp op;
+void replay_touch(serve::MemoCache& cache, std::uint64_t n) {
+  serve::MemoCache::ReplayOp op;
   op.key = key_of(n);
   cache.replay({op});
 }
 
-TEST(ServeCache, LruEvictionOrderWithinOneShard) {
+TEST(ServeCache, LruEvictionOrder) {
   serve::CacheConfig cfg;
-  cfg.shards = 1;
   cfg.capacity = 3;
-  serve::ShardedCache cache(cfg);
+  serve::MemoCache cache(cfg);
   replay_insert(cache, 1, value_of(1));
   replay_insert(cache, 2, value_of(2));
   replay_insert(cache, 3, value_of(3));
-  ASSERT_EQ(cache.size(), 3);
+  ASSERT_EQ(cache.stats().size, 3);
 
   // A hit is a peek plus a recency replay: promote 1 → LRU order (old..new)
   // is 2, 3, 1; inserting 4 evicts 2.
   ASSERT_NE(cache.peek(key_of(1)), nullptr);
   replay_touch(cache, 1);
   replay_insert(cache, 4, value_of(4));
-  EXPECT_EQ(cache.size(), 3);
+  EXPECT_EQ(cache.stats().size, 3);
   EXPECT_EQ(cache.peek(key_of(2)), nullptr);
   EXPECT_NE(cache.peek(key_of(3)), nullptr);
   EXPECT_NE(cache.peek(key_of(1)), nullptr);
@@ -229,14 +228,48 @@ TEST(ServeCache, LruEvictionOrderWithinOneShard) {
   EXPECT_EQ(s.inserts, 5);
   EXPECT_EQ(s.evictions, 2);
   EXPECT_EQ(s.size, 3);
-  EXPECT_EQ(s.shards, 1);
+}
+
+// The configured capacity is the number of entries kept. The keys below
+// share one residue of `hi` mod 8, so a cache that split its capacity into
+// stripes chosen by `hi` would keep only a fraction of them.
+TEST(ServeCache, CapacityIsExact) {
+  serve::CacheConfig cfg;
+  cfg.capacity = 4;
+  serve::MemoCache cache(cfg);
+  EXPECT_EQ(cache.capacity(), 4);
+  const auto key_at = [](std::uint64_t i) {
+    return serve::CacheKey{serve::Digest128{i * 2654435761ull, i * 8}};
+  };
+  const auto insert = [&](std::uint64_t i) {
+    const serve::CachedEvalPtr value = value_of(static_cast<double>(i));
+    serve::MemoCache::ReplayOp op;
+    op.key = key_at(i);
+    op.insert_value = &value;
+    cache.replay({op});
+  };
+  for (std::uint64_t i = 1; i <= 4; ++i) insert(i);
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    EXPECT_NE(cache.peek(key_at(i)), nullptr) << "key " << i;
+  }
+  EXPECT_EQ(cache.stats().size, 4);
+  EXPECT_EQ(cache.stats().capacity, 4);
+  EXPECT_EQ(cache.stats().evictions, 0);
+
+  // A fifth insert evicts exactly the oldest entry.
+  insert(5);
+  EXPECT_EQ(cache.peek(key_at(1)), nullptr);
+  for (std::uint64_t i = 2; i <= 5; ++i) {
+    EXPECT_NE(cache.peek(key_at(i)), nullptr) << "key " << i;
+  }
+  EXPECT_EQ(cache.stats().size, 4);
+  EXPECT_EQ(cache.stats().evictions, 1);
 }
 
 TEST(ServeCache, EvictedEntryStaysAliveForHolders) {
   serve::CacheConfig cfg;
-  cfg.shards = 1;
   cfg.capacity = 1;
-  serve::ShardedCache cache(cfg);
+  serve::MemoCache cache(cfg);
   replay_insert(cache, 1, value_of(41));
   const serve::CachedEvalPtr held = cache.peek(key_of(1));
   ASSERT_NE(held, nullptr);
@@ -248,10 +281,10 @@ TEST(ServeCache, EvictedEntryStaysAliveForHolders) {
 TEST(ServeCache, DisabledCacheIsInert) {
   serve::CacheConfig cfg;
   cfg.enabled = false;
-  serve::ShardedCache cache(cfg);
+  serve::MemoCache cache(cfg);
   replay_insert(cache, 1, value_of(1));
   EXPECT_EQ(cache.peek(key_of(1)), nullptr);
-  EXPECT_EQ(cache.size(), 0);
+  EXPECT_EQ(cache.stats().size, 0);
   EXPECT_FALSE(cache.enabled());
   EXPECT_EQ(cache.stats().hits, 0);
   EXPECT_EQ(cache.stats().misses, 0);  // disabled lookups count nothing
@@ -259,23 +292,19 @@ TEST(ServeCache, DisabledCacheIsInert) {
 }
 
 TEST(ServeCache, EnvOverridesApply) {
-  ASSERT_EQ(setenv("A3CS_CACHE_SHARDS", "3", 1), 0);
   ASSERT_EQ(setenv("A3CS_CACHE_CAPACITY", "30", 1), 0);
   ASSERT_EQ(setenv("A3CS_CACHE", "1", 1), 0);
   const serve::CacheConfig cfg = serve::CacheConfig{}.with_env_overrides();
-  unsetenv("A3CS_CACHE_SHARDS");
   unsetenv("A3CS_CACHE_CAPACITY");
   unsetenv("A3CS_CACHE");
-  EXPECT_EQ(cfg.shards, 3);
   EXPECT_EQ(cfg.capacity, 30);
   EXPECT_TRUE(cfg.enabled);
-  serve::ShardedCache cache(cfg);
-  EXPECT_EQ(cache.shards(), 3);
-  EXPECT_EQ(cache.capacity(), 30);  // ceil(30/3)*3
+  serve::MemoCache cache(cfg);
+  EXPECT_EQ(cache.capacity(), 30);
 
   // Out-of-range values are input errors, not clamped.
   const std::pair<const char*, const char*> bad[] = {
-      {"A3CS_CACHE_SHARDS", "0"}, {"A3CS_CACHE_CAPACITY", "-1"}};
+      {"A3CS_CACHE_CAPACITY", "0"}, {"A3CS_CACHE_CAPACITY", "-1"}};
   for (const auto& [name, value] : bad) {
     ASSERT_EQ(setenv(name, value, 1), 0);
     EXPECT_THROW(serve::CacheConfig{}.with_env_overrides(), util::InputError)
@@ -371,14 +400,13 @@ TEST(ServeService, SaltSeparatesPredictors) {
 }
 
 // Concurrent hammering: many threads issuing independent one-config batches
-// against one service (peeks, replays, inserts and evictions racing across
-// shards) — the shard mutexes and counters must hold up under TSan, and
-// every result must stay correct.
+// against one service (peeks, replays, inserts and evictions racing) — the
+// cache's mutex and counters must hold up under TSan, and every result must
+// stay correct.
 TEST(ServeService, ConcurrentLookupsAndInsertsAreSafe) {
   const auto specs = test_specs("Vanilla");
   accel::Predictor predictor;
   serve::CacheConfig cache_cfg;
-  cache_cfg.shards = 4;
   cache_cfg.capacity = 16;  // small: forces concurrent evictions too
   serve::PredictorService service(predictor, cache_cfg);
   const serve::PreparedNet net = service.prepare(specs);
