@@ -182,32 +182,33 @@ BENCH("conv2d_bwd") { conv_cases(b, true); }
 
 namespace {
 
-// Depthwise: the batch forward (8 envs x 5 steps) of a stage-0
-// inverted-residual cell with expansion 5 on the 6x6 feature map, k3 and
-// k5, swept over backends like "conv2d_fwd". With `backward` each sample
-// times a forward + backward pair (backward consumes the forward's cache,
-// 3 passes of flops); "dw_fwd" isolates the forward.
+// Depthwise: a stage-0 inverted-residual cell with expansion 5 on the 6x6
+// feature map at the rollout batch (8 envs) and the update batch (8 envs x
+// 5 steps = 40), k3 and k5, swept over backends like "conv2d_fwd". With
+// `backward` each sample times a forward + backward pair (backward consumes
+// the forward's cache, 3 passes of flops); "dw_fwd" isolates the forward.
 void dw_cases(Bench& b, bool backward) {
-  const int n = b.smoke() ? 2 : 40;
   const int ch = b.smoke() ? 4 : 40;
-  const Tensor x = random_tensor(Shape::nchw(n, ch, 6, 6), 6);
-  const Tensor g = random_tensor(x.shape(), 7);
-  for (const int k : {3, 5}) {
-    util::Rng rng(12);
-    nn::DepthwiseConv2d dw("bench_dw", ch, k, 1, k / 2, rng);
-    const std::int64_t flops = (backward ? 3 : 1) * 2ll * k * k * x.numel();
-    const std::string shape = std::to_string(n) + "x" + std::to_string(ch) +
-                              "x6x6_k" + std::to_string(k);
-    for (const std::string& backend : tensor::backend::available_names()) {
-      tensor::backend::ScopedBackend scoped(*backend_by_name(backend));
-      for (int threads : thread_counts(b.smoke())) {
-        b.config(shape + "_" + backend)
-            .threads(threads)
-            .work(flops, 0)
-            .run([&] {
-              dw.forward(x);
-              if (backward) dw.backward(g);
-            });
+  for (const int n : b.smoke() ? std::vector<int>{2} : std::vector<int>{8, 40}) {
+    const Tensor x = random_tensor(Shape::nchw(n, ch, 6, 6), 6);
+    const Tensor g = random_tensor(x.shape(), 7);
+    for (const int k : {3, 5}) {
+      util::Rng rng(12);
+      nn::DepthwiseConv2d dw("bench_dw", ch, k, 1, k / 2, rng);
+      const std::int64_t flops = (backward ? 3 : 1) * 2ll * k * k * x.numel();
+      const std::string shape = std::to_string(n) + "x" + std::to_string(ch) +
+                                "x6x6_k" + std::to_string(k);
+      for (const std::string& backend : tensor::backend::available_names()) {
+        tensor::backend::ScopedBackend scoped(*backend_by_name(backend));
+        for (int threads : thread_counts(b.smoke())) {
+          b.config(shape + "_" + backend)
+              .threads(threads)
+              .work(flops, 0)
+              .run([&] {
+                dw.forward(x);
+                if (backward) dw.backward(g);
+              });
+        }
       }
     }
   }

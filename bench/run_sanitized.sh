@@ -11,11 +11,14 @@
 #
 # The default ASan/UBSan pass covers the util + obs layers (atomic metrics,
 # the shared trace writer, the profiler's thread-local cursors), the
-# inference forwards' grow-only per-thread column workspaces (infer_test), the
-# checkpoint subsystem (sectioned container parsing of adversarial bytes,
-# the full save/restore round-trip) and the training-health guard (fault
-# injection, rollback recovery), the perf observability layer (bench
-# registry, BENCH_*.json diffing, Chrome trace export — perf_test), the
+# inference forwards' grow-only per-thread column workspaces (infer_test),
+# the scalar kernels' repack workspaces and lane-group tails against their
+# reference loops and the other backends (nn_layers_test,
+# backend_check_test), the checkpoint subsystem (sectioned container
+# parsing of adversarial bytes, the full save/restore round-trip) and the
+# training-health guard (fault injection, rollback recovery), the perf
+# observability layer (bench registry, BENCH_*.json diffing, Chrome trace
+# export — perf_test), the
 # fleet supervisor (protocol/frontier units plus the kill/hang/corrupt
 # resume e2e suite — fleet_test, fleet_resume_test), and finishes with an
 # end-to-end fault-injection smoke of cosearch_full --guard=heal (profiled,
@@ -57,7 +60,7 @@ elif [ "$SAN" = "undefined" ]; then
   TESTS="tensor_test nn_layers_test infer_test nn_optim_test nn_zoo_test rl_test nas_test accel_test das_test core_test"
   GUARD_FILTER=""
 else
-  TESTS="util_test obs_test thread_pool_test infer_test ckpt_test io_test guard_test guard_recovery_test perf_test serve_test fleet_test fleet_resume_test"
+  TESTS="util_test obs_test thread_pool_test infer_test nn_layers_test backend_check_test ckpt_test io_test guard_test guard_recovery_test perf_test serve_test fleet_test fleet_resume_test"
   GUARD_FILTER=""
   SMOKE="cosearch_full cosearch_fleet bench_kernels bench_report predictor_server"
 fi

@@ -45,12 +45,18 @@ AcceleratorSpace::AcceleratorSpace(int num_chunks, int num_groups)
 
 AcceleratorConfig AcceleratorSpace::decode(
     const std::vector<int>& choices) const {
+  AcceleratorConfig cfg;
+  decode(choices, cfg);
+  return cfg;
+}
+
+void AcceleratorSpace::decode(const std::vector<int>& choices,
+                              AcceleratorConfig& cfg) const {
   A3CS_CHECK(static_cast<int>(choices.size()) == num_knobs(),
              "decode: choice count mismatch");
-  AcceleratorConfig cfg;
+  cfg.chunks.resize(static_cast<std::size_t>(num_chunks_));
   int k = 0;
-  for (int c = 0; c < num_chunks_; ++c) {
-    ChunkConfig chunk;
+  for (ChunkConfig& chunk : cfg.chunks) {
     chunk.pe_rows = pe_dim_choices()[static_cast<std::size_t>(choices[k++])];
     chunk.pe_cols = pe_dim_choices()[static_cast<std::size_t>(choices[k++])];
     chunk.noc = static_cast<Noc>(choices[k++]);
@@ -58,20 +64,24 @@ AcceleratorConfig AcceleratorSpace::decode(
     chunk.tile_oc = tile_choices()[static_cast<std::size_t>(choices[k++])];
     chunk.tile_ic = tile_choices()[static_cast<std::size_t>(choices[k++])];
     chunk.split = split_choices()[static_cast<std::size_t>(choices[k++])];
-    cfg.chunks.push_back(chunk);
   }
   cfg.group_to_chunk.resize(static_cast<std::size_t>(num_groups_));
   for (int g = 0; g < num_groups_; ++g) {
     cfg.group_to_chunk[static_cast<std::size_t>(g)] = choices[k++];
   }
-  return cfg;
 }
 
 std::vector<int> AcceleratorSpace::random_choices(util::Rng& rng) const {
   std::vector<int> out;
+  random_choices(rng, out);
+  return out;
+}
+
+void AcceleratorSpace::random_choices(util::Rng& rng,
+                                      std::vector<int>& out) const {
+  out.clear();
   out.reserve(knobs_.size());
   for (const KnobSpec& k : knobs_) out.push_back(rng.uniform_int(k.num_choices));
-  return out;
 }
 
 double AcceleratorSpace::size() const {

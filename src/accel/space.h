@@ -33,7 +33,11 @@ class AcceleratorSpace {
   int num_knobs() const { return static_cast<int>(knobs_.size()); }
 
   AcceleratorConfig decode(const std::vector<int>& choices) const;
+  // The same decode into `out`, reusing its storage.
+  void decode(const std::vector<int>& choices, AcceleratorConfig& out) const;
   std::vector<int> random_choices(util::Rng& rng) const;
+  // The same draw into `out`, reusing its storage.
+  void random_choices(util::Rng& rng, std::vector<int>& out) const;
 
   // Total number of distinct configurations (as a double; overflows int64).
   double size() const;

@@ -19,6 +19,12 @@ namespace {
 // never on the thread count — and results are unchanged either way.
 constexpr std::int64_t kMinParallelEnvs = 64;
 
+// Envs per shard: the whole batch (one shard, run inline) below
+// kMinParallelEnvs, one env each from there on.
+std::int64_t env_grain(int num_envs) {
+  return num_envs < kMinParallelEnvs ? num_envs : 1;
+}
+
 }  // namespace
 
 VecEnv::VecEnv(const std::string& title, int num_envs,
@@ -58,14 +64,14 @@ void VecEnv::ensure_buffers() {
 const Tensor& VecEnv::reset() {
   ensure_buffers();
   util::parallel_for(
-      0, num_envs(), 1,
+      0, num_envs(), env_grain(num_envs()),
       [&](std::int64_t b, std::int64_t e) {
         for (int i = static_cast<int>(b); i < static_cast<int>(e); ++i) {
           copy_into_batch(step_.obs, i,
                           envs_[static_cast<std::size_t>(i)]->reset());
         }
       },
-      "env-step", kMinParallelEnvs);
+      "env-step");
   std::fill(running_returns_.begin(), running_returns_.end(), 0.0);
   return step_.obs;
 }
@@ -81,7 +87,7 @@ const VecStep& VecEnv::step(const std::vector<int>& actions) {
   // the cross-env episode bookkeeping happens serially below, in env order,
   // exactly as the serial loop produced it.
   util::parallel_for(
-      0, num_envs(), 1,
+      0, num_envs(), env_grain(num_envs()),
       [&](std::int64_t b, std::int64_t e) {
         for (int i = static_cast<int>(b); i < static_cast<int>(e); ++i) {
           const auto idx = static_cast<std::size_t>(i);
@@ -99,7 +105,7 @@ const VecStep& VecEnv::step(const std::vector<int>& actions) {
           }
         }
       },
-      "env-step", kMinParallelEnvs);
+      "env-step");
   for (int i = 0; i < num_envs(); ++i) {
     if (step_.dones[static_cast<std::size_t>(i)] != 0) {
       episode_scores_.push_back(finished_scores_[static_cast<std::size_t>(i)]);

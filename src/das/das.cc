@@ -17,23 +17,8 @@ namespace a3cs::das {
 
 namespace {
 
-// One drawn-but-not-yet-evaluated accelerator sample. Sampling consumes the
-// engine RNG and must stay serial (and in the exact order the serial code
-// used); the predictor evaluations are pure functions of the choices and fan
-// out over the pool; the gradient/incumbent bookkeeping is replayed serially
-// in draw order so baselines and incumbents are bit-exact at any thread
-// count.
-struct DrawnSample {
-  bool explore = false;
-  std::vector<nas::GumbelSample> gumbel;  // empty for explore draws
-  std::vector<int> choices;
-};
-
-struct EvaluatedSample {
-  accel::AcceleratorConfig config;
-  HwEval eval;
-  double cost = 0.0;
-};
+using DrawnSample = DasEngine::DrawnSample;
+using EvaluatedSample = DasEngine::EvaluatedSample;
 
 // The one candidate ordering of every DAS sweep: a feasible accelerator beats
 // an infeasible one, then the lower scalar cost wins.
@@ -65,7 +50,7 @@ void evaluate_batch(const AcceleratorSpace& space, const Predictor& predictor,
       [&](std::int64_t b, std::int64_t e) {
         for (std::int64_t i = b; i < e; ++i) {
           EvaluatedSample& ev = out[static_cast<std::size_t>(i)];
-          ev.config = space.decode(drawn[static_cast<std::size_t>(i)].choices);
+          space.decode(drawn[static_cast<std::size_t>(i)].choices, ev.config);
           ev.eval = predictor.evaluate(net, ev.config);
           ev.cost = predictor.scalar_cost(ev.eval);
         }
@@ -108,40 +93,36 @@ double DasEngine::step(const accel::PreparedNetwork& net, int n) {
   params.reserve(phis_.size());
   for (auto& phi : phis_) params.push_back(&phi.param());
 
-  std::vector<DrawnSample> drawn;
-  std::vector<EvaluatedSample> evaluated;
   std::vector<float> sens;
   for (int it = 0; it < n; ++it) {
     const int samples_per_iter = std::max(1, cfg_.samples_per_iter);
     // Phase 1 (serial): draw every sample of this iteration, consuming the
     // RNG in exactly the order the all-serial loop did.
-    drawn.clear();
-    for (int s = 0; s < samples_per_iter; ++s) {
-      DrawnSample d;
+    drawn_.resize(static_cast<std::size_t>(samples_per_iter));
+    for (DrawnSample& d : drawn_) {
       // Exploration sample: uniform over the space, incumbent-only (it is
       // off-policy, so it must not feed the relaxed-gradient estimator).
-      if (rng_.uniform() < cfg_.explore_eps) {
-        d.explore = true;
-        d.choices = space_.random_choices(rng_);
+      d.explore = rng_.uniform() < cfg_.explore_eps;
+      if (d.explore) {
+        space_.random_choices(rng_, d.choices);
       } else {
         // Hard-sample every knob to build one concrete accelerator.
-        d.gumbel.reserve(phis_.size());
-        d.choices.reserve(phis_.size());
-        for (auto& phi : phis_) {
-          d.gumbel.push_back(phi.sample(rng_, tau_));
-          d.choices.push_back(d.gumbel.back().index);
+        d.gumbel.resize(phis_.size());
+        d.choices.resize(phis_.size());
+        for (std::size_t m = 0; m < phis_.size(); ++m) {
+          phis_[m].sample(rng_, tau_, d.gumbel[m]);
+          d.choices[m] = d.gumbel[m].index;
         }
       }
-      drawn.push_back(std::move(d));
     }
 
     // Phase 2 (parallel): evaluate the predictor on every drawn config.
-    evaluate_batch(space_, predictor_, net, drawn, evaluated);
+    evaluate_batch(space_, predictor_, net, drawn_, evaluated_);
 
     // Phase 3 (serial, in draw order): incumbent, baseline and gradients.
     for (int s = 0; s < samples_per_iter; ++s) {
-      const DrawnSample& d = drawn[static_cast<std::size_t>(s)];
-      const EvaluatedSample& ev = evaluated[static_cast<std::size_t>(s)];
+      const DrawnSample& d = drawn_[static_cast<std::size_t>(s)];
+      const EvaluatedSample& ev = evaluated_[static_cast<std::size_t>(s)];
       if (!has_best_seen_ ||
           better(ev.eval, ev.cost, best_seen_eval_, best_seen_cost_)) {
         has_best_seen_ = true;

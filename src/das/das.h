@@ -91,6 +91,22 @@ class DasEngine {
   void save_state(std::ostream& out) const;
   void load_state(std::istream& in);
 
+  // One drawn-but-not-yet-evaluated accelerator sample, and its score.
+  // Sampling consumes the engine RNG and stays serial, in the serial loop's
+  // order; the predictor evaluations are pure and fan out over the pool; the
+  // gradient/incumbent bookkeeping is replayed serially in draw order, so
+  // baselines and incumbents are bit-exact at any thread count.
+  struct DrawnSample {
+    bool explore = false;
+    std::vector<nas::GumbelSample> gumbel;  // unused for explore draws
+    std::vector<int> choices;
+  };
+  struct EvaluatedSample {
+    AcceleratorConfig config;
+    HwEval eval;
+    double cost = 0.0;
+  };
+
  private:
   const AcceleratorSpace& space_;
   const Predictor& predictor_;
@@ -106,6 +122,12 @@ class DasEngine {
   AcceleratorConfig best_seen_config_;
   HwEval best_seen_eval_;
   double best_seen_cost_ = 0.0;
+
+  // step()'s per-draw buffers, kept so their storage is reused across
+  // calls. Scratch only: every step() rewrites each entry it reads before
+  // reading it, so checkpoints skip it.
+  std::vector<DrawnSample> drawn_;          // A3CS_LINT(ser-field-coverage)
+  std::vector<EvaluatedSample> evaluated_;  // A3CS_LINT(ser-field-coverage)
 };
 
 // Baselines used to validate DAS (bench_das_quality):

@@ -13,10 +13,18 @@ GumbelCategorical::GumbelCategorical(std::string name, int num_choices)
 }
 
 GumbelSample GumbelCategorical::sample(util::Rng& rng, double tau) const {
-  const int n = num_choices();
   GumbelSample out;
+  sample(rng, tau, out);
+  return out;
+}
+
+void GumbelCategorical::sample(util::Rng& rng, double tau,
+                               GumbelSample& out) const {
+  const int n = num_choices();
   out.relaxed.resize(static_cast<std::size_t>(n));
-  std::vector<double> perturbed(static_cast<std::size_t>(n));
+  // Grow-only per-thread scratch: every caller draws on its own thread.
+  thread_local std::vector<double> perturbed;
+  perturbed.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     perturbed[static_cast<std::size_t>(i)] =
         static_cast<double>(logits_.value[i]) + rng.gumbel();
@@ -36,7 +44,6 @@ GumbelSample GumbelCategorical::sample(util::Rng& rng, double tau) const {
   }
   const float inv = static_cast<float>(1.0 / sum);
   for (float& y : out.relaxed) y *= inv;
-  return out;
 }
 
 std::vector<float> GumbelCategorical::probabilities(double tau) const {

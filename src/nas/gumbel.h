@@ -35,6 +35,8 @@ class GumbelCategorical {
 
   // Draws Gumbel noise and returns the hard choice plus relaxed probs.
   GumbelSample sample(util::Rng& rng, double tau) const;
+  // The same draw into `out`, reusing its storage.
+  void sample(util::Rng& rng, double tau, GumbelSample& out) const;
 
   // Relaxed probabilities without noise (softmax(logits / tau)).
   std::vector<float> probabilities(double tau = 1.0) const;

@@ -40,7 +40,7 @@ nn::Module& MixedOp::choose() {
                                 0.0f);
     last_sample_.relaxed[static_cast<std::size_t>(last_sample_.index)] = 1.0f;
   } else {
-    last_sample_ = alpha_.sample(*sampler_, *tau_);
+    alpha_.sample(*sampler_, *tau_, last_sample_);
   }
   return *ops_[static_cast<std::size_t>(last_sample_.index)];
 }

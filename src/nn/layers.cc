@@ -27,6 +27,18 @@ std::int64_t column_grain(int out_c, int ckk) {
   return (cols + 15) / 16 * 16;
 }
 
+// Planes (forward) or channels (backward) per shard of the depthwise
+// fan-outs: about 64K multiply-adds (`unit_work` is one index's), rounded
+// up to whole lane groups of the scalar kernels. The lane-group kernels do
+// a multiply-add about 3x faster than the plane loop did at the 16K grain,
+// and 64K measured best of 16K-1G on the search shapes at 2 threads.
+std::int64_t dw_grain(std::int64_t unit_work) {
+  constexpr std::int64_t lanes = tensor::backend::kDwLanes;
+  const std::int64_t units = std::max<std::int64_t>(
+      1, 65536 / std::max<std::int64_t>(1, unit_work));
+  return (units + lanes - 1) / lanes * lanes;
+}
+
 }  // namespace
 
 Conv2d::Conv2d(std::string name, int in_c, int out_c, int kernel, int stride,
@@ -196,6 +208,9 @@ DepthwiseConv2d::DepthwiseConv2d(std::string name, int channels, int kernel,
       pad_(pad),
       weight_(name_ + ".weight", Shape::mat(channels, kernel * kernel)),
       bias_(name_ + ".bias", Shape::vec(channels)) {
+  A3CS_CHECK(channels > 0 && kernel > 0 &&
+                 kernel <= tensor::backend::kMaxDwKernel,
+             "bad depthwise dims");
   he_normal(weight_.value, kernel * kernel, rng);
 }
 
@@ -228,10 +243,8 @@ Tensor DepthwiseConv2d::run(const Tensor& x) const {
   // plane's taps are reduced inside one backend call, so the fan-out is
   // bit-exact at any thread count.
   const tensor::backend::Backend& be = tensor::backend::active();
-  const std::int64_t grain = std::max<std::int64_t>(
-      1, 16384 / std::max<std::int64_t>(1, taps * plane_out));
   util::parallel_for(
-      0, planes, grain,
+      0, planes, dw_grain(taps * plane_out),
       [&](std::int64_t p0, std::int64_t p1) {
         be.dw_forward_planes(x.data(), weight_.value.data(),
                              bias_.value.data(), g, out.data(), p0, p1);
@@ -268,10 +281,8 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
   // (n, c) split would make two shards add into the same weight row.
   Tensor grad_input(x.shape());
   const tensor::backend::Backend& be = tensor::backend::active();
-  const std::int64_t grain = std::max<std::int64_t>(
-      1, 16384 / std::max<std::int64_t>(1, taps * channel_out));
   util::parallel_for(
-      0, channels_, grain,
+      0, channels_, dw_grain(taps * channel_out),
       [&](std::int64_t c0, std::int64_t c1) {
         be.dw_backward_channels(grad_out.data(), x.data(),
                                 weight_.value.data(), g, grad_input.data(),

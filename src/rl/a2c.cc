@@ -61,6 +61,7 @@ RolloutLoss rollout_loss(nn::ActorCriticNet& net, const Rollout& rollout,
   LossCoefficients coef = cfg.loss;
   if (teacher != nullptr &&
       (coef.distill_actor != 0.0 || coef.distill_critic != 0.0)) {
+    A3CS_PROF_SCOPE("teacher-fwd");
     const auto tea = teacher->infer(batch_obs);
     teacher_probs = Tensor(tea.logits.shape());
     tensor::softmax_rows(tea.logits, teacher_probs);

@@ -11,8 +11,9 @@
 //
 // Two backends exist:
 //  - "scalar": the blocked register-tile kernels (4x8 GEMM, 4x16 conv
-//    tiles in vector extensions), compiled for the portable baseline ISA at
-//    -O3 with -ffp-contract=off. This is the DEFAULT and is bit-exact with
+//    tiles and 8-channel depthwise lane groups in vector extensions),
+//    compiled for the portable baseline ISA at -O3 with
+//    -ffp-contract=off. This is the DEFAULT and is bit-exact with
 //    the pre-backend row loops: every output keeps the same operation
 //    sequence (no FMA, same reduction order), so the same results.
 //  - "avx2":   256-bit AVX2/FMA kernels (packed 6x16 GEMM micro-kernel,
@@ -70,10 +71,24 @@ namespace a3cs::tensor::backend {
 //  from turning an output into NaN.
 //  dw_forward_planes: depthwise conv output planes [p0, p1), plane
 //    p = n * g.c + c: out = bias[c] + the K x K taps of weight row c over
-//    input plane p (g.kh == g.kw == K). Overwrites the output planes.
+//    input plane p (g.kh == g.kw == K <= kMaxDwKernel). Overwrites the
+//    output planes. Scalar per-output sequence: bias, then `+= w * x` over
+//    the in-bounds taps, ky then kx ascending (out-of-bounds taps are
+//    skipped, never added as zeros).
 //  dw_backward_channels: depthwise gradients of channels [c0, c1), samples
 //    ascending: accumulate (+=) weight row c and bias[c], scatter-add into
-//    the pre-zeroed grad_input planes of c.
+//    the pre-zeroed grad_input planes of c. Scalar sequence per channel: n,
+//    oy, ox ascending; each cell adds its go to one double bias sum per
+//    plane (one float add into bias[c] per plane) and, unless go == 0,
+//    `+= go * x` into the weight row and `+= go * w` into grad_input over
+//    the in-bounds taps.
+//  The scalar depthwise kernels run kDwLanes adjacent channels of one
+//  sample as the lanes of a tile, so the results are the same whichever
+//  channels a range groups; shards of whole lane groups only save the
+//  single-channel tails (nn/layers.cc rounds its dw grains to them).
+constexpr int kMaxDwKernel = 7;
+constexpr int kDwLanes = 8;
+
 struct Backend {
   const char* name;
 

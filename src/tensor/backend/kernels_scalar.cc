@@ -551,129 +551,340 @@ void conv_backward_colgrad(const float* grad_out, const float* weight,
   }
 }
 
-// Output columns [lo, hi) of a row whose g.kw horizontal taps all fall
-// inside the input: ox * stride - pad >= 0 and ox * stride - pad + kw <= w.
-// Floor-division bounds clamped to [0, ow], so the span is empty when the
-// kernel is wider than the input.
-struct ColumnSpan {
-  int lo, hi;
-};
+// ---- Depthwise tiles, lanes over channels ------------------------------
+//
+// A depthwise output reduces over one channel's K x K window only, and the
+// search maps (6x6, 3x3, 2x2) are too narrow for lanes along a row, nor
+// does batch 1 (evaluation) leave samples to span. What every search shape
+// does have is channels in multiples of 8, so a lane group is kDwLanes
+// adjacent channels of one sample: their planes are repacked to an
+// interleaved (h, w, lane) layout and their weight rows to (tap, lane), and
+// each lane, one channel, runs exactly the plane loop's operation sequence.
+// A range whose channels do not fill a whole group (a channel count that is
+// not a multiple of kDwLanes, or a shard cut inside a group) runs the plane
+// loop for the channels left over.
+constexpr int kDwNV = kDwLanes / 4;  // v4f vectors per lane group
+constexpr int kDwMaxTaps = kMaxDwKernel * kMaxDwKernel;
 
-ColumnSpan interior_columns(const ConvGeometry& g) {
-  const int lo = std::min((g.pad + g.stride - 1) / g.stride, g.ow);
-  const int num = g.w - g.kw + g.pad;
-  const int last =
-      num >= 0 ? num / g.stride : -((-num + g.stride - 1) / g.stride);
-  return ColumnSpan{lo, std::clamp(last + 1, lo, g.ow)};
+typedef int v4i __attribute__((vector_size(16)));
+
+// Grow-only per-thread home of the repacked planes; the kernels never nest,
+// so one buffer per thread serves every call.
+v4f* dw_workspace(std::size_t vectors) {
+  thread_local std::vector<v4f> ws;
+  if (ws.size() < vectors) ws.resize(vectors);
+  return ws.data();
 }
 
-// Depthwise output planes [p0, p1), plane p = n * g.c + c. Each output row
-// is cut into a left border, an interior whose taps are all in bounds (an
-// unchecked K-tap loop per kernel row) and a right border; every row clamps
-// the kernel rows to [ky0, ky1). Invalid taps are skipped exactly as the
-// bounds-checked loop skipped them, so each output keeps the order
-// acc = bias, then valid taps ky-then-kx ascending — bit-exact with it.
-void dw_forward_planes(const float* in, const float* weight, const float* bias,
-                       const ConvGeometry& g, float* out, std::int64_t p0,
-                       std::int64_t p1) {
-  const int k = g.kh;
-  const ColumnSpan xs = interior_columns(g);
-  for (std::int64_t p = p0; p < p1; ++p) {
-    const int c = static_cast<int>(p % g.c);
-    const float* x = in + static_cast<std::size_t>(p) * g.h * g.w;
-    const float* w = weight + static_cast<std::size_t>(c) * k * k;
-    const float b = bias[c];
-    float* y = out + static_cast<std::size_t>(p) * g.oh * g.ow;
-    for (int oy = 0; oy < g.oh; ++oy) {
-      const int iy0 = oy * g.stride - g.pad;
-      const int ky0 = std::max(0, -iy0);
-      const int ky1 = std::min(k, g.h - iy0);
-      const auto border = [&](int ox) {
-        const int ix0 = ox * g.stride - g.pad;
-        const int kx0 = std::max(0, -ix0);
-        const int kx1 = std::min(k, g.w - ix0);
-        float acc = b;
-        for (int ky = ky0; ky < ky1; ++ky) {
-          const float* xr = x + static_cast<std::size_t>(iy0 + ky) * g.w;
-          for (int kx = kx0; kx < kx1; ++kx) {
-            acc += w[ky * k + kx] * xr[ix0 + kx];
-          }
-        }
-        return acc;
-      };
-      float* yr = y + static_cast<std::size_t>(oy) * g.ow;
-      for (int ox = 0; ox < xs.lo; ++ox) yr[ox] = border(ox);
-      for (int ox = xs.lo; ox < xs.hi; ++ox) {
-        const int ix0 = ox * g.stride - g.pad;
-        float acc = b;
-        for (int ky = ky0; ky < ky1; ++ky) {
-          const float* xr = x + static_cast<std::size_t>(iy0 + ky) * g.w + ix0;
-          const float* wr = w + ky * k;
-          for (int kx = 0; kx < k; ++kx) acc += wr[kx] * xr[kx];
-        }
-        yr[ox] = acc;
-      }
-      for (int ox = xs.hi; ox < g.ow; ++ox) yr[ox] = border(ox);
+// Transposes the 4x4 block whose rows are r[0..3] in place.
+inline void transpose4(v4f (&r)[4]) {
+  const v4f t0 = __builtin_shufflevector(r[0], r[1], 0, 4, 1, 5);
+  const v4f t1 = __builtin_shufflevector(r[0], r[1], 2, 6, 3, 7);
+  const v4f t2 = __builtin_shufflevector(r[2], r[3], 0, 4, 1, 5);
+  const v4f t3 = __builtin_shufflevector(r[2], r[3], 2, 6, 3, 7);
+  r[0] = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
+  r[1] = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
+  r[2] = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
+  r[3] = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
+}
+
+// dst[i * kDwNV + v][l] = src[(4 * v + l) * stride + i] for i < len: the
+// rows of kDwLanes channels, `stride` floats apart, interleaved lane-wise,
+// 4x4 blocks at a time.
+void dw_interleave(const float* src, std::size_t stride, int len, v4f* dst) {
+  int i = 0;
+  for (; i + 4 <= len; i += 4) {
+    for (int v = 0; v < kDwNV; ++v) {
+      const float* s = src + 4 * v * stride + i;
+      v4f r[4] = {load4(s), load4(s + stride), load4(s + 2 * stride),
+                  load4(s + 3 * stride)};
+      transpose4(r);
+      for (int j = 0; j < 4; ++j) dst[(i + j) * kDwNV + v] = r[j];
+    }
+  }
+  for (; i < len; ++i) {
+    for (int v = 0; v < kDwNV; ++v) {
+      const float* s = src + 4 * v * stride + i;
+      dst[i * kDwNV + v] = v4f{s[0], s[stride], s[2 * stride], s[3 * stride]};
     }
   }
 }
 
-// Depthwise gradients for channels [c0, c1), samples ascending inside each
-// channel, then oy, ox ascending — the serial visit order, so weight row c,
-// bias[c] (one double sum per plane) and the grad_input planes of c see the
-// same accumulation sequence as the bounds-checked loop, go == 0 skip
-// included. grad_input must be pre-zeroed; weight/bias grads accumulate.
+// The inverse of dw_interleave.
+void dw_deinterleave(const v4f* src, int len, float* dst, std::size_t stride) {
+  int i = 0;
+  for (; i + 4 <= len; i += 4) {
+    for (int v = 0; v < kDwNV; ++v) {
+      v4f r[4];
+      for (int j = 0; j < 4; ++j) r[j] = src[(i + j) * kDwNV + v];
+      transpose4(r);
+      float* d = dst + 4 * v * stride + i;
+      for (int l = 0; l < 4; ++l) store4(d + l * stride, r[l]);
+    }
+  }
+  for (; i < len; ++i) {
+    for (int v = 0; v < kDwNV; ++v) {
+      const v4f x = src[i * kDwNV + v];
+      float* d = dst + 4 * v * stride + i;
+      for (int l = 0; l < 4; ++l) d[l * stride] = x[l];
+    }
+  }
+}
+
+// The valid taps [k0, k1) of a window starting at input index i0 of an
+// axis of `extent` cells.
+struct TapSpan {
+  int k0, k1;
+};
+
+inline TapSpan valid_taps(int i0, int k, int extent) {
+  return TapSpan{std::max(0, -i0), std::min(k, extent - i0)};
+}
+
+// Calls f(r, t) for the valid taps of one output cell, kernel rows then
+// columns ascending. A cell whose whole window is in bounds runs the
+// compile-time K x K loop when K is known (K = 0: the kernel size is only
+// known at run time).
+template <int K, typename F>
+inline void for_each_tap(TapSpan ky, TapSpan kx, F&& f) {
+  if (K > 0 && ky.k0 == 0 && ky.k1 == K && kx.k0 == 0 && kx.k1 == K) {
+    for (int r = 0; r < K; ++r) {
+      for (int t = 0; t < K; ++t) f(r, t);
+    }
+    return;
+  }
+  for (int r = ky.k0; r < ky.k1; ++r) {
+    for (int t = kx.k0; t < kx.k1; ++t) f(r, t);
+  }
+}
+
+// One depthwise output plane: acc = b, then the valid taps ky-then-kx
+// ascending (invalid taps skipped, as the bounds-checked loop skipped
+// them).
+void dw_forward_plane(const float* x, const float* w, float b,
+                      const ConvGeometry& g, float* y) {
+  const int k = g.kh;
+  for (int oy = 0; oy < g.oh; ++oy) {
+    const int iy0 = oy * g.stride - g.pad;
+    const TapSpan ky = valid_taps(iy0, k, g.h);
+    float* yr = y + static_cast<std::size_t>(oy) * g.ow;
+    for (int ox = 0; ox < g.ow; ++ox) {
+      const int ix0 = ox * g.stride - g.pad;
+      const TapSpan kx = valid_taps(ix0, k, g.w);
+      float acc = b;
+      for (int r = ky.k0; r < ky.k1; ++r) {
+        const float* xr = x + static_cast<std::size_t>(iy0 + r) * g.w;
+        const float* wr = w + r * k;
+        for (int t = kx.k0; t < kx.k1; ++t) acc += wr[t] * xr[ix0 + t];
+      }
+      yr[ox] = acc;
+    }
+  }
+}
+
+// The output planes of one lane group: kDwLanes adjacent channels of one
+// sample, x and y at the first channel's plane. `wi` holds the group's
+// weights as (tap, lane).
+template <int K>
+void dw_forward_group(const float* x, const v4f* wi, const float* b,
+                      const ConvGeometry& g, float* y) {
+  const int k = K > 0 ? K : g.kh;
+  const int hw = g.h * g.w;
+  const int ohw = g.oh * g.ow;
+  v4f* xi = dw_workspace(static_cast<std::size_t>(hw + ohw) * kDwNV);
+  v4f* yi = xi + static_cast<std::size_t>(hw) * kDwNV;
+  dw_interleave(x, hw, hw, xi);
+  v4f bias[kDwNV];
+  for (int v = 0; v < kDwNV; ++v) bias[v] = load4(b + 4 * v);  // keeps -0.0
+  for (int oy = 0; oy < g.oh; ++oy) {
+    const int iy0 = oy * g.stride - g.pad;
+    const TapSpan ky = valid_taps(iy0, k, g.h);
+    for (int ox = 0; ox < g.ow; ++ox) {
+      const int ix0 = ox * g.stride - g.pad;
+      const TapSpan kx = valid_taps(ix0, k, g.w);
+      const int cell = iy0 * g.w + ix0;
+      v4f acc[kDwNV];
+      for (int v = 0; v < kDwNV; ++v) acc[v] = bias[v];
+      for_each_tap<K>(ky, kx, [&](int r, int t) {
+        const v4f* wt = wi + (r * k + t) * kDwNV;
+        const v4f* xt = xi + (cell + r * g.w + t) * kDwNV;
+        for (int v = 0; v < kDwNV; ++v) acc[v] += wt[v] * xt[v];
+      });
+      v4f* o = yi + (oy * g.ow + ox) * kDwNV;
+      for (int v = 0; v < kDwNV; ++v) o[v] = acc[v];
+    }
+  }
+  dw_deinterleave(yi, ohw, y, ohw);
+}
+
+// Depthwise output planes [p0, p1), plane p = n * g.c + c: lane groups where
+// kDwLanes planes of one sample fit in the range, the plane loop elsewhere.
+// Both keep each output's sequence, so the result is bit-exact with the
+// bounds-checked loop whatever the range.
+void dw_forward_planes(const float* in, const float* weight, const float* bias,
+                       const ConvGeometry& g, float* out, std::int64_t p0,
+                       std::int64_t p1) {
+  const int kk = g.kh * g.kw;
+  const std::size_t hw = static_cast<std::size_t>(g.h) * g.w;
+  const std::size_t ohw = static_cast<std::size_t>(g.oh) * g.ow;
+  const auto group = g.kh == 3   ? dw_forward_group<3>
+                     : g.kh == 5 ? dw_forward_group<5>
+                                 : dw_forward_group<0>;
+  v4f wi[kDwMaxTaps * kDwNV];
+  int wi_channel = -1;  // the group whose weights `wi` holds
+  for (std::int64_t p = p0; p < p1;) {
+    const int c = static_cast<int>(p % g.c);
+    if (c + kDwLanes <= g.c && p + kDwLanes <= p1) {
+      if (c != wi_channel) {
+        dw_interleave(weight + static_cast<std::size_t>(c) * kk, kk, kk, wi);
+        wi_channel = c;
+      }
+      group(in + p * hw, wi, bias + c, g, out + p * ohw);
+      p += kDwLanes;
+    } else {
+      dw_forward_plane(in + p * hw, weight + static_cast<std::size_t>(c) * kk,
+                       bias[c], g, out + p * ohw);
+      ++p;
+    }
+  }
+}
+
+// Gradients of one channel over every sample, the serial visit order: n,
+// oy, ox ascending, then the valid taps. Weight row c and bias[c]
+// accumulate in locals (the same float add sequence) and are stored once:
+// neighbouring channels' rows share cache lines, and shards on other
+// threads write them.
+void dw_backward_channel(const float* grad_out, const float* in,
+                         const float* weight, const ConvGeometry& g,
+                         float* grad_input, float* weight_grad,
+                         float* bias_grad, int c) {
+  const int k = g.kh;
+  const int kk = k * k;
+  const float* w = weight + static_cast<std::size_t>(c) * kk;
+  float* wg_out = weight_grad + static_cast<std::size_t>(c) * kk;
+  float wg[kDwMaxTaps];
+  std::copy(wg_out, wg_out + kk, wg);
+  float bg = bias_grad[c];
+  for (int n = 0; n < g.n; ++n) {
+    const std::size_t p = static_cast<std::size_t>(n) * g.c + c;
+    const float* x = in + p * g.h * g.w;
+    float* gi = grad_input + p * g.h * g.w;
+    const float* go_plane = grad_out + p * g.oh * g.ow;
+    double bias_acc = 0.0;
+    for (int oy = 0; oy < g.oh; ++oy) {
+      const int iy0 = oy * g.stride - g.pad;
+      const TapSpan ky = valid_taps(iy0, k, g.h);
+      const float* gor = go_plane + static_cast<std::size_t>(oy) * g.ow;
+      for (int ox = 0; ox < g.ow; ++ox) {
+        const float go = gor[ox];
+        bias_acc += go;
+        if (go == 0.0f) continue;
+        const int ix0 = ox * g.stride - g.pad;
+        const TapSpan kx = valid_taps(ix0, k, g.w);
+        for (int r = ky.k0; r < ky.k1; ++r) {
+          const std::size_t row = static_cast<std::size_t>(iy0 + r) * g.w;
+          const float* xr = x + row;
+          float* gir = gi + row;
+          const float* wr = w + r * k;
+          float* wgr = wg + r * k;
+          for (int t = kx.k0; t < kx.k1; ++t) {
+            wgr[t] += go * xr[ix0 + t];
+            gir[ix0 + t] += go * wr[t];
+          }
+        }
+      }
+    }
+    bg += static_cast<float>(bias_acc);
+  }
+  std::copy(wg, wg + kk, wg_out);
+  bias_grad[c] = bg;
+}
+
+// Gradients of the lane group of channels [c, c + kDwLanes): each lane runs
+// dw_backward_channel's sequence. The go == 0 skip is a lane select (the
+// accumulator keeps its value, so a -0.0 stays -0.0 and 0 * inf never
+// lands); a cell where every lane's go is 0 is skipped whole. grad_input
+// is pre-zeroed, so each plane's sums start from +0 in the workspace.
+template <int K>
+void dw_backward_group(const float* grad_out, const float* in,
+                       const float* weight, const ConvGeometry& g,
+                       float* grad_input, float* weight_grad,
+                       float* bias_grad, int c) {
+  const int k = K > 0 ? K : g.kh;
+  const int kk = k * k;
+  const int hw = g.h * g.w;
+  const int ohw = g.oh * g.ow;
+  v4f wi[kDwMaxTaps * kDwNV];
+  v4f wgi[kDwMaxTaps * kDwNV];
+  dw_interleave(weight + static_cast<std::size_t>(c) * kk, kk, kk, wi);
+  dw_interleave(weight_grad + static_cast<std::size_t>(c) * kk, kk, kk, wgi);
+  v4f bg[kDwNV];
+  for (int v = 0; v < kDwNV; ++v) bg[v] = load4(bias_grad + c + 4 * v);
+  v4f* xi = dw_workspace(static_cast<std::size_t>(2 * hw + ohw) * kDwNV);
+  v4f* gii = xi + static_cast<std::size_t>(hw) * kDwNV;
+  v4f* goi = gii + static_cast<std::size_t>(hw) * kDwNV;
+  for (int n = 0; n < g.n; ++n) {
+    const std::size_t p = static_cast<std::size_t>(n) * g.c + c;
+    dw_interleave(in + p * hw, hw, hw, xi);
+    dw_interleave(grad_out + p * ohw, ohw, ohw, goi);
+    std::fill(gii, gii + static_cast<std::size_t>(hw) * kDwNV, v4f{});
+    Wide bias_acc[kDwNV] = {};
+    for (int oy = 0; oy < g.oh; ++oy) {
+      const int iy0 = oy * g.stride - g.pad;
+      const TapSpan ky = valid_taps(iy0, k, g.h);
+      for (int ox = 0; ox < g.ow; ++ox) {
+        const v4f* go = goi + (oy * g.ow + ox) * kDwNV;
+        v4i live[kDwNV];
+        v4i any = {};
+        for (int v = 0; v < kDwNV; ++v) {
+          widen_add(bias_acc[v], go[v]);
+          live[v] = go[v] != v4f{};
+          any |= live[v];
+        }
+        if ((any[0] | any[1] | any[2] | any[3]) == 0) continue;
+        const int ix0 = ox * g.stride - g.pad;
+        const TapSpan kx = valid_taps(ix0, k, g.w);
+        const int cell = iy0 * g.w + ix0;
+        for_each_tap<K>(ky, kx, [&](int r, int t) {
+          v4f* wgt = wgi + (r * k + t) * kDwNV;
+          const v4f* wt = wi + (r * k + t) * kDwNV;
+          const v4f* xt = xi + (cell + r * g.w + t) * kDwNV;
+          v4f* git = gii + (cell + r * g.w + t) * kDwNV;
+          for (int v = 0; v < kDwNV; ++v) {
+            wgt[v] = live[v] ? wgt[v] + go[v] * xt[v] : wgt[v];
+            git[v] = live[v] ? git[v] + go[v] * wt[v] : git[v];
+          }
+        });
+      }
+    }
+    dw_deinterleave(gii, hw, grad_input + p * hw, hw);
+    for (int v = 0; v < kDwNV; ++v) bg[v] += narrow(bias_acc[v]);
+  }
+  dw_deinterleave(wgi, kk, weight_grad + static_cast<std::size_t>(c) * kk, kk);
+  for (int v = 0; v < kDwNV; ++v) store4(bias_grad + c + 4 * v, bg[v]);
+}
+
+// Depthwise gradients for channels [c0, c1): lane groups where kDwLanes
+// channels fit in the range, single channels elsewhere. Every channel walks
+// the samples ascending inside its own call, so weight row c, bias[c] and
+// the grad_input planes of c see the bounds-checked loop's accumulation
+// sequence. grad_input must be pre-zeroed; weight/bias grads accumulate.
 void dw_backward_channels(const float* grad_out, const float* in,
                           const float* weight, const ConvGeometry& g,
                           float* grad_input, float* weight_grad,
                           float* bias_grad, int c0, int c1) {
-  const int k = g.kh;
-  const ColumnSpan xs = interior_columns(g);
-  // Weight row c and bias[c] accumulate in locals (the same float add
-  // sequence) and are stored once per channel: neighbouring channels' rows
-  // share cache lines, and shards on other threads write them.
-  std::vector<float> wg(static_cast<std::size_t>(k) * k);
-  for (int c = c0; c < c1; ++c) {
-    const float* w = weight + static_cast<std::size_t>(c) * k * k;
-    float* wg_out = weight_grad + static_cast<std::size_t>(c) * k * k;
-    std::copy(wg_out, wg_out + k * k, wg.begin());
-    float bg = bias_grad[c];
-    for (int n = 0; n < g.n; ++n) {
-      const std::size_t p = static_cast<std::size_t>(n) * g.c + c;
-      const float* x = in + p * g.h * g.w;
-      float* gi = grad_input + p * g.h * g.w;
-      const float* go_plane = grad_out + p * g.oh * g.ow;
-      double bias_acc = 0.0;
-      for (int oy = 0; oy < g.oh; ++oy) {
-        const int iy0 = oy * g.stride - g.pad;
-        const int ky0 = std::max(0, -iy0);
-        const int ky1 = std::min(k, g.h - iy0);
-        const float* gor = go_plane + static_cast<std::size_t>(oy) * g.ow;
-        for (int ox = 0; ox < g.ow; ++ox) {
-          const float go = gor[ox];
-          bias_acc += go;
-          if (go == 0.0f) continue;
-          const int ix0 = ox * g.stride - g.pad;
-          const bool inside = ox >= xs.lo && ox < xs.hi;
-          const int kx0 = inside ? 0 : std::max(0, -ix0);
-          const int kx1 = inside ? k : std::min(k, g.w - ix0);
-          for (int ky = ky0; ky < ky1; ++ky) {
-            const std::size_t row = static_cast<std::size_t>(iy0 + ky) * g.w;
-            const float* xr = x + row;
-            float* gir = gi + row;
-            const float* wr = w + ky * k;
-            float* wgr = wg.data() + ky * k;
-            for (int kx = kx0; kx < kx1; ++kx) {
-              wgr[kx] += go * xr[ix0 + kx];
-              gir[ix0 + kx] += go * wr[kx];
-            }
-          }
-        }
-      }
-      bg += static_cast<float>(bias_acc);
+  const auto group = g.kh == 3   ? dw_backward_group<3>
+                     : g.kh == 5 ? dw_backward_group<5>
+                                 : dw_backward_group<0>;
+  for (int c = c0; c < c1;) {
+    if (c + kDwLanes <= c1) {
+      group(grad_out, in, weight, g, grad_input, weight_grad, bias_grad, c);
+      c += kDwLanes;
+    } else {
+      dw_backward_channel(grad_out, in, weight, g, grad_input, weight_grad,
+                          bias_grad, c);
+      ++c;
     }
-    std::copy(wg.begin(), wg.end(), wg_out);
-    bias_grad[c] = bg;
   }
 }
 

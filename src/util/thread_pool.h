@@ -94,26 +94,17 @@ class ThreadPool {
   // contiguous shards (see file header for the determinism contract).
   // `label` (a string literal or nullptr) attributes the region's task count
   // in label_stats(). Exceptions from any shard are rethrown to the caller
-  // (first one wins).
-  //
-  // `min_parallel_range`: ranges shorter than this run inline as one shard
-  // even on a multi-thread pool. Callers whose per-index work is tiny (e.g.
-  // VecEnv stepping toy envs) use it to keep small batches serial — the
-  // wake/handoff cost of fanning out dwarfs the work itself and used to make
-  // 8 threads SLOWER than 1 on a 32-env step. Inlining is always legal under
-  // the determinism contract (the shard decomposition of a disjoint-write
-  // region composes back to the full range), so this threshold — like the
-  // grain — only changes scheduling, never results.
+  // (first one wins). A caller whose per-index work is tiny keeps a small
+  // range serial by passing a grain of the whole range: one shard runs
+  // inline.
   template <typename Fn>
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                    Fn&& fn, const char* label = nullptr,
-                    std::int64_t min_parallel_range = 0) {
+                    Fn&& fn, const char* label = nullptr) {
     const std::int64_t range = end - begin;
     if (range <= 0) return;
     if (grain < 1) grain = 1;
     const std::int64_t shards = (range + grain - 1) / grain;
-    if (threads_ <= 1 || shards <= 1 || range < min_parallel_range ||
-        in_worker()) {
+    if (threads_ <= 1 || shards <= 1 || in_worker()) {
       regions_inline_.fetch_add(1, std::memory_order_relaxed);
       fn(begin, end);
       return;
@@ -201,10 +192,9 @@ class ThreadPool {
 // Convenience wrapper over the global pool.
 template <typename Fn>
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  Fn&& fn, const char* label = nullptr,
-                  std::int64_t min_parallel_range = 0) {
+                  Fn&& fn, const char* label = nullptr) {
   ThreadPool::global().parallel_for(begin, end, grain, std::forward<Fn>(fn),
-                                    label, min_parallel_range);
+                                    label);
 }
 
 }  // namespace a3cs::util

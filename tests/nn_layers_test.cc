@@ -176,40 +176,148 @@ std::vector<Tensor> run_dw(nn::DepthwiseConv2d& dw, const Tensor& x,
   return {out, gi, params[0]->grad, params[1]->grad};
 }
 
-TEST_P(DepthwiseGradTest, ScalarBackendBitExactWithBoundsCheckedLoop) {
-  const DwParam p = GetParam();
+// Inputs that pin the kernels' special cases: a -0.0 bias on a channel
+// whose weights are all zero (every product is +-0, so the output's sign
+// depends on the exact add sequence), an inf pixel in a corner of one
+// plane and in the far corner of another (only clamped border windows
+// reach them), and go == 0 on every output cell whose window covers the
+// first inf, so the go == 0 skip is what keeps that channel's weight
+// gradient finite. Every third remaining go is 0 as well.
+struct DwInputs {
+  Tensor x, go;
+};
+
+DwInputs special_dw_inputs(nn::DepthwiseConv2d& dw, const DwParam& p,
+                           util::Rng& rng) {
   const int pad = p.k / 2;
-  util::Rng rng(106);
-  nn::DepthwiseConv2d dw("dw", p.c, p.k, p.stride, pad, rng);
   auto params = dw.parameters();
   for (std::int64_t i = 0; i < params[1]->value.numel(); ++i) {
     params[1]->value[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
   }
-  const Tensor x = random_tensor(Shape::nchw(p.n, p.c, p.h, p.w), rng);
-  const auto g = tensor::ConvGeometry::make(x.shape(), p.k, p.k, p.stride, pad);
-  Tensor go = random_tensor(Shape::nchw(p.n, p.c, g.oh, g.ow), rng);
-  // Zeros exercise the kernels' go == 0 skip.
-  for (std::int64_t i = 0; i < go.numel(); i += 3) go[i] = 0.0f;
+  const int zero_c = p.c / 2;
+  params[1]->value[zero_c] = -0.0f;
+  for (int t = 0; t < p.k * p.k; ++t) {
+    params[0]->value[static_cast<std::int64_t>(zero_c) * p.k * p.k + t] = 0.0f;
+  }
+  DwInputs in;
+  in.x = random_tensor(Shape::nchw(p.n, p.c, p.h, p.w), rng);
+  const auto g = tensor::ConvGeometry::make(in.x.shape(), p.k, p.k, p.stride,
+                                            pad);
+  in.go = random_tensor(Shape::nchw(p.n, p.c, g.oh, g.ow), rng);
+  for (std::int64_t i = 0; i < in.go.numel(); i += 3) in.go[i] = 0.0f;
+  const float inf = std::numeric_limits<float>::infinity();
+  const int inf_n = p.n - 1;
+  const int inf_c = p.c - 1;
+  in.x.at4(inf_n, inf_c, 0, 0) = inf;
+  in.x.at4(0, 0, p.h - 1, p.w - 1) = -inf;
+  for (int oy = 0; oy < g.oh; ++oy) {
+    for (int ox = 0; ox < g.ow; ++ox) {
+      if (oy * p.stride - pad <= 0 && ox * p.stride - pad <= 0) {
+        in.go.at4(inf_n, inf_c, oy, ox) = 0.0f;
+      }
+    }
+  }
+  return in;
+}
 
-  const Tensor ref_out = reference_dw_forward(x, params[0]->value,
-                                              params[1]->value, p.k, p.stride,
-                                              pad);
-  Tensor ref_wg(params[0]->value.shape()), ref_bg(params[1]->value.shape());
-  reference_dw_backward(x, go, params[0]->value, ref_wg, ref_bg, p.k,
-                        p.stride, pad);
-  const Tensor ref_gi = reference_dw_backward(x, go, params[0]->value, ref_wg,
+// The scalar depthwise kernels against the bounds-checked loops on one
+// geometry: through the module at 1-4 threads (forward, then two
+// accumulating backwards), and called directly on ranges cut inside the
+// lane groups, where the kernels fall back to single planes and channels.
+void expect_scalar_dw_bit_exact(const DwParam& p) {
+  const int pad = p.k / 2;
+  const std::string where = "n" + std::to_string(p.n) + " c" +
+                            std::to_string(p.c) + " k" + std::to_string(p.k) +
+                            " s" + std::to_string(p.stride) + " " +
+                            std::to_string(p.h) + "x" + std::to_string(p.w);
+  util::Rng rng(106);
+  nn::DepthwiseConv2d dw("dw", p.c, p.k, p.stride, pad, rng);
+  const DwInputs in = special_dw_inputs(dw, p, rng);
+  auto params = dw.parameters();
+  const Tensor& weight = params[0]->value;
+  const Tensor& bias = params[1]->value;
+
+  const Tensor ref_out =
+      reference_dw_forward(in.x, weight, bias, p.k, p.stride, pad);
+  Tensor ref_wg(weight.shape()), ref_bg(bias.shape());
+  const Tensor ref_gi1 = reference_dw_backward(in.x, in.go, weight, ref_wg,
+                                               ref_bg, p.k, p.stride, pad);
+  const Tensor ref_wg1 = ref_wg, ref_bg1 = ref_bg;
+  const Tensor ref_gi = reference_dw_backward(in.x, in.go, weight, ref_wg,
                                               ref_bg, p.k, p.stride, pad);
 
   tensor::backend::ScopedBackend scalar(tensor::backend::scalar_backend());
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 2, 3, 4}) {
     util::ThreadPool::set_global_threads(threads);
-    const auto got = run_dw(dw, x, go);
-    EXPECT_TRUE(bit_equal(got[0], ref_out)) << "forward, t=" << threads;
-    EXPECT_TRUE(bit_equal(got[1], ref_gi)) << "grad_input, t=" << threads;
-    EXPECT_TRUE(bit_equal(got[2], ref_wg)) << "weight grad, t=" << threads;
-    EXPECT_TRUE(bit_equal(got[3], ref_bg)) << "bias grad, t=" << threads;
+    const auto got = run_dw(dw, in.x, in.go);
+    EXPECT_TRUE(bit_equal(got[0], ref_out)) << where << " forward, t=" << threads;
+    EXPECT_TRUE(bit_equal(got[1], ref_gi)) << where << " grad_input, t=" << threads;
+    EXPECT_TRUE(bit_equal(got[2], ref_wg)) << where << " weight grad, t=" << threads;
+    EXPECT_TRUE(bit_equal(got[3], ref_bg)) << where << " bias grad, t=" << threads;
   }
   util::ThreadPool::set_global_threads(1);
+
+  // Ranges cut at 3 and 11: inside the first lane group, and (for c >= 12)
+  // inside the second.
+  const auto g =
+      tensor::ConvGeometry::make(in.x.shape(), p.k, p.k, p.stride, pad);
+  const tensor::backend::Backend& be = tensor::backend::scalar_backend();
+  const auto cuts = [](std::int64_t end) {
+    std::vector<std::int64_t> at = {0};
+    for (const std::int64_t c : {3, 11}) {
+      if (c < end) at.push_back(c);
+    }
+    at.push_back(end);
+    return at;
+  };
+  Tensor out(ref_out.shape());
+  const std::vector<std::int64_t> planes = cuts(static_cast<std::int64_t>(p.n) * p.c);
+  for (std::size_t i = 0; i + 1 < planes.size(); ++i) {
+    be.dw_forward_planes(in.x.data(), weight.data(), bias.data(), g,
+                         out.data(), planes[i], planes[i + 1]);
+  }
+  EXPECT_TRUE(bit_equal(out, ref_out)) << where << " forward, cut ranges";
+  Tensor gi(in.x.shape()), wg(weight.shape()), bg(bias.shape());
+  const std::vector<std::int64_t> channels = cuts(p.c);
+  for (std::size_t i = 0; i + 1 < channels.size(); ++i) {
+    be.dw_backward_channels(in.go.data(), in.x.data(), weight.data(), g,
+                            gi.data(), wg.data(), bg.data(),
+                            static_cast<int>(channels[i]),
+                            static_cast<int>(channels[i + 1]));
+  }
+  EXPECT_TRUE(bit_equal(gi, ref_gi1)) << where << " grad_input, cut ranges";
+  EXPECT_TRUE(bit_equal(wg, ref_wg1)) << where << " weight grad, cut ranges";
+  EXPECT_TRUE(bit_equal(bg, ref_bg1)) << where << " bias grad, cut ranges";
+}
+
+TEST_P(DepthwiseGradTest, ScalarBackendBitExactWithBoundsCheckedLoop) {
+  expect_scalar_dw_bit_exact(GetParam());
+}
+
+// The search space's depthwise shapes (8/24/40 channels on 6x6, 48/80 on
+// 3x3, 96/160 on 2x2, expansions of 8/16/32) plus 7x7 and the channel tails
+// 5/6/7/9 that no lane group covers whole, at the eval (1), rollout (8)
+// and update (40) batches, k3 and k5, stride 1 and 2.
+TEST(DepthwiseConv2d, ScalarKernelsBitExactAtSearchShapes) {
+  struct MapChannels {
+    int hw;
+    std::vector<int> channels;
+  };
+  const MapChannels maps[] = {{6, {8, 24, 40, 5, 9}},
+                              {3, {48, 80, 6}},
+                              {2, {96, 160, 7}},
+                              {7, {40, 9}}};
+  for (const MapChannels& m : maps) {
+    for (const int c : m.channels) {
+      for (const int n : {1, 8, 40}) {
+        for (const int k : {3, 5}) {
+          for (const int stride : {1, 2}) {
+            expect_scalar_dw_bit_exact(DwParam{n, c, k, stride, m.hw, m.hw});
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(DepthwiseConv2d, EveryBackendBitIdenticalAtOneAndFourThreads) {

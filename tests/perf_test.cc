@@ -598,11 +598,32 @@ TEST(ChromeTrace, CosearchFullEmitsValidAnnotatedTrace) {
   ASSERT_TRUE(in.is_open());
   std::string line;
   bool gemm_annotated = false;
+  bool teacher_under_update = false;
   std::int64_t events = 0;
+  // The value text of `"key":` in the line (quotes stripped).
+  const auto field = [&line](const std::string& key) {
+    const std::size_t at = line.find("\"" + key + "\":");
+    if (at == std::string::npos) return std::string();
+    std::size_t b = at + key.size() + 3;
+    if (b < line.size() && line[b] == '"') ++b;
+    return line.substr(b, line.find_first_of("\",}", b) - b);
+  };
+  std::map<std::string, std::vector<std::string>> open;  // per tid
   while (std::getline(in, line)) {
-    if (line.find("\"ph\":\"B\"") != std::string::npos ||
-        line.find("\"ph\":\"E\"") != std::string::npos) {
+    const std::string ph = field("ph");
+    if (ph == "B" || ph == "E") {
       ++events;
+      std::vector<std::string>& stack = open[field("tid")];
+      if (ph == "E") {
+        if (!stack.empty()) stack.pop_back();
+      } else {
+        const std::string name = field("name");
+        if (name == "teacher-fwd" && !stack.empty() &&
+            stack.back() == "a2c-update") {
+          teacher_under_update = true;
+        }
+        stack.push_back(name);
+      }
     }
     if (line.find("\"name\":\"gemm\"") != std::string::npos &&
         line.find("\"ph\":\"E\"") != std::string::npos &&
@@ -613,6 +634,10 @@ TEST(ChromeTrace, CosearchFullEmitsValidAnnotatedTrace) {
   EXPECT_GT(events, 100);
   EXPECT_TRUE(gemm_annotated)
       << "no GEMM E event with flops annotation in " << trace.path();
+  // The distillation teacher's forward is named under the update scope
+  // (a2c-update/teacher-fwd), not left as bare kernels.
+  EXPECT_TRUE(teacher_under_update)
+      << "no teacher-fwd scope directly under a2c-update in " << trace.path();
 }
 
 // A3CS_PROFILE=1 without a trace: the pipeline's run scope outranks the

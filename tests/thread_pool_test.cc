@@ -122,38 +122,6 @@ TEST(ThreadPool, GrainBelowOneIsClamped) {
   EXPECT_EQ(total.load(), 10);
 }
 
-TEST(ThreadPool, MinParallelRangeKeepsSmallRegionsInline) {
-  ThreadPool pool(4);
-  // Range below the threshold: one inline fn(begin, end) call, no fan-out.
-  int calls = 0;
-  pool.parallel_for(
-      0, 32, 1,
-      [&](std::int64_t b, std::int64_t e) {
-        ++calls;
-        EXPECT_EQ(b, 0);
-        EXPECT_EQ(e, 32);
-      },
-      "small", /*min_parallel_range=*/64);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(pool.regions_inline(), 1);
-  EXPECT_EQ(pool.regions_parallel(), 0);
-
-  // Range at/above the threshold fans out as usual, covering every index
-  // exactly once.
-  std::vector<std::atomic<int>> hits(64);
-  for (auto& h : hits) h.store(0);
-  pool.parallel_for(
-      0, 64, 1,
-      [&](std::int64_t b, std::int64_t e) {
-        for (std::int64_t i = b; i < e; ++i) {
-          hits[static_cast<std::size_t>(i)].fetch_add(1);
-        }
-      },
-      "large", /*min_parallel_range=*/64);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_EQ(pool.regions_parallel(), 1);
-}
-
 TEST(ThreadPool, NestedRegionsRunInline) {
   ThreadPool pool(4);
   std::atomic<std::int64_t> inner_total{0};
