@@ -641,23 +641,6 @@ inline TapSpan valid_taps(int i0, int k, int extent) {
   return TapSpan{std::max(0, -i0), std::min(k, extent - i0)};
 }
 
-// Calls f(r, t) for the valid taps of one output cell, kernel rows then
-// columns ascending. A cell whose whole window is in bounds runs the
-// compile-time K x K loop when K is known (K = 0: the kernel size is only
-// known at run time).
-template <int K, typename F>
-inline void for_each_tap(TapSpan ky, TapSpan kx, F&& f) {
-  if (K > 0 && ky.k0 == 0 && ky.k1 == K && kx.k0 == 0 && kx.k1 == K) {
-    for (int r = 0; r < K; ++r) {
-      for (int t = 0; t < K; ++t) f(r, t);
-    }
-    return;
-  }
-  for (int r = ky.k0; r < ky.k1; ++r) {
-    for (int t = kx.k0; t < kx.k1; ++t) f(r, t);
-  }
-}
-
 // One depthwise output plane: acc = b, then the valid taps ky-then-kx
 // ascending (invalid taps skipped, as the bounds-checked loop skipped
 // them).
@@ -683,14 +666,15 @@ void dw_forward_plane(const float* x, const float* w, float b,
 }
 
 // The output planes of one lane group: kDwLanes adjacent channels of one
-// sample, x and y at the first channel's plane. `wi` holds the group's
-// weights as (tap, lane).
-template <int K>
-void dw_forward_group(const float* x, const v4f* wi, const float* b,
+// sample, x and y at the first channel's plane, w and b at its weight row
+// and bias.
+void dw_forward_group(const float* x, const float* w, const float* b,
                       const ConvGeometry& g, float* y) {
-  const int k = K > 0 ? K : g.kh;
+  const int k = g.kh;
   const int hw = g.h * g.w;
   const int ohw = g.oh * g.ow;
+  v4f wi[kDwMaxTaps * kDwNV];
+  dw_interleave(w, k * k, k * k, wi);
   v4f* xi = dw_workspace(static_cast<std::size_t>(hw + ohw) * kDwNV);
   v4f* yi = xi + static_cast<std::size_t>(hw) * kDwNV;
   dw_interleave(x, hw, hw, xi);
@@ -705,11 +689,13 @@ void dw_forward_group(const float* x, const v4f* wi, const float* b,
       const int cell = iy0 * g.w + ix0;
       v4f acc[kDwNV];
       for (int v = 0; v < kDwNV; ++v) acc[v] = bias[v];
-      for_each_tap<K>(ky, kx, [&](int r, int t) {
-        const v4f* wt = wi + (r * k + t) * kDwNV;
-        const v4f* xt = xi + (cell + r * g.w + t) * kDwNV;
-        for (int v = 0; v < kDwNV; ++v) acc[v] += wt[v] * xt[v];
-      });
+      for (int r = ky.k0; r < ky.k1; ++r) {
+        for (int t = kx.k0; t < kx.k1; ++t) {
+          const v4f* wt = wi + (r * k + t) * kDwNV;
+          const v4f* xt = xi + (cell + r * g.w + t) * kDwNV;
+          for (int v = 0; v < kDwNV; ++v) acc[v] += wt[v] * xt[v];
+        }
+      }
       v4f* o = yi + (oy * g.ow + ox) * kDwNV;
       for (int v = 0; v < kDwNV; ++v) o[v] = acc[v];
     }
@@ -727,19 +713,11 @@ void dw_forward_planes(const float* in, const float* weight, const float* bias,
   const int kk = g.kh * g.kw;
   const std::size_t hw = static_cast<std::size_t>(g.h) * g.w;
   const std::size_t ohw = static_cast<std::size_t>(g.oh) * g.ow;
-  const auto group = g.kh == 3   ? dw_forward_group<3>
-                     : g.kh == 5 ? dw_forward_group<5>
-                                 : dw_forward_group<0>;
-  v4f wi[kDwMaxTaps * kDwNV];
-  int wi_channel = -1;  // the group whose weights `wi` holds
   for (std::int64_t p = p0; p < p1;) {
     const int c = static_cast<int>(p % g.c);
     if (c + kDwLanes <= g.c && p + kDwLanes <= p1) {
-      if (c != wi_channel) {
-        dw_interleave(weight + static_cast<std::size_t>(c) * kk, kk, kk, wi);
-        wi_channel = c;
-      }
-      group(in + p * hw, wi, bias + c, g, out + p * ohw);
+      dw_forward_group(in + p * hw, weight + static_cast<std::size_t>(c) * kk,
+                       bias + c, g, out + p * ohw);
       p += kDwLanes;
     } else {
       dw_forward_plane(in + p * hw, weight + static_cast<std::size_t>(c) * kk,
@@ -805,12 +783,11 @@ void dw_backward_channel(const float* grad_out, const float* in,
 // accumulator keeps its value, so a -0.0 stays -0.0 and 0 * inf never
 // lands); a cell where every lane's go is 0 is skipped whole. grad_input
 // is pre-zeroed, so each plane's sums start from +0 in the workspace.
-template <int K>
 void dw_backward_group(const float* grad_out, const float* in,
                        const float* weight, const ConvGeometry& g,
                        float* grad_input, float* weight_grad,
                        float* bias_grad, int c) {
-  const int k = K > 0 ? K : g.kh;
+  const int k = g.kh;
   const int kk = k * k;
   const int hw = g.h * g.w;
   const int ohw = g.oh * g.ow;
@@ -845,16 +822,18 @@ void dw_backward_group(const float* grad_out, const float* in,
         const int ix0 = ox * g.stride - g.pad;
         const TapSpan kx = valid_taps(ix0, k, g.w);
         const int cell = iy0 * g.w + ix0;
-        for_each_tap<K>(ky, kx, [&](int r, int t) {
-          v4f* wgt = wgi + (r * k + t) * kDwNV;
-          const v4f* wt = wi + (r * k + t) * kDwNV;
-          const v4f* xt = xi + (cell + r * g.w + t) * kDwNV;
-          v4f* git = gii + (cell + r * g.w + t) * kDwNV;
-          for (int v = 0; v < kDwNV; ++v) {
-            wgt[v] = live[v] ? wgt[v] + go[v] * xt[v] : wgt[v];
-            git[v] = live[v] ? git[v] + go[v] * wt[v] : git[v];
+        for (int r = ky.k0; r < ky.k1; ++r) {
+          for (int t = kx.k0; t < kx.k1; ++t) {
+            v4f* wgt = wgi + (r * k + t) * kDwNV;
+            const v4f* wt = wi + (r * k + t) * kDwNV;
+            const v4f* xt = xi + (cell + r * g.w + t) * kDwNV;
+            v4f* git = gii + (cell + r * g.w + t) * kDwNV;
+            for (int v = 0; v < kDwNV; ++v) {
+              wgt[v] = live[v] ? wgt[v] + go[v] * xt[v] : wgt[v];
+              git[v] = live[v] ? git[v] + go[v] * wt[v] : git[v];
+            }
           }
-        });
+        }
       }
     }
     dw_deinterleave(gii, hw, grad_input + p * hw, hw);
@@ -873,12 +852,9 @@ void dw_backward_channels(const float* grad_out, const float* in,
                           const float* weight, const ConvGeometry& g,
                           float* grad_input, float* weight_grad,
                           float* bias_grad, int c0, int c1) {
-  const auto group = g.kh == 3   ? dw_backward_group<3>
-                     : g.kh == 5 ? dw_backward_group<5>
-                                 : dw_backward_group<0>;
   for (int c = c0; c < c1;) {
     if (c + kDwLanes <= c1) {
-      group(grad_out, in, weight, g, grad_input, weight_grad, bias_grad, c);
+      dw_backward_group(grad_out, in, weight, g, grad_input, weight_grad, bias_grad, c);
       c += kDwLanes;
     } else {
       dw_backward_channel(grad_out, in, weight, g, grad_input, weight_grad,

@@ -297,8 +297,9 @@ TEST_P(DepthwiseGradTest, ScalarBackendBitExactWithBoundsCheckedLoop) {
 // The search space's depthwise shapes (8/24/40 channels on 6x6, 48/80 on
 // 3x3, 96/160 on 2x2, expansions of 8/16/32) plus 7x7 and the channel tails
 // 5/6/7/9 that no lane group covers whole, at the eval (1), rollout (8)
-// and update (40) batches, k3 and k5, stride 1 and 2.
-TEST(DepthwiseConv2d, ScalarKernelsBitExactAtSearchShapes) {
+// and update (40) batches, k3 and k5, stride 1 and 2. A fixture of its own:
+// finite differences at these sizes would take minutes.
+std::vector<DwParam> search_dw_shapes() {
   struct MapChannels {
     int hw;
     std::vector<int> channels;
@@ -307,18 +308,36 @@ TEST(DepthwiseConv2d, ScalarKernelsBitExactAtSearchShapes) {
                               {3, {48, 80, 6}},
                               {2, {96, 160, 7}},
                               {7, {40, 9}}};
+  std::vector<DwParam> shapes;
   for (const MapChannels& m : maps) {
     for (const int c : m.channels) {
       for (const int n : {1, 8, 40}) {
         for (const int k : {3, 5}) {
           for (const int stride : {1, 2}) {
-            expect_scalar_dw_bit_exact(DwParam{n, c, k, stride, m.hw, m.hw});
+            shapes.push_back(DwParam{n, c, k, stride, m.hw, m.hw});
           }
         }
       }
     }
   }
+  return shapes;
 }
+
+class DepthwiseSearchShapeTest : public ::testing::TestWithParam<DwParam> {};
+
+TEST_P(DepthwiseSearchShapeTest, ScalarBackendBitExactWithBoundsCheckedLoop) {
+  expect_scalar_dw_bit_exact(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SearchShapes, DepthwiseSearchShapeTest,
+    ::testing::ValuesIn(search_dw_shapes()),
+    [](const ::testing::TestParamInfo<DwParam>& info) {
+      const DwParam& p = info.param;
+      return "n" + std::to_string(p.n) + "_c" + std::to_string(p.c) + "_k" +
+             std::to_string(p.k) + "_s" + std::to_string(p.stride) + "_" +
+             std::to_string(p.h) + "x" + std::to_string(p.w);
+    });
 
 TEST(DepthwiseConv2d, EveryBackendBitIdenticalAtOneAndFourThreads) {
   struct Case {
