@@ -240,17 +240,6 @@ HwEval Predictor::evaluate(const PreparedNetwork& net,
   const double bytes_per_cycle_total = budget_.dram_bytes_per_cycle;
   const double sram_total = budget_.bram_bytes();
 
-  std::vector<double> chunk_sram(static_cast<std::size_t>(config.num_chunks()));
-  std::vector<double> chunk_bw(static_cast<std::size_t>(config.num_chunks()));
-  for (int c = 0; c < config.num_chunks(); ++c) {
-    const double share =
-        static_cast<double>(config.chunks[static_cast<std::size_t>(c)]
-                                .num_pes()) /
-        std::max(1, total_pes);
-    chunk_sram[static_cast<std::size_t>(c)] = sram_total * share;
-    chunk_bw[static_cast<std::size_t>(c)] = bytes_per_cycle_total * share;
-  }
-
   std::vector<double> chunk_sram_needed(
       static_cast<std::size_t>(config.num_chunks()), 0.0);
   for (const LayerWorkload& wl : net.layers) {
@@ -258,10 +247,12 @@ HwEval Predictor::evaluate(const PreparedNetwork& net,
         config.group_to_chunk[static_cast<std::size_t>(wl.group)];
     A3CS_CHECK(chunk_idx >= 0 && chunk_idx < config.num_chunks(),
                "layer allocated to a nonexistent chunk");
-    LayerCost lc = layer_cost(
-        wl, config.chunks[static_cast<std::size_t>(chunk_idx)],
-        chunk_sram[static_cast<std::size_t>(chunk_idx)],
-        chunk_bw[static_cast<std::size_t>(chunk_idx)]);
+    const ChunkConfig& chunk =
+        config.chunks[static_cast<std::size_t>(chunk_idx)];
+    const double share =
+        static_cast<double>(chunk.num_pes()) / std::max(1, total_pes);
+    LayerCost lc = layer_cost(wl, chunk, sram_total * share,
+                              bytes_per_cycle_total * share);
     lc.chunk = chunk_idx;
     eval.energy_nj += lc.energy_nj;
     eval.chunk_cycles[static_cast<std::size_t>(chunk_idx)] += lc.cycles;

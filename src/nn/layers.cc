@@ -32,9 +32,9 @@ std::int64_t column_grain(int out_c, int ckk) {
 // up to whole lane groups of the scalar kernels. The lane-group kernels do
 // a multiply-add about 3x faster than the plane loop did at the 16K grain,
 // and 64K measured best of 16K-1G on the search shapes at 2 threads. One
-// grain serves both backends: avx2 runs its stride-2 layers on these
-// kernels, and its dw rows timed within noise of the 16K per-plane grain
-// or faster.
+// grain serves both backends: the avx2 table takes its depthwise entries
+// from the scalar one, so both run these kernels at every stride and
+// shape.
 std::int64_t dw_grain(std::int64_t unit_work) {
   constexpr std::int64_t lanes = tensor::backend::kDwLanes;
   const std::int64_t units = std::max<std::int64_t>(

@@ -68,9 +68,7 @@ std::vector<std::string> available_names() {
   return names;
 }
 
-ScopedBackend::ScopedBackend(const Backend& b)
-    : prev_(active_slot().load(std::memory_order_acquire)) {
-  if (prev_ == nullptr) prev_ = &scalar_backend();
+ScopedBackend::ScopedBackend(const Backend& b) : prev_(&active()) {
   active_slot().store(&b, std::memory_order_release);
 }
 

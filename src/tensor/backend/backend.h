@@ -16,14 +16,16 @@
 //    -ffp-contract=off. This is the DEFAULT and is bit-exact with
 //    the pre-backend row loops: every output keeps the same operation
 //    sequence (no FMA, same reduction order), so the same results.
-//  - "avx2":   256-bit AVX2/FMA kernels (packed 6x16 GEMM micro-kernel,
-//    vectorized im2col/col2im, 4x16 FMA conv tiles), compiled per-TU with
-//    -mavx2 -mfma and registered only when the host CPU supports both.
-//    Deterministic across thread counts, but NOT bit-identical to scalar:
-//    FMA contracts the multiply-add rounding step and the vectorized
-//    reductions reorder float sums. Cross-backend agreement is enforced
-//    under a documented ULP tolerance by tests/backend_check_test.cc via
-//    tensor/backend/check.h.
+//  - "avx2":   the scalar table with 256-bit AVX2/FMA versions of the
+//    entries FMA wins (packed 6x16 GEMM micro-kernel, vectorized col2im,
+//    4x16 FMA conv tiles); im2col and the depthwise kernels are the scalar
+//    ones. Compiled per-TU with -mavx2 -mfma and registered only when the
+//    host CPU supports both. Deterministic across thread counts; im2col,
+//    col2im and depthwise are bit-identical to scalar, the GEMM and conv
+//    entries are NOT: FMA contracts the multiply-add rounding step and the
+//    vectorized reductions reorder float sums. Cross-backend agreement is
+//    enforced (under a documented ULP tolerance for GEMM and conv) by
+//    tests/backend_check_test.cc via tensor/backend/check.h.
 //
 // Selection: A3CS_BACKEND={scalar,avx2,auto} (default scalar). "auto" picks
 // the fastest backend the CPU supports; asking for avx2 on a host without
@@ -151,7 +153,9 @@ void select_from_env();
 // Names of the backends usable on this host, scalar first.
 std::vector<std::string> available_names();
 
-// RAII backend override for benches and the cross-backend checker.
+// RAII backend override for benches and the cross-backend checker. Saves
+// active(), so a scope opened before any other backend use still resolves
+// (and validates) A3CS_BACKEND and restores that choice on exit.
 class ScopedBackend {
  public:
   explicit ScopedBackend(const Backend& b);

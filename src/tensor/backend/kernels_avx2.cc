@@ -6,14 +6,20 @@
 // __builtin_cpu_supports("avx2"/"fma"), so a binary built here still runs
 // (on the scalar backend) on older x86 hosts.
 //
+// The table is the scalar backend's with five entries replaced: GEMM,
+// col2im and the three conv shard kernels. im2col and the depthwise kernels
+// are the scalar ones: at the search's 2x2-12x12 maps they beat every AVX2
+// form timed against them (docs/PERFORMANCE.md).
+//
 // Numerics: deterministic at every thread count — shard boundaries come from
 // the caller and every per-element reduction runs in a fixed order (kk
 // ascending in GEMM, lane-then-horizontal in fixed order for the conv
-// gradient dots) — but NOT bit-identical to the scalar backend: FMA fuses
-// the multiply-add rounding step and 8-lane sums reorder float addition.
-// im2col (pure data movement) and col2im (same per-element add order) ARE
-// bit-exact with scalar. Cross-backend agreement is enforced under the ULP
-// tolerance of tensor/backend/check.h by tests/backend_check_test.cc.
+// gradient dots) — but the GEMM and conv entries are NOT bit-identical to
+// the scalar backend: FMA fuses the multiply-add rounding step and 8-lane
+// sums reorder float addition. col2im (same per-element add order) is
+// bit-exact with scalar. Cross-backend agreement is enforced (the GEMM and
+// conv entries under the ULP tolerance of tensor/backend/check.h) by
+// tests/backend_check_test.cc.
 #include "tensor/backend/backend.h"
 
 #if defined(A3CS_BACKEND_AVX2_TU)
@@ -23,8 +29,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 #include <vector>
 
 namespace a3cs::tensor::backend {
@@ -216,54 +220,6 @@ void gemm_rows(const float* a, bool trans_a, const float* b, bool trans_b,
       micro_6x16(packed_a.data() + static_cast<std::size_t>(s) * k * kMR,
                  packed_b.data(), k, c + static_cast<std::size_t>(i0) * n + j0,
                  n, mr, nr, alpha_v, beta_v, alpha, beta);
-    }
-  }
-}
-
-// im2col rows. Pure data movement, bit-exact with scalar. The stride==1 fast
-// path turns the gather of each output row segment into prefix-zeros, one
-// contiguous copy and suffix-zeros.
-void im2col_rows(const float* in, const ConvGeometry& g, float* out, int cr0,
-                 int cr1) {
-  const int hw = g.h * g.w;
-  const int ohw = g.oh * g.ow;
-  const int col_cols = g.n * ohw;
-  for (int cr = cr0; cr < cr1; ++cr) {
-    const int kw_off = cr % g.kw;
-    const int kh_off = (cr / g.kw) % g.kh;
-    const int ch = cr / (g.kw * g.kh);
-    float* orow = out + static_cast<std::size_t>(cr) * col_cols;
-    // Valid ox range for stride==1: 0 <= ox - pad + kw_off < w.
-    const int x_lo = std::max(0, g.pad - kw_off);
-    const int x_hi = std::min(g.ow, g.w + g.pad - kw_off);
-    for (int n = 0; n < g.n; ++n) {
-      const float* img = in + (static_cast<std::size_t>(n) * g.c + ch) * hw;
-      float* ocell = orow + static_cast<std::size_t>(n) * ohw;
-      for (int oy = 0; oy < g.oh; ++oy) {
-        const int iy = oy * g.stride - g.pad + kh_off;
-        if (iy < 0 || iy >= g.h) {
-          std::fill(ocell, ocell + g.ow, 0.0f);
-          ocell += g.ow;
-          continue;
-        }
-        const float* irow = img + static_cast<std::size_t>(iy) * g.w;
-        if (g.stride == 1) {
-          if (x_lo > 0) std::fill(ocell, ocell + std::min(x_lo, g.ow), 0.0f);
-          if (x_hi > x_lo) {
-            std::memcpy(ocell + x_lo, irow + (x_lo - g.pad + kw_off),
-                        static_cast<std::size_t>(x_hi - x_lo) * sizeof(float));
-          }
-          if (x_hi < g.ow) {
-            std::fill(ocell + std::max(x_hi, 0), ocell + g.ow, 0.0f);
-          }
-          ocell += g.ow;
-        } else {
-          for (int ox = 0; ox < g.ow; ++ox) {
-            const int ix = ox * g.stride - g.pad + kw_off;
-            *ocell++ = (ix < 0 || ix >= g.w) ? 0.0f : irow[ix];
-          }
-        }
-      }
     }
   }
 }
@@ -555,140 +511,6 @@ void conv_backward_colgrad(const float* grad_out, const float* weight,
   }
 }
 
-// Depthwise stride-1 kernels work on zero-padded copies of each plane laid
-// out row-major with the padded width `wp`. In that layout output (oy, ox)
-// and tap (ky, kx) read padded cell (oy + ky) * wp + ox + kx, so the output
-// at flat index j = oy * wp + ox is a 1-D correlation: sum over taps of
-// w[tap] * pad[j + ky * wp + kx]. The flat loop runs whole 8-lane FMA
-// blocks over every row at once (columns ox >= ow are computed and dropped),
-// which keeps the search space's 2x2..6x6 planes vectorised. Padded zeros
-// enter as exact +-0 addends. Other strides (and pads as wide as the
-// kernel) run the scalar backend's kernels.
-bool dw_flat_ok(const ConvGeometry& g) {
-  return g.stride == 1 && g.pad < g.kh;
-}
-
-// Copies an h x w plane into the zeroed (h + top + bottom) x wp buffer `dst`
-// at row `top`, column `left`.
-void pad_plane(const float* src, int h, int w, float* dst, int wp, int top,
-               int left) {
-  for (int y = 0; y < h; ++y) {
-    std::memcpy(dst + static_cast<std::size_t>(y + top) * wp + left,
-                src + static_cast<std::size_t>(y) * w,
-                static_cast<std::size_t>(w) * sizeof(float));
-  }
-}
-
-// dst[j] = init + sum_{ky,kx} w[ky * k + kx] * src[j + ky * ld + kx] for
-// j in [0, len), taps ky-then-kx ascending per lane. `dst` and the reads of
-// `src` may run up to 7 floats past len (callers size their buffers so).
-void flat_correlate(const float* src, int ld, const float* w, int k,
-                    float init, float* dst, int len) {
-  for (int j = 0; j < len; j += 8) {
-    __m256 acc = _mm256_set1_ps(init);
-    for (int ky = 0; ky < k; ++ky) {
-      const float* row = src + j + static_cast<std::size_t>(ky) * ld;
-      for (int kx = 0; kx < k; ++kx) {
-        acc = _mm256_fmadd_ps(_mm256_broadcast_ss(w + ky * k + kx),
-                              _mm256_loadu_ps(row + kx), acc);
-      }
-    }
-    _mm256_storeu_ps(dst + j, acc);
-  }
-}
-
-// Depthwise forward planes [p0, p1): pad, flat-correlate, drop the padded
-// columns.
-void dw_forward_planes(const float* in, const float* weight, const float* bias,
-                       const ConvGeometry& g, float* out, std::int64_t p0,
-                       std::int64_t p1) {
-  if (!dw_flat_ok(g)) {
-    scalar_backend().dw_forward_planes(in, weight, bias, g, out, p0, p1);
-    return;
-  }
-  const int k = g.kh;
-  const int wp = g.w + 2 * g.pad;
-  const int len = g.oh * wp;
-  std::vector<float> padded(
-      static_cast<std::size_t>(g.h + 2 * g.pad) * wp + k + 8, 0.0f);
-  std::vector<float> flat(static_cast<std::size_t>(len) + 8);
-  for (std::int64_t p = p0; p < p1; ++p) {
-    const int c = static_cast<int>(p % g.c);
-    pad_plane(in + static_cast<std::size_t>(p) * g.h * g.w, g.h, g.w,
-              padded.data(), wp, g.pad, g.pad);
-    flat_correlate(padded.data(), wp,
-                   weight + static_cast<std::size_t>(c) * k * k, k, bias[c],
-                   flat.data(), len);
-    float* y = out + static_cast<std::size_t>(p) * g.oh * g.ow;
-    for (int oy = 0; oy < g.oh; ++oy) {
-      std::memcpy(y + static_cast<std::size_t>(oy) * g.ow,
-                  flat.data() + static_cast<std::size_t>(oy) * wp,
-                  static_cast<std::size_t>(g.ow) * sizeof(float));
-    }
-  }
-}
-
-// Depthwise gradients of channels [c0, c1), samples ascending. Per plane:
-// the bias gets one double sum; weight tap (ky, kx) gets one double dot of
-// grad_out (widened to the padded width with zero columns) against the
-// padded input shifted by ky * wp + kx; grad_input is the full correlation
-// of grad_out, padded by k - 1 - pad, with the flipped filter — each input
-// cell gathered once instead of scatter-added per tap.
-void dw_backward_channels(const float* grad_out, const float* in,
-                          const float* weight, const ConvGeometry& g,
-                          float* grad_input, float* weight_grad,
-                          float* bias_grad, int c0, int c1) {
-  if (!dw_flat_ok(g)) {
-    scalar_backend().dw_backward_channels(grad_out, in, weight, g, grad_input,
-                                          weight_grad, bias_grad, c0, c1);
-    return;
-  }
-  const int k = g.kh;
-  const int taps = k * k;
-  const int wp = g.w + 2 * g.pad;
-  const int len = g.oh * wp;
-  const int q = k - 1 - g.pad;  // grad_out offset of the full correlation
-  const int wq = g.w + k - 1;   // its padded width
-  const int glen = g.h * wq;
-  std::vector<float> padded(
-      static_cast<std::size_t>(g.h + 2 * g.pad) * wp + k + 8, 0.0f);
-  std::vector<float> go_wide(static_cast<std::size_t>(len), 0.0f);
-  std::vector<float> go_padded(
-      static_cast<std::size_t>(g.h + k - 1) * wq + k + 8, 0.0f);
-  std::vector<float> flipped(static_cast<std::size_t>(taps));
-  std::vector<float> flat(static_cast<std::size_t>(glen) + 8);
-  for (int c = c0; c < c1; ++c) {
-    const float* w = weight + static_cast<std::size_t>(c) * taps;
-    float* wg = weight_grad + static_cast<std::size_t>(c) * taps;
-    for (int t = 0; t < taps; ++t) flipped[t] = w[taps - 1 - t];
-    for (int n = 0; n < g.n; ++n) {
-      const std::size_t p = static_cast<std::size_t>(n) * g.c + c;
-      const float* go = grad_out + p * g.oh * g.ow;
-      bias_grad[c] += static_cast<float>(sum_pd(go, g.oh * g.ow));
-      pad_plane(in + p * g.h * g.w, g.h, g.w, padded.data(), wp, g.pad,
-                g.pad);
-      pad_plane(go, g.oh, g.ow, go_wide.data(), wp, 0, 0);
-      for (int ky = 0; ky < k; ++ky) {
-        for (int kx = 0; kx < k; ++kx) {
-          wg[ky * k + kx] += static_cast<float>(
-              dot_pd(go_wide.data(),
-                     padded.data() + static_cast<std::size_t>(ky) * wp + kx,
-                     len));
-        }
-      }
-      pad_plane(go, g.oh, g.ow, go_padded.data(), wq, q, q);
-      flat_correlate(go_padded.data(), wq, flipped.data(), k, 0.0f,
-                     flat.data(), glen);
-      float* gi = grad_input + p * g.h * g.w;
-      for (int iy = 0; iy < g.h; ++iy) {
-        const float* src = flat.data() + static_cast<std::size_t>(iy) * wq;
-        float* dst = gi + static_cast<std::size_t>(iy) * g.w;
-        for (int ix = 0; ix < g.w; ++ix) dst[ix] += src[ix];
-      }
-    }
-  }
-}
-
 }  // namespace
 
 const Backend* avx2_backend() {
@@ -699,11 +521,16 @@ const Backend* avx2_backend() {
   static const bool supported = false;
 #endif
   if (!supported) return nullptr;
-  static const Backend kAvx2{
-      "avx2",            gemm_rows,           im2col_rows,
-      col2im_channels,   conv_forward_cols,   conv_backward_wgrad,
-      conv_backward_colgrad, dw_forward_planes, dw_backward_channels,
-  };
+  static const Backend kAvx2 = [] {
+    Backend b = scalar_backend();
+    b.name = "avx2";
+    b.gemm_rows = gemm_rows;
+    b.col2im_channels = col2im_channels;
+    b.conv_forward_cols = conv_forward_cols;
+    b.conv_backward_wgrad = conv_backward_wgrad;
+    b.conv_backward_colgrad = conv_backward_colgrad;
+    return b;
+  }();
   return &kAvx2;
 }
 

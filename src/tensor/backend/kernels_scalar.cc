@@ -1,10 +1,11 @@
-// The blocked-scalar reference backend: the portable kernels moved verbatim
-// from tensor/ops.cc and nn/layers.cc, plus the depthwise kernels and the
-// conv register tiles, which restructure the loops but keep every
-// per-element operation order. Compiled for the baseline ISA (no
-// -mavx2/-mfma) at -O3 with -ffp-contract=off (src/CMakeLists.txt): -O3
-// never reassociates float math, and with contraction off every
-// `a += b * c` stays a rounded multiply then a rounded add on any target.
+// The blocked-scalar reference backend: register-tiled GEMM and conv
+// kernels, depthwise lane groups and the im2col/col2im row loops, each
+// keeping the per-element operation order of the plain loops they replaced.
+// The avx2 backend reuses its im2col and depthwise entries. Compiled for
+// the baseline ISA (no -mavx2/-mfma) at -O3 with -ffp-contract=off
+// (src/CMakeLists.txt): -O3 never reassociates float math, and with
+// contraction off every `a += b * c` stays a rounded multiply then a
+// rounded add on any target.
 // So on every host A3CS_BACKEND=scalar is bit-identical to the historical
 // results at every thread count.
 #include <algorithm>

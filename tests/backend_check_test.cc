@@ -1,9 +1,11 @@
 // Cross-backend validation: every kernel of the avx2 backend must agree
 // with the scalar reference across a shape/stride/trans-flag/thread-count
-// grid (the depthwise kernels at the co-search's real shapes) under the ULP
-// tolerance policy of tensor/backend/check.h — plus unit
-// coverage for the checker utility itself (tolerance violations, NaN/Inf
-// reporting, deterministic failure messages).
+// grid — bit-identical for im2col, col2im and depthwise conv (at the
+// co-search's real shapes), under the ULP tolerance policy of
+// tensor/backend/check.h for GEMM and conv — plus unit coverage for the
+// checker utility itself (tolerance violations, NaN/Inf reporting,
+// deterministic failure messages) and for ScopedBackend's resolution of
+// A3CS_BACKEND.
 //
 // On hosts without AVX2+FMA the grid cases GTEST_SKIP; the checker-utility
 // cases always run.
@@ -20,9 +22,11 @@
 #include "conv_shapes.h"
 #include "nas/arch.h"
 #include "nas/ops.h"
+#include "nn/layers.h"
 #include "tensor/backend/backend.h"
 #include "tensor/backend/check.h"
 #include "tensor/ops.h"
+#include "util/config.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -39,6 +43,34 @@ std::vector<float> random_vec(std::int64_t n, util::Rng& rng, double lo = -1.0,
   std::vector<float> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = static_cast<float>(rng.uniform(lo, hi));
   return v;
+}
+
+// ------------------------------------------- A3CS_BACKEND on first use --
+// These cases must be the first backend use in their process, so they come
+// first in the file; their ctest entries (tests/CMakeLists.txt) run each
+// alone with A3CS_BACKEND set. Without that setting they skip.
+
+TEST(ScopedBackendFirstUse, RestoresTheEnvBackend) {
+  if (util::env_string("A3CS_BACKEND", "") != "avx2") {
+    GTEST_SKIP() << "runs under A3CS_BACKEND=avx2";
+  }
+  if (!backend::cpu_supports_avx2()) {
+    GTEST_SKIP() << "host lacks AVX2+FMA; avx2 backend unavailable";
+  }
+  {
+    backend::ScopedBackend use(backend::scalar_backend());
+    EXPECT_STREQ(backend::active().name, "scalar");
+  }
+  EXPECT_STREQ(backend::active().name, "avx2");
+}
+
+TEST(ScopedBackendFirstUse, MalformedEnvThrows) {
+  const std::string env = util::env_string("A3CS_BACKEND", "");
+  if (env.empty() || env == "scalar" || env == "avx2" || env == "auto") {
+    GTEST_SKIP() << "runs under a malformed A3CS_BACKEND";
+  }
+  EXPECT_THROW(backend::ScopedBackend use(backend::scalar_backend()),
+               util::InputError);
 }
 
 // ------------------------------------------------- checker utility itself --
@@ -266,9 +298,18 @@ TEST_F(BackendGrid, Im2colAndCol2imBitExactAcrossStridePadGrid) {
   struct GeomCase {
     int n, c, h, w, kh, stride, pad;
   };
-  const GeomCase geoms[] = {{2, 3, 12, 12, 3, 1, 1}, {1, 1, 5, 5, 3, 2, 0},
-                            {2, 2, 8, 8, 1, 1, 0},   {1, 3, 9, 7, 5, 1, 2},
-                            {3, 1, 6, 6, 3, 2, 1},   {1, 2, 4, 4, 4, 1, 3}};
+  std::vector<GeomCase> geoms = {
+      {2, 3, 12, 12, 3, 1, 1}, {1, 1, 5, 5, 3, 2, 0}, {2, 2, 8, 8, 1, 1, 0},
+      {1, 3, 9, 7, 5, 1, 2},   {3, 1, 6, 6, 3, 2, 1}, {1, 2, 4, 4, 4, 1, 3}};
+  // The search geometries: its 12x12 frames and 6x6, 3x3 and 2x2 cell maps,
+  // k1/k3/k5 at "same" padding, strides 1 and 2.
+  for (const int hw : {2, 3, 6, 12}) {
+    for (const int k : {1, 3, 5}) {
+      for (const int stride : {1, 2}) {
+        geoms.push_back({3, 4, hw, hw, k, stride, k / 2});
+      }
+    }
+  }
   backend::CheckOptions exact;
   exact.max_ulps = 0;
   exact.abs_tol = 0.0f;
@@ -423,83 +464,77 @@ TEST_F(BackendGrid, ConvKernelsMatchScalarUnderTolerance) {
   }
 }
 
-TEST_F(BackendGrid, DepthwiseKernelsMatchScalarAtSearchShapes) {
+TEST_F(BackendGrid, DepthwiseConvBitIdenticalAtSearchShapes) {
   // Every depthwise conv a 6-cell co-search on the 12x12 arcade frames runs:
   // each cell's input geometry (6x6, 3x3, 2x2; strides 1 and 2) crossed with
   // the inverted-residual candidates (k3/k5 x expansion 1/3/5), at the
-  // rollout batch (8 envs) and the 5-step update batch (40).
+  // rollout batch (8 envs) and the 5-step update batch (40). The layer's
+  // forward and its second, accumulating backward must be bit-identical on
+  // both backends at 1 and 4 threads.
   nas::SearchSpaceConfig cfg;
   cfg.num_cells = 6;
   const auto space = nas::space_geometry(nn::ObsSpec{3, 12, 12}, cfg);
-  const backend::Backend& sc = backend::scalar_backend();
-  const backend::Backend& av = *backend::avx2_backend();
-  util::Rng rng(41);
+  const backend::Backend* backends[] = {&backend::scalar_backend(),
+                                        backend::avx2_backend()};
+  const char* what[] = {"output", "grad_input", "weight grad", "bias grad"};
+  backend::CheckOptions exact;
+  exact.max_ulps = 0;
+  exact.abs_tol = 0.0f;
   int cases = 0;
   for (const nas::CellGeometry& cell : space.cells) {
     for (const nas::CandidateOp& op : nas::candidate_ops()) {
       if (op.expansion == 0) continue;
       for (const int n : {8, 40}) {
         const int ch = cell.in_c * op.expansion;
-        const auto g = ConvGeometry::make(
-            Shape::nchw(n, ch, cell.in_h, cell.in_w), op.kernel, op.kernel,
-            cell.stride, op.kernel / 2);
-        const int taps = op.kernel * op.kernel;
-        const std::int64_t in_size =
-            static_cast<std::int64_t>(n) * ch * g.h * g.w;
-        const std::int64_t out_size =
-            static_cast<std::int64_t>(n) * ch * g.oh * g.ow;
-        const auto x = random_vec(in_size, rng);
-        const auto weight = random_vec(static_cast<std::int64_t>(ch) * taps,
-                                       rng);
-        const auto bias = random_vec(ch, rng);
-        const auto grad_out = random_vec(out_size, rng);
         const std::string label = op.id + " " + std::to_string(n) + "x" +
                                   std::to_string(ch) + "x" +
-                                  std::to_string(g.h) + "x" +
-                                  std::to_string(g.w) + " s" +
-                                  std::to_string(g.stride);
-
-        std::vector<float> out_ref(static_cast<std::size_t>(out_size));
-        std::vector<float> out_avx(out_ref.size());
-        sc.dw_forward_planes(x.data(), weight.data(), bias.data(), g,
-                             out_ref.data(), 0,
-                             static_cast<std::int64_t>(n) * ch);
-        av.dw_forward_planes(x.data(), weight.data(), bias.data(), g,
-                             out_avx.data(), 0,
-                             static_cast<std::int64_t>(n) * ch);
-        const auto tap_tol = backend::tolerance_for_reduction(taps);
-        auto res = backend::compare_elementwise(
-            out_ref.data(), out_avx.data(), out_size, tap_tol,
-            "dw-fwd " + label);
-        EXPECT_TRUE(res.ok) << res.message;
-
-        // Weight/bias grads accumulate (+=) into identical nonzero state;
-        // grad_input starts zeroed as the module hands it over.
-        const auto wg0 = random_vec(static_cast<std::int64_t>(ch) * taps, rng);
-        const auto bg0 = random_vec(ch, rng);
-        std::vector<float> wg_ref = wg0, wg_avx = wg0;
-        std::vector<float> bg_ref = bg0, bg_avx = bg0;
-        std::vector<float> gi_ref(static_cast<std::size_t>(in_size), 0.0f);
-        std::vector<float> gi_avx(gi_ref.size(), 0.0f);
-        sc.dw_backward_channels(grad_out.data(), x.data(), weight.data(), g,
-                                gi_ref.data(), wg_ref.data(), bg_ref.data(),
-                                0, ch);
-        av.dw_backward_channels(grad_out.data(), x.data(), weight.data(), g,
-                                gi_avx.data(), wg_avx.data(), bg_avx.data(),
-                                0, ch);
-        res = backend::compare_elementwise(gi_ref.data(), gi_avx.data(),
-                                           in_size, tap_tol,
-                                           "dw-bwd input " + label);
-        EXPECT_TRUE(res.ok) << res.message;
-        const auto sum_tol = backend::tolerance_for_reduction(n * g.oh * g.ow);
-        res = backend::compare_elementwise(
-            wg_ref.data(), wg_avx.data(),
-            static_cast<std::int64_t>(wg_ref.size()), sum_tol,
-            "dw-bwd weight " + label);
-        EXPECT_TRUE(res.ok) << res.message;
-        res = backend::compare_elementwise(bg_ref.data(), bg_avx.data(), ch,
-                                           sum_tol, "dw-bwd bias " + label);
-        EXPECT_TRUE(res.ok) << res.message;
+                                  std::to_string(cell.in_h) + "x" +
+                                  std::to_string(cell.in_w) + " s" +
+                                  std::to_string(cell.stride);
+        const Shape in_shape = Shape::nchw(n, ch, cell.in_h, cell.in_w);
+        const auto g = ConvGeometry::make(in_shape, op.kernel, op.kernel,
+                                          cell.stride, op.kernel / 2);
+        util::Rng data_rng(43);
+        Tensor x(in_shape);
+        Tensor go(Shape::nchw(n, ch, g.oh, g.ow));
+        for (Tensor* t : {&x, &go}) {
+          for (std::int64_t i = 0; i < t->numel(); ++i) {
+            (*t)[i] = static_cast<float>(data_rng.uniform(-1.0, 1.0));
+          }
+        }
+        std::vector<Tensor> ref;
+        for (const backend::Backend* be : backends) {
+          backend::ScopedBackend use(*be);
+          for (const int threads : {1, 4}) {
+            util::ThreadPool::set_global_threads(threads);
+            util::Rng rng(41);
+            nn::DepthwiseConv2d dw("dw", ch, op.kernel, cell.stride,
+                                   op.kernel / 2, rng);
+            dw.forward(x);
+            dw.backward(go);
+            Tensor out = dw.forward(x);
+            Tensor gi = dw.backward(go);
+            const auto params = dw.parameters();
+            const std::vector<Tensor> got = {out, gi, params[0]->grad,
+                                             params[1]->grad};
+            if (ref.empty()) {
+              ref = got;
+              continue;
+            }
+            for (std::size_t k = 0; k < got.size(); ++k) {
+              const std::string at = std::string(what[k]) + " " + label +
+                                     " " + be->name + " t" +
+                                     std::to_string(threads);
+              const auto res = backend::compare_tensors(ref[k], got[k], exact,
+                                                        "dw " + at);
+              EXPECT_TRUE(res.ok) << res.message;
+              EXPECT_EQ(std::memcmp(ref[k].data(), got[k].data(),
+                                    ref[k].numel() * sizeof(float)),
+                        0)
+                  << "dw " << at << " differs in sign bits";
+            }
+          }
+        }
         ++cases;
       }
     }
