@@ -17,15 +17,16 @@
 //    the pre-backend row loops: every output keeps the same operation
 //    sequence (no FMA, same reduction order), so the same results.
 //  - "avx2":   the scalar table with 256-bit AVX2/FMA versions of the
-//    entries FMA wins (packed 6x16 GEMM micro-kernel, vectorized col2im,
-//    4x16 FMA conv tiles); im2col and the depthwise kernels are the scalar
-//    ones. Compiled per-TU with -mavx2 -mfma and registered only when the
-//    host CPU supports both. Deterministic across thread counts; im2col,
-//    col2im and depthwise are bit-identical to scalar, the GEMM and conv
-//    entries are NOT: FMA contracts the multiply-add rounding step and the
-//    vectorized reductions reorder float sums. Cross-backend agreement is
-//    enforced (under a documented ULP tolerance for GEMM and conv) by
-//    tests/backend_check_test.cc via tensor/backend/check.h.
+//    entries FMA wins (packed 6x16 GEMM micro-kernel, 4x16 FMA conv
+//    forward and column-gradient tiles); im2col, col2im, the conv weight
+//    gradient and the depthwise kernels are the scalar ones. Compiled
+//    per-TU with -mavx2 -mfma and registered only when the host CPU
+//    supports both. Deterministic across thread counts; everything but the
+//    GEMM and the two FMA conv entries is bit-identical to scalar, those
+//    three are NOT: FMA contracts the multiply-add rounding step.
+//    Cross-backend agreement is enforced (under a documented ULP tolerance
+//    for those three) by tests/backend_check_test.cc via
+//    tensor/backend/check.h.
 //
 // Selection: A3CS_BACKEND={scalar,avx2,auto} (default scalar). "auto" picks
 // the fastest backend the CPU supports; asking for avx2 on a host without

@@ -6,20 +6,18 @@
 // __builtin_cpu_supports("avx2"/"fma"), so a binary built here still runs
 // (on the scalar backend) on older x86 hosts.
 //
-// The table is the scalar backend's with five entries replaced: GEMM,
-// col2im and the three conv shard kernels. im2col and the depthwise kernels
-// are the scalar ones: at the search's 2x2-12x12 maps they beat every AVX2
-// form timed against them (docs/PERFORMANCE.md).
+// The table is the scalar backend's with three entries replaced: the GEMM,
+// the conv forward and the conv column gradient. im2col, col2im, the conv
+// weight gradient and the depthwise kernels are the scalar ones: at the
+// search's 2x2-12x12 maps they beat every AVX2 form timed against them
+// (docs/PERFORMANCE.md).
 //
 // Numerics: deterministic at every thread count — shard boundaries come from
 // the caller and every per-element reduction runs in a fixed order (kk
-// ascending in GEMM, lane-then-horizontal in fixed order for the conv
-// gradient dots) — but the GEMM and conv entries are NOT bit-identical to
-// the scalar backend: FMA fuses the multiply-add rounding step and 8-lane
-// sums reorder float addition. col2im (same per-element add order) is
-// bit-exact with scalar. Cross-backend agreement is enforced (the GEMM and
-// conv entries under the ULP tolerance of tensor/backend/check.h) by
-// tests/backend_check_test.cc.
+// ascending in GEMM, oc ascending in the column gradient) — but the three
+// AVX2 entries are NOT bit-identical to the scalar backend: FMA fuses the
+// multiply-add rounding step. Cross-backend agreement is enforced (under the
+// ULP tolerance of tensor/backend/check.h) by tests/backend_check_test.cc.
 #include "tensor/backend/backend.h"
 
 #if defined(A3CS_BACKEND_AVX2_TU)
@@ -224,93 +222,6 @@ void gemm_rows(const float* a, bool trans_a, const float* b, bool trans_b,
   }
 }
 
-// col2im channels. Bit-exact with scalar: every image cell receives its adds
-// in the same ascending column-row order; the stride==1 middle segment is an
-// elementwise 8-lane vector add, which does not reorder any per-cell sum.
-void col2im_channels(const float* in, const ConvGeometry& g, float* out,
-                     int c0, int c1) {
-  const int hw = g.h * g.w;
-  const int ohw = g.oh * g.ow;
-  const int col_cols = g.n * ohw;
-  const int khw = g.kh * g.kw;
-  for (int cr = c0 * khw; cr < c1 * khw; ++cr) {
-    const int kw_off = cr % g.kw;
-    const int kh_off = (cr / g.kw) % g.kh;
-    const int ch = cr / (g.kw * g.kh);
-    const float* irow = in + static_cast<std::size_t>(cr) * col_cols;
-    const int x_lo = std::max(0, g.pad - kw_off);
-    const int x_hi = std::min(g.ow, g.w + g.pad - kw_off);
-    for (int n = 0; n < g.n; ++n) {
-      float* img = out + (static_cast<std::size_t>(n) * g.c + ch) * hw;
-      const float* icell = irow + static_cast<std::size_t>(n) * ohw;
-      for (int oy = 0; oy < g.oh; ++oy) {
-        const int iy = oy * g.stride - g.pad + kh_off;
-        if (iy < 0 || iy >= g.h) {
-          icell += g.ow;
-          continue;
-        }
-        float* orow = img + static_cast<std::size_t>(iy) * g.w;
-        if (g.stride == 1 && x_hi > x_lo) {
-          float* dst = orow + (x_lo - g.pad + kw_off);
-          const float* src = icell + x_lo;
-          const int len = x_hi - x_lo;
-          int j = 0;
-          for (; j + 8 <= len; j += 8) {
-            _mm256_storeu_ps(dst + j, _mm256_add_ps(_mm256_loadu_ps(dst + j),
-                                                    _mm256_loadu_ps(src + j)));
-          }
-          for (; j < len; ++j) dst[j] += src[j];
-          icell += g.ow;
-        } else {
-          for (int ox = 0; ox < g.ow; ++ox) {
-            const int ix = ox * g.stride - g.pad + kw_off;
-            const float v = *icell++;
-            if (ix >= 0 && ix < g.w) orow[ix] += v;
-          }
-        }
-      }
-    }
-  }
-}
-
-// sum_j x[j] in double precision: float values widened lane-wise into four
-// double accumulators, combined in a fixed order (so the result is
-// shard-independent), scalar tail last.
-inline double sum_pd(const float* x, int len) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  int j = 0;
-  for (; j + 8 <= len; j += 8) {
-    const __m256 v = _mm256_loadu_ps(x + j);
-    acc0 = _mm256_add_pd(acc0, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
-    acc1 = _mm256_add_pd(acc1, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, _mm256_add_pd(acc0, acc1));
-  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; j < len; ++j) sum += static_cast<double>(x[j]);
-  return sum;
-}
-
-// sum_j x[j]*y[j] with float products widened into double accumulators,
-// matching the scalar backend's float-multiply-then-widen per element.
-inline double dot_pd(const float* x, const float* y, int len) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  int j = 0;
-  for (; j + 8 <= len; j += 8) {
-    const __m256 p =
-        _mm256_mul_ps(_mm256_loadu_ps(x + j), _mm256_loadu_ps(y + j));
-    acc0 = _mm256_add_pd(acc0, _mm256_cvtps_pd(_mm256_castps256_ps128(p)));
-    acc1 = _mm256_add_pd(acc1, _mm256_cvtps_pd(_mm256_extractf128_ps(p, 1)));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, _mm256_add_pd(acc0, acc1));
-  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; j < len; ++j) sum += static_cast<double>(x[j] * y[j]);
-  return sum;
-}
-
 // Conv register tiles over batch columns, the scalar backend's tile shape
 // with 8-lane FMA: one tile is 4 out-channels (forward) or 4 ckk rows
 // (colgrad) x 16 batch columns, spanning sample boundaries. Every output
@@ -404,27 +315,6 @@ void conv_forward_cols(const float* weight, const float* bias,
                        acc);
       }
       o[static_cast<std::size_t>(oc) * cps] = acc;
-    }
-  }
-}
-
-// Conv weight/bias gradients: vectorized double-accumulator dots, batch
-// ascending innermost like the scalar backend.
-void conv_backward_wgrad(const float* grad_out, const float* cols,
-                         float* weight_grad, float* bias_grad, int n,
-                         int out_c, int ckk, int ohw, int batch_cols, int oc0,
-                         int oc1) {
-  for (int oc = oc0; oc < oc1; ++oc) {
-    float* wrow = weight_grad + static_cast<std::size_t>(oc) * ckk;
-    for (int s = 0; s < n; ++s) {
-      const float* grow =
-          grad_out + (static_cast<std::size_t>(s) * out_c + oc) * ohw;
-      bias_grad[oc] += static_cast<float>(sum_pd(grow, ohw));
-      for (int kk = 0; kk < ckk; ++kk) {
-        const float* crow = cols + static_cast<std::size_t>(kk) * batch_cols +
-                            static_cast<std::size_t>(s) * ohw;
-        wrow[kk] += static_cast<float>(dot_pd(grow, crow, ohw));
-      }
     }
   }
 }
@@ -525,9 +415,7 @@ const Backend* avx2_backend() {
     Backend b = scalar_backend();
     b.name = "avx2";
     b.gemm_rows = gemm_rows;
-    b.col2im_channels = col2im_channels;
     b.conv_forward_cols = conv_forward_cols;
-    b.conv_backward_wgrad = conv_backward_wgrad;
     b.conv_backward_colgrad = conv_backward_colgrad;
     return b;
   }();

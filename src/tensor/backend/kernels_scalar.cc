@@ -1,7 +1,8 @@
 // The blocked-scalar reference backend: register-tiled GEMM and conv
 // kernels, depthwise lane groups and the im2col/col2im row loops, each
 // keeping the per-element operation order of the plain loops they replaced.
-// The avx2 backend reuses its im2col and depthwise entries. Compiled for
+// The avx2 backend reuses its im2col, col2im, conv weight-gradient and
+// depthwise entries. Compiled for
 // the baseline ISA (no -mavx2/-mfma) at -O3 with -ffp-contract=off
 // (src/CMakeLists.txt): -O3 never reassociates float math, and with
 // contraction off every `a += b * c` stays a rounded multiply then a

@@ -1,8 +1,9 @@
 // Cross-backend validation: every kernel of the avx2 backend must agree
 // with the scalar reference across a shape/stride/trans-flag/thread-count
-// grid — bit-identical for im2col, col2im and depthwise conv (at the
-// co-search's real shapes), under the ULP tolerance policy of
-// tensor/backend/check.h for GEMM and conv — plus unit coverage for the
+// grid — bit-identical for im2col, col2im, the conv weight gradient and
+// depthwise conv (at the co-search's real shapes), under the ULP tolerance
+// policy of tensor/backend/check.h for GEMM and the FMA conv forward and
+// column gradient — plus unit coverage for the
 // checker utility itself (tolerance violations, NaN/Inf reporting,
 // deterministic failure messages) and for ScopedBackend's resolution of
 // A3CS_BACKEND.
@@ -387,8 +388,10 @@ TEST_F(BackendGrid, ConvKernelsMatchScalarUnderTolerance) {
   // Drives the three conv shard kernels directly at every conv geometry of
   // the search (plus out_c and batch widths off the tile grid), over whole,
   // tile-aligned and ragged shard cuts. Scalar vs avx2 must agree under the
-  // tolerance; each backend must be bitwise independent of the cuts. A few
-  // zero weights exercise the zero-skip paths.
+  // tolerance for the FMA forward and column gradient, and bit for bit for
+  // the weight/bias gradient (avx2 runs the scalar entry); each backend must
+  // be bitwise independent of the cuts. A few zero weights exercise the
+  // zero-skip paths.
   std::vector<testing::ConvShape> shapes = testing::search_conv_shapes();
   shapes.push_back({2, 3, 5, 3, 1, 6, 7});
   shapes.push_back({3, 5, 6, 3, 1, 3, 3});
@@ -451,9 +454,11 @@ TEST_F(BackendGrid, ConvKernelsMatchScalarUnderTolerance) {
         }
       }
     }
-    const auto wopt = backend::tolerance_for_reduction(n * ohw);
+    backend::CheckOptions exact;
+    exact.max_ulps = 0;
+    exact.abs_tol = 0.0f;
     const backend::CheckOptions opts[] = {
-        backend::tolerance_for_reduction(ckk), wopt, wopt,
+        backend::tolerance_for_reduction(ckk), exact, exact,
         backend::tolerance_for_reduction(out_c)};
     for (int k = 0; k < 4; ++k) {
       const auto res = backend::compare_elementwise(
