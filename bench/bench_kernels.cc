@@ -1,10 +1,10 @@
 // Execution-layer microbenchmarks on the perf registry (BENCH_KERNELS.json):
 // GEMM (paper conv shapes + 256^3) against the pre-threading naive i-k-j
 // seed kernel, Conv2d and DepthwiseConv2d forward and forward+backward,
-// im2col, and VecEnv::step across thread counts. GEMM, conv and depthwise
-// sweep the kernel-backend dimension too: each
-// available backend (scalar, and avx2 where the host supports it) gets its
-// own config row, e.g. "256x256x256_scalar" vs "256x256x256_avx2".
+// im2col, and VecEnv::step across thread counts. GEMM and conv sweep the
+// kernel-backend dimension too: each available backend (scalar, and avx2
+// where the host supports it) gets its own config row, e.g.
+// "256x256x256_scalar" vs "256x256x256_avx2".
 //
 // Run `bench_kernels --json BENCH_KERNELS.json` to refresh the committed
 // baseline and `bench_report --check` to diff against it
@@ -89,12 +89,6 @@ std::int64_t gemm_bytes(const GemmShape& s) {
                 static_cast<std::int64_t>(s.m) * s.n);
 }
 
-const tensor::backend::Backend* backend_by_name(const std::string& name) {
-  if (name == "scalar") return &tensor::backend::scalar_backend();
-  if (name == "avx2") return tensor::backend::avx2_backend();
-  return nullptr;
-}
-
 }  // namespace
 
 BENCH("gemm_naive") {
@@ -111,7 +105,7 @@ BENCH("gemm_naive") {
 
 BENCH("gemm") {
   for (const std::string& backend : tensor::backend::available_names()) {
-    tensor::backend::ScopedBackend scoped(*backend_by_name(backend));
+    tensor::backend::ScopedBackend scoped(*tensor::backend::by_name(backend));
     for (const GemmShape& s : gemm_shapes(b.smoke())) {
       const Tensor a = random_tensor(Shape::mat(s.m, s.k), 1);
       const Tensor bm = random_tensor(Shape::mat(s.k, s.n), 2);
@@ -160,7 +154,7 @@ void conv_cases(Bench& b, bool backward) {
                               std::to_string(cs.hw) + "x" +
                               std::to_string(cs.hw) + "_k3";
     for (const std::string& backend : tensor::backend::available_names()) {
-      tensor::backend::ScopedBackend scoped(*backend_by_name(backend));
+      tensor::backend::ScopedBackend scoped(*tensor::backend::by_name(backend));
       for (int threads : thread_counts(b.smoke())) {
         b.config(shape + "_" + backend)
             .threads(threads)
@@ -184,9 +178,12 @@ namespace {
 
 // Depthwise: a stage-0 inverted-residual cell with expansion 5 on the 6x6
 // feature map at the rollout batch (8 envs) and the update batch (8 envs x
-// 5 steps = 40), k3 and k5, swept over backends like "conv2d_fwd". With
-// `backward` each sample times a forward + backward pair (backward consumes
-// the forward's cache, 3 passes of flops); "dw_fwd" isolates the forward.
+// 5 steps = 40), k3 and k5. With `backward` each sample times a forward +
+// backward pair (backward consumes the forward's cache, 3 passes of flops);
+// "dw_fwd" isolates the forward. The depthwise kernels have one
+// implementation whatever the backend, so the rows keep the `_scalar`
+// config names of the baseline and do not sweep backends. They are
+// sub-millisecond, so they sample under steady_budget.
 void dw_cases(Bench& b, bool backward) {
   const int ch = b.smoke() ? 4 : 40;
   for (const int n : b.smoke() ? std::vector<int>{2} : std::vector<int>{8, 40}) {
@@ -198,17 +195,17 @@ void dw_cases(Bench& b, bool backward) {
       const std::int64_t flops = (backward ? 3 : 1) * 2ll * k * k * x.numel();
       const std::string shape = std::to_string(n) + "x" + std::to_string(ch) +
                                 "x6x6_k" + std::to_string(k);
-      for (const std::string& backend : tensor::backend::available_names()) {
-        tensor::backend::ScopedBackend scoped(*backend_by_name(backend));
-        for (int threads : thread_counts(b.smoke())) {
-          b.config(shape + "_" + backend)
-              .threads(threads)
-              .work(flops, 0)
-              .run([&] {
-                dw.forward(x);
-                if (backward) dw.backward(g);
-              });
-        }
+      // About 5 GFLOP/s at one thread (BENCH_KERNELS.json).
+      const double expected_ms = static_cast<double>(flops) / 5e6;
+      for (int threads : thread_counts(b.smoke())) {
+        b.config(shape + "_scalar")
+            .threads(threads)
+            .work(flops, 0)
+            .budget(obs::perf::steady_budget(expected_ms))
+            .run([&] {
+              dw.forward(x);
+              if (backward) dw.backward(g);
+            });
       }
     }
   }

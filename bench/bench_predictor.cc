@@ -5,7 +5,6 @@
 // faster than RL-based search.
 // This binary produces the committed baseline the perf gate diffs against
 // (docs/BENCHMARKING.md).
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -20,6 +19,7 @@
 
 using namespace a3cs;
 using obs::perf::Bench;
+using obs::perf::steady_budget;
 
 namespace {
 
@@ -32,21 +32,6 @@ const std::vector<nn::LayerSpec>& r14_specs() {
 // One registry iteration = `kBatch` evaluations, so a single sample is long
 // enough for the monotonic clock to resolve.
 constexpr int kBatch = 256;
-
-// Sub-millisecond rows are hostage to the multi-hundred-ms frequency/steal
-// windows of the shared 1-core CI host: the default budget's 50 x ~0.1ms
-// samples all land inside one window, biasing the whole row by +-40%. Spend
-// 200-600ms of samples per row instead so the median spans several windows:
-// min_total_ms drives fast rows to a few thousand repeats, and max_repeats
-// (scaled by the row's rough per-iteration cost) keeps unsteady rows from
-// sampling forever. (Smoke mode ignores this and takes a single repeat.)
-obs::perf::BenchBudget steady_budget(double expected_ms) {
-  obs::perf::BenchBudget budget;
-  budget.min_total_ms = 200.0;
-  budget.max_repeats =
-      std::max(50, static_cast<int>(600.0 / std::max(0.001, expected_ms)));
-  return budget;
-}
 
 }  // namespace
 

@@ -12,8 +12,8 @@
 # The default ASan/UBSan pass covers the util + obs layers (atomic metrics,
 # the shared trace writer, the profiler's thread-local cursors), the
 # inference forwards' grow-only per-thread column workspaces (infer_test),
-# the scalar kernels' repack workspaces and lane-group tails against their
-# reference loops and the other backends (nn_layers_test,
+# the kernels' per-thread workspace and lane-group tails against their
+# reference loops and the other backend (nn_layers_test,
 # backend_check_test), the checkpoint subsystem (sectioned container
 # parsing of adversarial bytes, the full save/restore round-trip) and the
 # training-health guard (fault injection, rollback recovery), the perf
@@ -29,7 +29,9 @@
 # instead targets the parallel execution layer: the thread pool itself plus
 # every kernel and subsystem that dispatches onto it (GEMM/im2col, the
 # Conv2d/depthwise layer fan-outs with their 1-4 thread bit-exactness
-# checks, the inference forwards and their per-thread column workspaces,
+# checks, the kernels' per-thread workspace under both backends' 4-thread
+# grids (backend_check_test), the inference forwards and their per-thread
+# column workspaces,
 # VecEnv stepping, the top-K NAS backward, the DAS sweeps, concurrent serve
 # batches) and the guard's cross-thread pieces
 # (the global FaultInjector, the metrics it bumps), run with A3CS_THREADS=4
@@ -50,7 +52,7 @@ BUILD="$ROOT/build-san-$SAN"
 SMOKE=""
 
 if [ "$SAN" = "thread" ]; then
-  TESTS="thread_pool_test tensor_test nn_layers_test infer_test arcade_test determinism_test guard_test serve_test"
+  TESTS="thread_pool_test tensor_test nn_layers_test infer_test backend_check_test arcade_test determinism_test guard_test serve_test"
   # Skip the (wall-clock) stall-watchdog cases: TSan's slowdown makes any
   # timing threshold meaningless.
   GUARD_FILTER="-*Stall*"

@@ -31,10 +31,9 @@ std::int64_t column_grain(int out_c, int ckk) {
 // fan-outs: about 64K multiply-adds (`unit_work` is one index's), rounded
 // up to whole lane groups of the scalar kernels. The lane-group kernels do
 // a multiply-add about 3x faster than the plane loop did at the 16K grain,
-// and 64K measured best of 16K-1G on the search shapes at 2 threads. One
-// grain serves both backends: the avx2 table takes its depthwise entries
-// from the scalar one, so both run these kernels at every stride and
-// shape.
+// and 64K measured best of 16K-1G on the search shapes at 2 threads. The
+// depthwise kernels have one implementation, which every backend runs, so
+// one grain serves them all.
 std::int64_t dw_grain(std::int64_t unit_work) {
   constexpr std::int64_t lanes = tensor::backend::kDwLanes;
   const std::int64_t units = std::max<std::int64_t>(
@@ -164,20 +163,20 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // bias_.grad[oc] and its weight row, so shards write disjoint accumulators.
   // A shard is 4 out-channels, the lane width of the scalar wgrad tile; the
   // kernel reduces samples and their batch columns ascending, matching the
-  // serial accumulation order bit for bit (per backend).
-  const tensor::backend::Backend& be = tensor::backend::active();
+  // serial accumulation order bit for bit.
   util::parallel_for(
       0, out_c_, 4,
       [&](std::int64_t oc0, std::int64_t oc1) {
-        be.conv_backward_wgrad(grad_out.data(), cached_cols_.data(),
-                               weight_.grad.data(), bias_.grad.data(),
-                               geom_.n, out_c_, ckk, ohw, batch_cols,
-                               static_cast<int>(oc0), static_cast<int>(oc1));
+        tensor::backend::conv_backward_wgrad(
+            grad_out.data(), cached_cols_.data(), weight_.grad.data(),
+            bias_.grad.data(), geom_.n, out_c_, ckk, ohw, batch_cols,
+            static_cast<int>(oc0), static_cast<int>(oc1));
       },
       "conv-bwd");
 
   // Column gradient, fanned out over batch columns (disjoint columns):
   // grad_cols[:, j] = W^T(ckk x OC) @ grad_out[s, :, p].
+  const tensor::backend::Backend& be = tensor::backend::active();
   Tensor grad_cols(Shape::mat(ckk, batch_cols));
   util::parallel_for(
       0, batch_cols, column_grain(out_c_, ckk),
@@ -243,14 +242,14 @@ Tensor DepthwiseConv2d::run(const Tensor& x) const {
            4 * (x.numel() + channels_ * (taps + 1)), 4 * planes * plane_out);
   }
   // One (sample, channel) output plane per index: disjoint writes, and each
-  // plane's taps are reduced inside one backend call, so the fan-out is
+  // plane's taps are reduced inside one kernel call, so the fan-out is
   // bit-exact at any thread count.
-  const tensor::backend::Backend& be = tensor::backend::active();
   util::parallel_for(
       0, planes, dw_grain(taps * plane_out),
       [&](std::int64_t p0, std::int64_t p1) {
-        be.dw_forward_planes(x.data(), weight_.value.data(),
-                             bias_.value.data(), g, out.data(), p0, p1);
+        tensor::backend::dw_forward_planes(x.data(), weight_.value.data(),
+                                           bias_.value.data(), g, out.data(),
+                                           p0, p1);
       },
       "dw-fwd");
   return out;
@@ -283,14 +282,13 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
   // its shard — the serial accumulation order of those accumulators. A
   // (n, c) split would make two shards add into the same weight row.
   Tensor grad_input(x.shape());
-  const tensor::backend::Backend& be = tensor::backend::active();
   util::parallel_for(
       0, channels_, dw_grain(taps * channel_out),
       [&](std::int64_t c0, std::int64_t c1) {
-        be.dw_backward_channels(grad_out.data(), x.data(),
-                                weight_.value.data(), g, grad_input.data(),
-                                weight_.grad.data(), bias_.grad.data(),
-                                static_cast<int>(c0), static_cast<int>(c1));
+        tensor::backend::dw_backward_channels(
+            grad_out.data(), x.data(), weight_.value.data(), g,
+            grad_input.data(), weight_.grad.data(), bias_.grad.data(),
+            static_cast<int>(c0), static_cast<int>(c1));
       },
       "dw-bwd");
   has_cache_ = false;

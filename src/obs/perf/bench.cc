@@ -29,6 +29,14 @@ bool smoke_mode() { return util::env_flag("A3CS_BENCH_SMOKE", false); }
 
 // ------------------------------------------------------------------ Bench ---
 
+BenchBudget steady_budget(double expected_ms) {
+  BenchBudget budget;
+  budget.min_total_ms = 200.0;
+  budget.max_repeats =
+      std::max(50, static_cast<int>(600.0 / std::max(0.001, expected_ms)));
+  return budget;
+}
+
 bool Bench::smoke() const { return smoke_mode(); }
 
 void Bench::clear_staged() {

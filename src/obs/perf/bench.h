@@ -68,6 +68,16 @@ struct BenchBudget {
   double min_total_ms = 150.0;
 };
 
+// The budget of a sub-millisecond row. Such rows are hostage to the
+// multi-hundred-ms frequency/steal windows of a shared host: the default
+// budget's 50 x ~0.1 ms samples all land inside one window, biasing the
+// whole row by +-40%. This one spends 200-600 ms of samples so the median
+// spans several windows: min_total_ms drives fast rows to a few thousand
+// repeats, and max_repeats (scaled by `expected_ms`, the row's rough
+// per-iteration cost) keeps unsteady rows from sampling forever. Smoke mode
+// ignores it and takes a single repeat.
+BenchBudget steady_budget(double expected_ms);
+
 class BenchSuite;
 
 // Handle passed to each registered benchmark body. config()/threads()/work()/

@@ -17,7 +17,9 @@ std::atomic<const Backend*>& active_slot() {
   return slot;
 }
 
-const Backend* resolve(const std::string& name) {
+}  // namespace
+
+const Backend* by_name(const std::string& name) {
   if (name == "scalar") return &scalar_backend();
   if (name == "avx2") return avx2_backend();
   if (name == "auto") {
@@ -26,10 +28,6 @@ const Backend* resolve(const std::string& name) {
   }
   return nullptr;
 }
-
-}  // namespace
-
-bool cpu_supports_avx2() { return avx2_backend() != nullptr; }
 
 const Backend& active() {
   const Backend* b = active_slot().load(std::memory_order_acquire);
@@ -40,16 +38,9 @@ const Backend& active() {
   return *b;
 }
 
-bool select(const std::string& name) {
-  const Backend* b = resolve(name);
-  if (b == nullptr) return false;
-  active_slot().store(b, std::memory_order_release);
-  return true;
-}
-
 void select_from_env() {
   const std::string raw = util::env_string("A3CS_BACKEND", "");
-  const Backend* b = resolve(raw.empty() ? "scalar" : raw);
+  const Backend* b = by_name(raw.empty() ? "scalar" : raw);
   if (b == nullptr && raw != "avx2") {
     throw util::InputError("A3CS_BACKEND", raw, "scalar|avx2|auto");
   }

@@ -6,18 +6,18 @@
 // __builtin_cpu_supports("avx2"/"fma"), so a binary built here still runs
 // (on the scalar backend) on older x86 hosts.
 //
-// The table is the scalar backend's with three entries replaced: the GEMM,
-// the conv forward and the conv column gradient. im2col, col2im, the conv
-// weight gradient and the depthwise kernels are the scalar ones: at the
-// search's 2x2-12x12 maps they beat every AVX2 form timed against them
-// (docs/PERFORMANCE.md).
+// The table holds the three kernels where FMA wins: the packed 6x16 GEMM
+// below, and the conv forward and column-gradient tiles of conv_tiles.h on
+// an 8-lane FMA policy. Every other kernel has one implementation, the
+// scalar one of backend.h, which both backends run.
 //
 // Numerics: deterministic at every thread count — shard boundaries come from
 // the caller and every per-element reduction runs in a fixed order (kk
-// ascending in GEMM, oc ascending in the column gradient) — but the three
-// AVX2 entries are NOT bit-identical to the scalar backend: FMA fuses the
+// ascending in GEMM and the conv forward, oc ascending in the column
+// gradient) — but NOT bit-identical to the scalar backend: FMA fuses the
 // multiply-add rounding step. Cross-backend agreement is enforced (under the
-// ULP tolerance of tensor/backend/check.h) by tests/backend_check_test.cc.
+// ULP tolerance of tensor/backend/check.h) by tests/backend_check_test.cc,
+// which also pins the conv entries bit for bit to fused row loops.
 #include "tensor/backend/backend.h"
 
 #if defined(A3CS_BACKEND_AVX2_TU)
@@ -27,7 +27,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <vector>
+
+#include "tensor/backend/conv_tiles.h"
 
 namespace a3cs::tensor::backend {
 
@@ -200,206 +201,41 @@ void gemm_rows(const float* a, bool trans_a, const float* b, bool trans_b,
 
   const int rows = r1 - r0;
   const int strips = (rows + kMR - 1) / kMR;
-  std::vector<float> packed_a(static_cast<std::size_t>(strips) * k * kMR);
+  const std::size_t a_floats = static_cast<std::size_t>(strips) * k * kMR;
+  float* packed_a = static_cast<float*>(workspace(
+      sizeof(float) * (a_floats + static_cast<std::size_t>(k) * kNR)));
+  float* packed_b = packed_a + a_floats;
   for (int s = 0; s < strips; ++s) {
     pack_a_strip(a, trans_a, a_cols, r0 + s * kMR, r1, k,
-                 packed_a.data() + static_cast<std::size_t>(s) * k * kMR);
+                 packed_a + static_cast<std::size_t>(s) * k * kMR);
   }
-  std::vector<float> packed_b(static_cast<std::size_t>(k) * kNR);
 
   const __m256 alpha_v = _mm256_set1_ps(alpha);
   const __m256 beta_v = _mm256_set1_ps(beta);
   for (int j0 = 0; j0 < n; j0 += kNR) {
     const int nr = std::min(kNR, n - j0);
-    pack_b_panel(b, trans_b, b_cols, j0, n, k, packed_b.data());
+    pack_b_panel(b, trans_b, b_cols, j0, n, k, packed_b);
     for (int s = 0; s < strips; ++s) {
       const int i0 = r0 + s * kMR;
       const int mr = std::min(kMR, r1 - i0);
-      micro_6x16(packed_a.data() + static_cast<std::size_t>(s) * k * kMR,
-                 packed_b.data(), k, c + static_cast<std::size_t>(i0) * n + j0,
-                 n, mr, nr, alpha_v, beta_v, alpha, beta);
+      micro_6x16(packed_a + static_cast<std::size_t>(s) * k * kMR, packed_b, k,
+                 c + static_cast<std::size_t>(i0) * n + j0, n, mr, nr, alpha_v,
+                 beta_v, alpha, beta);
     }
   }
 }
 
-// Conv register tiles over batch columns, the scalar backend's tile shape
-// with 8-lane FMA: one tile is 4 out-channels (forward) or 4 ckk rows
-// (colgrad) x 16 batch columns, spanning sample boundaries. Every output
-// runs the same fused sequence on every path (tile lanes and the std::fma
-// column tail alike), so results do not depend on the shard boundaries.
-// The zero-weight skip stays, as in the scalar tiles: it keeps a -0.0 bias
-// and keeps 0 * inf from turning an output into NaN.
-constexpr int kConvMR = 4;
-constexpr int kConvNV = 2;  // __m256 vectors per tile row: 16 batch columns
-constexpr int kConvNC = 8 * kConvNV;
-
-// Offset of batch column j of out-channel 0 in an (n, out_c, cps) tensor.
-inline std::size_t nchw_offset(int j, int out_c, int cps) {
-  const int s = j / cps;
-  return static_cast<std::size_t>(s) * out_c * cps + (j - s * cps);
-}
-
-template <int MR, int NV>
-inline void conv_fwd_tile(const float* weight, const float* bias,
-                          const float* cols, float* out, int out_c, int ckk,
-                          int cps, int batch_cols, int oc0, int j0) {
-  __m256 acc[MR][NV];
-  for (int r = 0; r < MR; ++r) {
-    for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_set1_ps(bias[oc0 + r]);
-  }
-  const float* w = weight + static_cast<std::size_t>(oc0) * ckk;
-  const float* c = cols + j0;
-  for (int kk = 0; kk < ckk; ++kk, c += batch_cols) {
-    __m256 cv[NV];
-    for (int v = 0; v < NV; ++v) cv[v] = _mm256_loadu_ps(c + 8 * v);
-    for (int r = 0; r < MR; ++r) {
-      const float wv = w[static_cast<std::size_t>(r) * ckk + kk];
-      if (wv == 0.0f) continue;
-      const __m256 wb = _mm256_set1_ps(wv);
-      for (int v = 0; v < NV; ++v) {
-        acc[r][v] = _mm256_fmadd_ps(wb, cv[v], acc[r][v]);
-      }
-    }
-  }
-  alignas(32) float lanes[MR][8 * NV];
-  for (int r = 0; r < MR; ++r) {
-    for (int v = 0; v < NV; ++v) _mm256_store_ps(lanes[r] + 8 * v, acc[r][v]);
-  }
-  for (int l = 0; l < 8 * NV; ++l) {
-    float* o = out + nchw_offset(j0 + l, out_c, cps) +
-               static_cast<std::size_t>(oc0) * cps;
-    for (int r = 0; r < MR; ++r) {
-      o[static_cast<std::size_t>(r) * cps] = lanes[r][l];
-    }
-  }
-}
-
-template <int NV>
-void conv_fwd_block(const float* weight, const float* bias, const float* cols,
-                    float* out, int out_c, int ckk, int cps, int batch_cols,
-                    int j0) {
-  int oc = 0;
-  for (; oc + kConvMR <= out_c; oc += kConvMR) {
-    conv_fwd_tile<kConvMR, NV>(weight, bias, cols, out, out_c, ckk, cps,
-                               batch_cols, oc, j0);
-  }
-  for (; oc < out_c; ++oc) {
-    conv_fwd_tile<1, NV>(weight, bias, cols, out, out_c, ckk, cps, batch_cols,
-                         oc, j0);
-  }
-}
-
-// Conv forward of batch columns [j0, j1): 16- then 8-column tiles, then a
-// std::fma tail per column.
-void conv_forward_cols(const float* weight, const float* bias,
-                       const float* cols, float* out, int out_c, int ckk,
-                       int cols_per_sample, int batch_cols, int j0, int j1) {
-  const int cps = cols_per_sample;
-  int j = j0;
-  for (; j + kConvNC <= j1; j += kConvNC) {
-    conv_fwd_block<kConvNV>(weight, bias, cols, out, out_c, ckk, cps,
-                            batch_cols, j);
-  }
-  for (; j + 8 <= j1; j += 8) {
-    conv_fwd_block<1>(weight, bias, cols, out, out_c, ckk, cps, batch_cols, j);
-  }
-  for (; j < j1; ++j) {
-    float* o = out + nchw_offset(j, out_c, cps);
-    for (int oc = 0; oc < out_c; ++oc) {
-      const float* wrow = weight + static_cast<std::size_t>(oc) * ckk;
-      float acc = bias[oc];
-      for (int kk = 0; kk < ckk; ++kk) {
-        const float wv = wrow[kk];
-        if (wv == 0.0f) continue;
-        acc = std::fma(wv, cols[static_cast<std::size_t>(kk) * batch_cols + j],
-                       acc);
-      }
-      o[static_cast<std::size_t>(oc) * cps] = acc;
-    }
-  }
-}
-
-// Column-gradient tile: ckk rows [kk0, kk0 + MR) x the gathered batch
-// columns of `gblock` ((out_c x 8 * NV), row-major).
-template <int MR, int NV>
-inline void conv_colgrad_tile(const float* gblock, const float* weight,
-                              float* grad_cols, int out_c, int ckk,
-                              int batch_cols, int kk0, int j0) {
-  __m256 acc[MR][NV];
-  for (int r = 0; r < MR; ++r) {
-    for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
-  }
-  for (int oc = 0; oc < out_c; ++oc) {
-    __m256 gv[NV];
-    for (int v = 0; v < NV; ++v) {
-      gv[v] = _mm256_loadu_ps(gblock + static_cast<std::size_t>(oc) * 8 * NV +
-                              8 * v);
-    }
-    const float* w = weight + static_cast<std::size_t>(oc) * ckk + kk0;
-    for (int r = 0; r < MR; ++r) {
-      if (w[r] == 0.0f) continue;
-      const __m256 wb = _mm256_set1_ps(w[r]);
-      for (int v = 0; v < NV; ++v) {
-        acc[r][v] = _mm256_fmadd_ps(wb, gv[v], acc[r][v]);
-      }
-    }
-  }
-  for (int r = 0; r < MR; ++r) {
-    float* gc = grad_cols + static_cast<std::size_t>(kk0 + r) * batch_cols + j0;
-    for (int v = 0; v < NV; ++v) _mm256_storeu_ps(gc + 8 * v, acc[r][v]);
-  }
-}
-
-template <int NV>
-void conv_colgrad_block(const float* grad_out, const float* weight,
-                        float* grad_cols, float* gblock, int out_c, int ckk,
-                        int cps, int batch_cols, int j0) {
-  constexpr int nc = 8 * NV;
-  for (int c = 0; c < nc; ++c) {
-    const float* g = grad_out + nchw_offset(j0 + c, out_c, cps);
-    for (int oc = 0; oc < out_c; ++oc) {
-      gblock[static_cast<std::size_t>(oc) * nc + c] =
-          g[static_cast<std::size_t>(oc) * cps];
-    }
-  }
-  int kk = 0;
-  for (; kk + kConvMR <= ckk; kk += kConvMR) {
-    conv_colgrad_tile<kConvMR, NV>(gblock, weight, grad_cols, out_c, ckk,
-                                   batch_cols, kk, j0);
-  }
-  for (; kk < ckk; ++kk) {
-    conv_colgrad_tile<1, NV>(gblock, weight, grad_cols, out_c, ckk,
-                             batch_cols, kk, j0);
-  }
-}
-
-// Conv column gradient of batch columns [j0, j1), overwriting.
-void conv_backward_colgrad(const float* grad_out, const float* weight,
-                           float* grad_cols, int out_c, int ckk, int ohw,
-                           int batch_cols, int j0, int j1) {
-  std::vector<float> gblock(static_cast<std::size_t>(out_c) * kConvNC);
-  int j = j0;
-  for (; j + kConvNC <= j1; j += kConvNC) {
-    conv_colgrad_block<kConvNV>(grad_out, weight, grad_cols, gblock.data(),
-                                out_c, ckk, ohw, batch_cols, j);
-  }
-  for (; j + 8 <= j1; j += 8) {
-    conv_colgrad_block<1>(grad_out, weight, grad_cols, gblock.data(), out_c,
-                          ckk, ohw, batch_cols, j);
-  }
-  for (; j < j1; ++j) {
-    const float* g = grad_out + nchw_offset(j, out_c, ohw);
-    for (int kk = 0; kk < ckk; ++kk) {
-      float acc = 0.0f;
-      for (int oc = 0; oc < out_c; ++oc) {
-        const float wv = weight[static_cast<std::size_t>(oc) * ckk + kk];
-        if (wv == 0.0f) continue;
-        acc = std::fma(wv, g[static_cast<std::size_t>(oc) * ohw], acc);
-      }
-      grad_cols[static_cast<std::size_t>(kk) * batch_cols + j] = acc;
-    }
-  }
-}
+// The conv tiles of conv_tiles.h on 8-lane ymm vectors, every multiply-add
+// one fused step: _mm256_fmadd_ps in the tiles, std::fma in the column tail.
+struct Avx2Lanes {
+  using V = __m256;
+  static constexpr int kLanes = 8;
+  static V load(const float* p) { return _mm256_loadu_ps(p); }
+  static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
+  static V splat(float x) { return _mm256_set1_ps(x); }
+  static V madd(V w, V x, V acc) { return _mm256_fmadd_ps(w, x, acc); }
+  static float madd(float w, float x, float acc) { return std::fma(w, x, acc); }
+};
 
 }  // namespace
 
@@ -411,14 +247,9 @@ const Backend* avx2_backend() {
   static const bool supported = false;
 #endif
   if (!supported) return nullptr;
-  static const Backend kAvx2 = [] {
-    Backend b = scalar_backend();
-    b.name = "avx2";
-    b.gemm_rows = gemm_rows;
-    b.conv_forward_cols = conv_forward_cols;
-    b.conv_backward_colgrad = conv_backward_colgrad;
-    return b;
-  }();
+  static const Backend kAvx2{"avx2", gemm_rows,
+                             conv_forward_cols<Avx2Lanes>,
+                             conv_backward_colgrad<Avx2Lanes>};
   return &kAvx2;
 }
 

@@ -1,12 +1,12 @@
-// The blocked-scalar reference backend: register-tiled GEMM and conv
-// kernels, depthwise lane groups and the im2col/col2im row loops, each
-// keeping the per-element operation order of the plain loops they replaced.
-// The avx2 backend reuses its im2col, col2im, conv weight-gradient and
-// depthwise entries. Compiled for
-// the baseline ISA (no -mavx2/-mfma) at -O3 with -ffp-contract=off
-// (src/CMakeLists.txt): -O3 never reassociates float math, and with
-// contraction off every `a += b * c` stays a rounded multiply then a
-// rounded add on any target.
+// The blocked-scalar reference backend and the kernels both backends
+// share: the register-tiled GEMM, the conv forward and column-gradient tiles
+// of conv_tiles.h on 4-lane vectors, and the one implementation of im2col,
+// col2im, the conv weight gradient and the depthwise lane groups (backend.h
+// declares those as plain functions). Each keeps the per-element operation
+// order of the plain loops it replaced. Compiled for the baseline ISA (no
+// -mavx2/-mfma) at -O3 with -ffp-contract=off (src/CMakeLists.txt): -O3
+// never reassociates float math, and with contraction off every
+// `a += b * c` stays a rounded multiply then a rounded add on any target.
 // So on every host A3CS_BACKEND=scalar is bit-identical to the historical
 // results at every thread count.
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "tensor/backend/backend.h"
+#include "tensor/backend/conv_tiles.h"
 
 namespace a3cs::tensor::backend {
 
@@ -183,6 +184,345 @@ void gemm_rows(const float* a, bool trans_a, const float* b, bool trans_b,
   }
 }
 
+// The conv tiles of conv_tiles.h on v4f vectors: every multiply-add is a
+// rounded multiply then a rounded add, the row loops' sequence.
+struct Lanes4 {
+  using V = v4f;
+  static constexpr int kLanes = 4;
+  static V load(const float* p) { return load4(p); }
+  static void store(float* p, V v) { store4(p, v); }
+  static V splat(float x) { return V{x, x, x, x}; }
+  static V madd(V w, V x, V acc) { return acc + w * x; }
+  static float madd(float w, float x, float acc) { return acc + w * x; }
+};
+
+// A v4f widened to doubles as two v2d halves, for the double sums of the
+// weight and bias gradients. Accumulators stay v2d: GCC keeps a 32-byte v4d
+// in memory on a 16-byte-vector ISA, so only the conversion goes through one
+// (where it lowers to two cvtps2pd).
+struct Wide {
+  v2d lo, hi;
+};
+
+inline void widen_add(Wide& acc, v4f x) {
+  const v4d d = __builtin_convertvector(x, v4d);
+  acc.lo += __builtin_shufflevector(d, d, 0, 1);
+  acc.hi += __builtin_shufflevector(d, d, 2, 3);
+}
+
+inline v4f narrow(const Wide& x) {
+  const v2f lo = __builtin_convertvector(x.lo, v2f);
+  const v2f hi = __builtin_convertvector(x.hi, v2f);
+  return __builtin_shufflevector(lo, hi, 0, 1, 2, 3);
+}
+
+// Weight/bias gradients of out-channels [oc0, oc1). Four out-channels ride
+// the four lanes of a v4f (grad_out gathered once per block into
+// lane-interleaved batch columns); each (oc, kk) lane keeps the row loop's
+// sequence: per sample a double sum of float products over the sample's
+// columns ascending, then one float add into the gradient, samples
+// ascending.
+template <int KB>
+void conv_wgrad_rows(const v4f* g4, const float* cols, float* weight_grad,
+                     int n, int ckk, int cps, int batch_cols, int oc0, int mr,
+                     int kk0) {
+  v4f w[KB] = {};
+  for (int r = 0; r < mr; ++r) {
+    const float* wrow = weight_grad + static_cast<std::size_t>(oc0 + r) * ckk;
+    for (int kb = 0; kb < KB; ++kb) w[kb][r] = wrow[kk0 + kb];
+  }
+  const float* c = cols + static_cast<std::size_t>(kk0) * batch_cols;
+  for (int s = 0, j = 0; s < n; ++s) {
+    Wide acc[KB] = {};
+    for (const int end = j + cps; j < end; ++j) {
+      const v4f g = g4[j];
+      for (int kb = 0; kb < KB; ++kb) {
+        const float cv = c[static_cast<std::size_t>(kb) * batch_cols + j];
+        widen_add(acc[kb], g * cv);
+      }
+    }
+    for (int kb = 0; kb < KB; ++kb) w[kb] += narrow(acc[kb]);
+  }
+  for (int r = 0; r < mr; ++r) {
+    float* wrow = weight_grad + static_cast<std::size_t>(oc0 + r) * ckk;
+    for (int kb = 0; kb < KB; ++kb) wrow[kk0 + kb] = w[kb][r];
+  }
+}
+
+// ---- Depthwise tiles, lanes over channels ------------------------------
+//
+// A depthwise output reduces over one channel's K x K window only, and the
+// search maps (6x6, 3x3, 2x2) are too narrow for lanes along a row, nor
+// does batch 1 (evaluation) leave samples to span. What every search shape
+// does have is channels in multiples of 8, so a lane group is kDwLanes
+// adjacent channels of one sample: their planes are repacked to an
+// interleaved (h, w, lane) layout and their weight rows to (tap, lane), and
+// each lane, one channel, runs exactly the plane loop's operation sequence.
+// A range whose channels do not fill a whole group (a channel count that is
+// not a multiple of kDwLanes, or a shard cut inside a group) runs the plane
+// loop for the channels left over.
+constexpr int kDwNV = kDwLanes / 4;  // v4f vectors per lane group
+constexpr int kDwMaxTaps = kMaxDwKernel * kMaxDwKernel;
+
+typedef int v4i __attribute__((vector_size(16)));
+
+// Transposes the 4x4 block whose rows are r[0..3] in place.
+inline void transpose4(v4f (&r)[4]) {
+  const v4f t0 = __builtin_shufflevector(r[0], r[1], 0, 4, 1, 5);
+  const v4f t1 = __builtin_shufflevector(r[0], r[1], 2, 6, 3, 7);
+  const v4f t2 = __builtin_shufflevector(r[2], r[3], 0, 4, 1, 5);
+  const v4f t3 = __builtin_shufflevector(r[2], r[3], 2, 6, 3, 7);
+  r[0] = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
+  r[1] = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
+  r[2] = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
+  r[3] = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
+}
+
+// dst[i * kDwNV + v][l] = src[(4 * v + l) * stride + i] for i < len: the
+// rows of kDwLanes channels, `stride` floats apart, interleaved lane-wise,
+// 4x4 blocks at a time.
+void dw_interleave(const float* src, std::size_t stride, int len, v4f* dst) {
+  int i = 0;
+  for (; i + 4 <= len; i += 4) {
+    for (int v = 0; v < kDwNV; ++v) {
+      const float* s = src + 4 * v * stride + i;
+      v4f r[4] = {load4(s), load4(s + stride), load4(s + 2 * stride),
+                  load4(s + 3 * stride)};
+      transpose4(r);
+      for (int j = 0; j < 4; ++j) dst[(i + j) * kDwNV + v] = r[j];
+    }
+  }
+  for (; i < len; ++i) {
+    for (int v = 0; v < kDwNV; ++v) {
+      const float* s = src + 4 * v * stride + i;
+      dst[i * kDwNV + v] = v4f{s[0], s[stride], s[2 * stride], s[3 * stride]};
+    }
+  }
+}
+
+// The inverse of dw_interleave.
+void dw_deinterleave(const v4f* src, int len, float* dst, std::size_t stride) {
+  int i = 0;
+  for (; i + 4 <= len; i += 4) {
+    for (int v = 0; v < kDwNV; ++v) {
+      v4f r[4];
+      for (int j = 0; j < 4; ++j) r[j] = src[(i + j) * kDwNV + v];
+      transpose4(r);
+      float* d = dst + 4 * v * stride + i;
+      for (int l = 0; l < 4; ++l) store4(d + l * stride, r[l]);
+    }
+  }
+  for (; i < len; ++i) {
+    for (int v = 0; v < kDwNV; ++v) {
+      const v4f x = src[i * kDwNV + v];
+      float* d = dst + 4 * v * stride + i;
+      for (int l = 0; l < 4; ++l) d[l * stride] = x[l];
+    }
+  }
+}
+
+// The valid taps [k0, k1) of a window starting at input index i0 of an
+// axis of `extent` cells.
+struct TapSpan {
+  int k0, k1;
+};
+
+inline TapSpan valid_taps(int i0, int k, int extent) {
+  return TapSpan{std::max(0, -i0), std::min(k, extent - i0)};
+}
+
+// One depthwise output plane: acc = b, then the valid taps ky-then-kx
+// ascending (invalid taps skipped, as the bounds-checked loop skipped
+// them).
+void dw_forward_plane(const float* x, const float* w, float b,
+                      const ConvGeometry& g, float* y) {
+  const int k = g.kh;
+  for (int oy = 0; oy < g.oh; ++oy) {
+    const int iy0 = oy * g.stride - g.pad;
+    const TapSpan ky = valid_taps(iy0, k, g.h);
+    float* yr = y + static_cast<std::size_t>(oy) * g.ow;
+    for (int ox = 0; ox < g.ow; ++ox) {
+      const int ix0 = ox * g.stride - g.pad;
+      const TapSpan kx = valid_taps(ix0, k, g.w);
+      float acc = b;
+      for (int r = ky.k0; r < ky.k1; ++r) {
+        const float* xr = x + static_cast<std::size_t>(iy0 + r) * g.w;
+        const float* wr = w + r * k;
+        for (int t = kx.k0; t < kx.k1; ++t) acc += wr[t] * xr[ix0 + t];
+      }
+      yr[ox] = acc;
+    }
+  }
+}
+
+// The output planes of one lane group: kDwLanes adjacent channels of one
+// sample, x and y at the first channel's plane, w and b at its weight row
+// and bias.
+void dw_forward_group(const float* x, const float* w, const float* b,
+                      const ConvGeometry& g, float* y) {
+  const int k = g.kh;
+  const int hw = g.h * g.w;
+  const int ohw = g.oh * g.ow;
+  v4f wi[kDwMaxTaps * kDwNV];
+  dw_interleave(w, k * k, k * k, wi);
+  v4f* xi = static_cast<v4f*>(
+      workspace(sizeof(v4f) * static_cast<std::size_t>(hw + ohw) * kDwNV));
+  v4f* yi = xi + static_cast<std::size_t>(hw) * kDwNV;
+  dw_interleave(x, hw, hw, xi);
+  v4f bias[kDwNV];
+  for (int v = 0; v < kDwNV; ++v) bias[v] = load4(b + 4 * v);  // keeps -0.0
+  for (int oy = 0; oy < g.oh; ++oy) {
+    const int iy0 = oy * g.stride - g.pad;
+    const TapSpan ky = valid_taps(iy0, k, g.h);
+    for (int ox = 0; ox < g.ow; ++ox) {
+      const int ix0 = ox * g.stride - g.pad;
+      const TapSpan kx = valid_taps(ix0, k, g.w);
+      const int cell = iy0 * g.w + ix0;
+      v4f acc[kDwNV];
+      for (int v = 0; v < kDwNV; ++v) acc[v] = bias[v];
+      for (int r = ky.k0; r < ky.k1; ++r) {
+        for (int t = kx.k0; t < kx.k1; ++t) {
+          const v4f* wt = wi + (r * k + t) * kDwNV;
+          const v4f* xt = xi + (cell + r * g.w + t) * kDwNV;
+          for (int v = 0; v < kDwNV; ++v) acc[v] += wt[v] * xt[v];
+        }
+      }
+      v4f* o = yi + (oy * g.ow + ox) * kDwNV;
+      for (int v = 0; v < kDwNV; ++v) o[v] = acc[v];
+    }
+  }
+  dw_deinterleave(yi, ohw, y, ohw);
+}
+
+// Gradients of one channel over every sample, the serial visit order: n,
+// oy, ox ascending, then the valid taps. Weight row c and bias[c]
+// accumulate in locals (the same float add sequence) and are stored once:
+// neighbouring channels' rows share cache lines, and shards on other
+// threads write them.
+void dw_backward_channel(const float* grad_out, const float* in,
+                         const float* weight, const ConvGeometry& g,
+                         float* grad_input, float* weight_grad,
+                         float* bias_grad, int c) {
+  const int k = g.kh;
+  const int kk = k * k;
+  const float* w = weight + static_cast<std::size_t>(c) * kk;
+  float* wg_out = weight_grad + static_cast<std::size_t>(c) * kk;
+  float wg[kDwMaxTaps];
+  std::copy(wg_out, wg_out + kk, wg);
+  float bg = bias_grad[c];
+  for (int n = 0; n < g.n; ++n) {
+    const std::size_t p = static_cast<std::size_t>(n) * g.c + c;
+    const float* x = in + p * g.h * g.w;
+    float* gi = grad_input + p * g.h * g.w;
+    const float* go_plane = grad_out + p * g.oh * g.ow;
+    double bias_acc = 0.0;
+    for (int oy = 0; oy < g.oh; ++oy) {
+      const int iy0 = oy * g.stride - g.pad;
+      const TapSpan ky = valid_taps(iy0, k, g.h);
+      const float* gor = go_plane + static_cast<std::size_t>(oy) * g.ow;
+      for (int ox = 0; ox < g.ow; ++ox) {
+        const float go = gor[ox];
+        bias_acc += go;
+        if (go == 0.0f) continue;
+        const int ix0 = ox * g.stride - g.pad;
+        const TapSpan kx = valid_taps(ix0, k, g.w);
+        for (int r = ky.k0; r < ky.k1; ++r) {
+          const std::size_t row = static_cast<std::size_t>(iy0 + r) * g.w;
+          const float* xr = x + row;
+          float* gir = gi + row;
+          const float* wr = w + r * k;
+          float* wgr = wg + r * k;
+          for (int t = kx.k0; t < kx.k1; ++t) {
+            wgr[t] += go * xr[ix0 + t];
+            gir[ix0 + t] += go * wr[t];
+          }
+        }
+      }
+    }
+    bg += static_cast<float>(bias_acc);
+  }
+  std::copy(wg, wg + kk, wg_out);
+  bias_grad[c] = bg;
+}
+
+// Gradients of the lane group of channels [c, c + kDwLanes): each lane runs
+// dw_backward_channel's sequence. The go == 0 skip is a lane select (the
+// accumulator keeps its value, so a -0.0 stays -0.0 and 0 * inf never
+// lands); a cell where every lane's go is 0 is skipped whole. grad_input
+// is pre-zeroed, so each plane's sums start from +0 in the workspace.
+void dw_backward_group(const float* grad_out, const float* in,
+                       const float* weight, const ConvGeometry& g,
+                       float* grad_input, float* weight_grad,
+                       float* bias_grad, int c) {
+  const int k = g.kh;
+  const int kk = k * k;
+  const int hw = g.h * g.w;
+  const int ohw = g.oh * g.ow;
+  v4f wi[kDwMaxTaps * kDwNV];
+  v4f wgi[kDwMaxTaps * kDwNV];
+  dw_interleave(weight + static_cast<std::size_t>(c) * kk, kk, kk, wi);
+  dw_interleave(weight_grad + static_cast<std::size_t>(c) * kk, kk, kk, wgi);
+  v4f bg[kDwNV];
+  for (int v = 0; v < kDwNV; ++v) bg[v] = load4(bias_grad + c + 4 * v);
+  v4f* xi = static_cast<v4f*>(
+      workspace(sizeof(v4f) * static_cast<std::size_t>(2 * hw + ohw) * kDwNV));
+  v4f* gii = xi + static_cast<std::size_t>(hw) * kDwNV;
+  v4f* goi = gii + static_cast<std::size_t>(hw) * kDwNV;
+  for (int n = 0; n < g.n; ++n) {
+    const std::size_t p = static_cast<std::size_t>(n) * g.c + c;
+    dw_interleave(in + p * hw, hw, hw, xi);
+    dw_interleave(grad_out + p * ohw, ohw, ohw, goi);
+    std::fill(gii, gii + static_cast<std::size_t>(hw) * kDwNV, v4f{});
+    Wide bias_acc[kDwNV] = {};
+    for (int oy = 0; oy < g.oh; ++oy) {
+      const int iy0 = oy * g.stride - g.pad;
+      const TapSpan ky = valid_taps(iy0, k, g.h);
+      for (int ox = 0; ox < g.ow; ++ox) {
+        const v4f* go = goi + (oy * g.ow + ox) * kDwNV;
+        v4i live[kDwNV];
+        v4i any = {};
+        for (int v = 0; v < kDwNV; ++v) {
+          widen_add(bias_acc[v], go[v]);
+          live[v] = go[v] != v4f{};
+          any |= live[v];
+        }
+        if ((any[0] | any[1] | any[2] | any[3]) == 0) continue;
+        const int ix0 = ox * g.stride - g.pad;
+        const TapSpan kx = valid_taps(ix0, k, g.w);
+        const int cell = iy0 * g.w + ix0;
+        for (int r = ky.k0; r < ky.k1; ++r) {
+          for (int t = kx.k0; t < kx.k1; ++t) {
+            v4f* wgt = wgi + (r * k + t) * kDwNV;
+            const v4f* wt = wi + (r * k + t) * kDwNV;
+            const v4f* xt = xi + (cell + r * g.w + t) * kDwNV;
+            v4f* git = gii + (cell + r * g.w + t) * kDwNV;
+            for (int v = 0; v < kDwNV; ++v) {
+              wgt[v] = live[v] ? wgt[v] + go[v] * xt[v] : wgt[v];
+              git[v] = live[v] ? git[v] + go[v] * wt[v] : git[v];
+            }
+          }
+        }
+      }
+    }
+    dw_deinterleave(gii, hw, grad_input + p * hw, hw);
+    for (int v = 0; v < kDwNV; ++v) bg[v] += narrow(bias_acc[v]);
+  }
+  dw_deinterleave(wgi, kk, weight_grad + static_cast<std::size_t>(c) * kk, kk);
+  for (int v = 0; v < kDwNV; ++v) store4(bias_grad + c + 4 * v, bg[v]);
+}
+
+}  // namespace
+
+void* workspace(std::size_t bytes) {
+  struct alignas(32) Block {
+    unsigned char storage[32];
+  };
+  thread_local std::vector<Block> ws;
+  const std::size_t blocks = (bytes + sizeof(Block) - 1) / sizeof(Block);
+  if (ws.size() < blocks) ws.resize(blocks);
+  return ws.data();
+}
+
 // Fills column-matrix rows [cr0, cr1); each row is one (channel, ky, kx)
 // triple, filled column-major over (n, oy, ox) with zero padding. A 1x1,
 // stride-1, unpadded conv's row is its channel's planes, copied whole.
@@ -284,166 +624,12 @@ void col2im_channels(const float* in, const ConvGeometry& g, float* out,
   }
 }
 
-// ---- Conv register tiles over batch columns ----------------------------
-//
-// `cols` is (ckk x batch_cols) with samples contiguous along the column axis
-// (column j = s * cps + p), so a tile spans batch columns of several samples
-// at once: a cps = 4 conv row is too short to vectorize, a 16-column batch
-// block is not. Every lane is one output element and runs exactly the row
-// loop's operation sequence (forward: bias, then `acc += w * c` for kk
-// ascending; colgrad: +0, then `acc += w * g` for oc ascending; both skip
-// zero weights), so the tiles are bit-identical to the row loops whatever
-// the shard boundaries and thread count.
-//
-// The zero-weight skip is part of the result, not only of the time: with a
-// -0.0 bias and a skipped w == 0, the output stays -0.0 where
-// -0.0 + (+0 * c) would give +0, and a skipped w == 0 against an inf column
-// keeps the output finite where 0 * inf would give NaN.
-constexpr int kConvMR = 4;  // out-channels (forward) or ckk rows (colgrad)
-constexpr int kConvNV = 4;  // v4f vectors per tile row: 16 batch columns
-constexpr int kConvNC = 4 * kConvNV;
-
-// A v4f widened to doubles as two v2d halves. Accumulators stay v2d: GCC
-// keeps a 32-byte v4d in memory on a 16-byte-vector ISA, so only the
-// conversion goes through one (where it lowers to two cvtps2pd).
-struct Wide {
-  v2d lo, hi;
-};
-
-inline void widen_add(Wide& acc, v4f x) {
-  const v4d d = __builtin_convertvector(x, v4d);
-  acc.lo += __builtin_shufflevector(d, d, 0, 1);
-  acc.hi += __builtin_shufflevector(d, d, 2, 3);
-}
-
-inline v4f narrow(const Wide& x) {
-  const v2f lo = __builtin_convertvector(x.lo, v2f);
-  const v2f hi = __builtin_convertvector(x.hi, v2f);
-  return __builtin_shufflevector(lo, hi, 0, 1, 2, 3);
-}
-
-// Offset of batch column j of out-channel 0 in an (n, out_c, cps) tensor.
-inline std::size_t nchw_offset(int j, int out_c, int cps) {
-  const int s = j / cps;
-  return static_cast<std::size_t>(s) * out_c * cps + (j - s * cps);
-}
-
-// Forward tile: out-channels [oc0, oc0 + MR) x batch columns
-// [j0, j0 + 4 * NV), scatter-stored into the (n, oc, p) output.
-template <int MR, int NV>
-inline void conv_fwd_tile(const float* weight, const float* bias,
-                          const float* cols, float* out, int out_c, int ckk,
-                          int cps, int batch_cols, int oc0, int j0) {
-  v4f acc[MR][NV];
-  for (int r = 0; r < MR; ++r) {
-    const float b = bias[oc0 + r];  // splat, not 0 + b: keeps a -0.0 bias
-    for (int v = 0; v < NV; ++v) acc[r][v] = v4f{b, b, b, b};
-  }
-  const float* w = weight + static_cast<std::size_t>(oc0) * ckk;
-  const float* c = cols + j0;
-  for (int kk = 0; kk < ckk; ++kk, c += batch_cols) {
-    v4f cv[NV];
-    for (int v = 0; v < NV; ++v) cv[v] = load4(c + 4 * v);
-    for (int r = 0; r < MR; ++r) {
-      const float wv = w[static_cast<std::size_t>(r) * ckk + kk];
-      if (wv == 0.0f) continue;
-      for (int v = 0; v < NV; ++v) acc[r][v] += wv * cv[v];
-    }
-  }
-  for (int v = 0; v < NV; ++v) {
-    for (int l = 0; l < 4; ++l) {
-      float* o = out + nchw_offset(j0 + 4 * v + l, out_c, cps) +
-                 static_cast<std::size_t>(oc0) * cps;
-      for (int r = 0; r < MR; ++r) {
-        o[static_cast<std::size_t>(r) * cps] = acc[r][v][l];
-      }
-    }
-  }
-}
-
-template <int NV>
-void conv_fwd_block(const float* weight, const float* bias, const float* cols,
-                    float* out, int out_c, int ckk, int cps, int batch_cols,
-                    int j0) {
-  int oc = 0;
-  for (; oc + kConvMR <= out_c; oc += kConvMR) {
-    conv_fwd_tile<kConvMR, NV>(weight, bias, cols, out, out_c, ckk, cps,
-                               batch_cols, oc, j0);
-  }
-  for (; oc < out_c; ++oc) {
-    conv_fwd_tile<1, NV>(weight, bias, cols, out, out_c, ckk, cps, batch_cols,
-                         oc, j0);
-  }
-}
-
-// Conv output batch columns [j0, j1) of every out-channel: 16-column tiles,
-// then 4-column tiles, then single columns, all with the same per-output
-// sequence.
-void conv_forward_cols(const float* weight, const float* bias,
-                       const float* cols, float* out, int out_c, int ckk,
-                       int cols_per_sample, int batch_cols, int j0, int j1) {
-  const int cps = cols_per_sample;
-  int j = j0;
-  for (; j + kConvNC <= j1; j += kConvNC) {
-    conv_fwd_block<kConvNV>(weight, bias, cols, out, out_c, ckk, cps,
-                            batch_cols, j);
-  }
-  for (; j + 4 <= j1; j += 4) {
-    conv_fwd_block<1>(weight, bias, cols, out, out_c, ckk, cps, batch_cols, j);
-  }
-  for (; j < j1; ++j) {
-    float* o = out + nchw_offset(j, out_c, cps);
-    for (int oc = 0; oc < out_c; ++oc) {
-      const float* wrow = weight + static_cast<std::size_t>(oc) * ckk;
-      float acc = bias[oc];
-      for (int kk = 0; kk < ckk; ++kk) {
-        const float wv = wrow[kk];
-        if (wv == 0.0f) continue;
-        acc += wv * cols[static_cast<std::size_t>(kk) * batch_cols + j];
-      }
-      o[static_cast<std::size_t>(oc) * cps] = acc;
-    }
-  }
-}
-
-// Weight/bias gradients of out-channels [oc0, oc1). Four out-channels ride
-// the four lanes of a v4f (grad_out gathered once per block into
-// lane-interleaved batch columns); each (oc, kk) lane keeps the row loop's
-// sequence: per sample a double sum of float products over the sample's
-// columns ascending, then one float add into the gradient, samples
-// ascending.
-template <int KB>
-void conv_wgrad_rows(const v4f* g4, const float* cols, float* weight_grad,
-                     int n, int ckk, int cps, int batch_cols, int oc0, int mr,
-                     int kk0) {
-  v4f w[KB] = {};
-  for (int r = 0; r < mr; ++r) {
-    const float* wrow = weight_grad + static_cast<std::size_t>(oc0 + r) * ckk;
-    for (int kb = 0; kb < KB; ++kb) w[kb][r] = wrow[kk0 + kb];
-  }
-  const float* c = cols + static_cast<std::size_t>(kk0) * batch_cols;
-  for (int s = 0, j = 0; s < n; ++s) {
-    Wide acc[KB] = {};
-    for (const int end = j + cps; j < end; ++j) {
-      const v4f g = g4[j];
-      for (int kb = 0; kb < KB; ++kb) {
-        const float cv = c[static_cast<std::size_t>(kb) * batch_cols + j];
-        widen_add(acc[kb], g * cv);
-      }
-    }
-    for (int kb = 0; kb < KB; ++kb) w[kb] += narrow(acc[kb]);
-  }
-  for (int r = 0; r < mr; ++r) {
-    float* wrow = weight_grad + static_cast<std::size_t>(oc0 + r) * ckk;
-    for (int kb = 0; kb < KB; ++kb) wrow[kk0 + kb] = w[kb][r];
-  }
-}
-
 void conv_backward_wgrad(const float* grad_out, const float* cols,
                          float* weight_grad, float* bias_grad, int n,
                          int out_c, int ckk, int ohw, int batch_cols, int oc0,
                          int oc1) {
-  std::vector<v4f> g4(static_cast<std::size_t>(batch_cols));
+  v4f* g4 = static_cast<v4f*>(
+      workspace(sizeof(v4f) * static_cast<std::size_t>(batch_cols)));
   for (int ob = oc0; ob < oc1; ob += 4) {
     const int mr = std::min(4, oc1 - ob);
     // Lane r of batch column j holds grad_out[s, ob + r, p]; unused lanes 0.
@@ -466,243 +652,14 @@ void conv_backward_wgrad(const float* grad_out, const float* cols,
     for (int r = 0; r < mr; ++r) bias_grad[ob + r] = bg[r];
     int kk = 0;
     for (; kk + 4 <= ckk; kk += 4) {
-      conv_wgrad_rows<4>(g4.data(), cols, weight_grad, n, ckk, ohw,
-                         batch_cols, ob, mr, kk);
+      conv_wgrad_rows<4>(g4, cols, weight_grad, n, ckk, ohw, batch_cols, ob,
+                         mr, kk);
     }
     for (; kk < ckk; ++kk) {
-      conv_wgrad_rows<1>(g4.data(), cols, weight_grad, n, ckk, ohw,
-                         batch_cols, ob, mr, kk);
+      conv_wgrad_rows<1>(g4, cols, weight_grad, n, ckk, ohw, batch_cols, ob,
+                         mr, kk);
     }
   }
-}
-
-// Column-gradient tile: ckk rows [kk0, kk0 + MR) x the gathered batch
-// columns of `gblock` ((out_c x 4 * NV), row-major).
-template <int MR, int NV>
-inline void conv_colgrad_tile(const float* gblock, const float* weight,
-                              float* grad_cols, int out_c, int ckk,
-                              int batch_cols, int kk0, int j0) {
-  v4f acc[MR][NV] = {};  // +0, like the row loop's zero fill
-  for (int oc = 0; oc < out_c; ++oc) {
-    v4f gv[NV];
-    for (int v = 0; v < NV; ++v) {
-      gv[v] = load4(gblock + static_cast<std::size_t>(oc) * 4 * NV + 4 * v);
-    }
-    const float* w = weight + static_cast<std::size_t>(oc) * ckk + kk0;
-    for (int r = 0; r < MR; ++r) {
-      const float wv = w[r];
-      if (wv == 0.0f) continue;
-      for (int v = 0; v < NV; ++v) acc[r][v] += wv * gv[v];
-    }
-  }
-  for (int r = 0; r < MR; ++r) {
-    float* gc = grad_cols + static_cast<std::size_t>(kk0 + r) * batch_cols + j0;
-    for (int v = 0; v < NV; ++v) store4(gc + 4 * v, acc[r][v]);
-  }
-}
-
-template <int NV>
-void conv_colgrad_block(const float* grad_out, const float* weight,
-                        float* grad_cols, float* gblock, int out_c, int ckk,
-                        int cps, int batch_cols, int j0) {
-  constexpr int nc = 4 * NV;
-  for (int c = 0; c < nc; ++c) {
-    const float* g = grad_out + nchw_offset(j0 + c, out_c, cps);
-    for (int oc = 0; oc < out_c; ++oc) {
-      gblock[static_cast<std::size_t>(oc) * nc + c] =
-          g[static_cast<std::size_t>(oc) * cps];
-    }
-  }
-  int kk = 0;
-  for (; kk + kConvMR <= ckk; kk += kConvMR) {
-    conv_colgrad_tile<kConvMR, NV>(gblock, weight, grad_cols, out_c, ckk,
-                                   batch_cols, kk, j0);
-  }
-  for (; kk < ckk; ++kk) {
-    conv_colgrad_tile<1, NV>(gblock, weight, grad_cols, out_c, ckk,
-                             batch_cols, kk, j0);
-  }
-}
-
-// Column gradient of batch columns [j0, j1):
-// grad_cols[:, j] = W^T(ckk x OC) @ grad_out[s, :, p] (overwrites).
-void conv_backward_colgrad(const float* grad_out, const float* weight,
-                           float* grad_cols, int out_c, int ckk, int ohw,
-                           int batch_cols, int j0, int j1) {
-  std::vector<float> gblock(static_cast<std::size_t>(out_c) * kConvNC);
-  int j = j0;
-  for (; j + kConvNC <= j1; j += kConvNC) {
-    conv_colgrad_block<kConvNV>(grad_out, weight, grad_cols, gblock.data(),
-                                out_c, ckk, ohw, batch_cols, j);
-  }
-  for (; j + 4 <= j1; j += 4) {
-    conv_colgrad_block<1>(grad_out, weight, grad_cols, gblock.data(), out_c,
-                          ckk, ohw, batch_cols, j);
-  }
-  for (; j < j1; ++j) {
-    const float* g = grad_out + nchw_offset(j, out_c, ohw);
-    for (int kk = 0; kk < ckk; ++kk) {
-      float acc = 0.0f;
-      for (int oc = 0; oc < out_c; ++oc) {
-        const float wv = weight[static_cast<std::size_t>(oc) * ckk + kk];
-        if (wv == 0.0f) continue;
-        acc += wv * g[static_cast<std::size_t>(oc) * ohw];
-      }
-      grad_cols[static_cast<std::size_t>(kk) * batch_cols + j] = acc;
-    }
-  }
-}
-
-// ---- Depthwise tiles, lanes over channels ------------------------------
-//
-// A depthwise output reduces over one channel's K x K window only, and the
-// search maps (6x6, 3x3, 2x2) are too narrow for lanes along a row, nor
-// does batch 1 (evaluation) leave samples to span. What every search shape
-// does have is channels in multiples of 8, so a lane group is kDwLanes
-// adjacent channels of one sample: their planes are repacked to an
-// interleaved (h, w, lane) layout and their weight rows to (tap, lane), and
-// each lane, one channel, runs exactly the plane loop's operation sequence.
-// A range whose channels do not fill a whole group (a channel count that is
-// not a multiple of kDwLanes, or a shard cut inside a group) runs the plane
-// loop for the channels left over.
-constexpr int kDwNV = kDwLanes / 4;  // v4f vectors per lane group
-constexpr int kDwMaxTaps = kMaxDwKernel * kMaxDwKernel;
-
-typedef int v4i __attribute__((vector_size(16)));
-
-// Grow-only per-thread home of the repacked planes; the kernels never nest,
-// so one buffer per thread serves every call.
-v4f* dw_workspace(std::size_t vectors) {
-  thread_local std::vector<v4f> ws;
-  if (ws.size() < vectors) ws.resize(vectors);
-  return ws.data();
-}
-
-// Transposes the 4x4 block whose rows are r[0..3] in place.
-inline void transpose4(v4f (&r)[4]) {
-  const v4f t0 = __builtin_shufflevector(r[0], r[1], 0, 4, 1, 5);
-  const v4f t1 = __builtin_shufflevector(r[0], r[1], 2, 6, 3, 7);
-  const v4f t2 = __builtin_shufflevector(r[2], r[3], 0, 4, 1, 5);
-  const v4f t3 = __builtin_shufflevector(r[2], r[3], 2, 6, 3, 7);
-  r[0] = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
-  r[1] = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
-  r[2] = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
-  r[3] = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
-}
-
-// dst[i * kDwNV + v][l] = src[(4 * v + l) * stride + i] for i < len: the
-// rows of kDwLanes channels, `stride` floats apart, interleaved lane-wise,
-// 4x4 blocks at a time.
-void dw_interleave(const float* src, std::size_t stride, int len, v4f* dst) {
-  int i = 0;
-  for (; i + 4 <= len; i += 4) {
-    for (int v = 0; v < kDwNV; ++v) {
-      const float* s = src + 4 * v * stride + i;
-      v4f r[4] = {load4(s), load4(s + stride), load4(s + 2 * stride),
-                  load4(s + 3 * stride)};
-      transpose4(r);
-      for (int j = 0; j < 4; ++j) dst[(i + j) * kDwNV + v] = r[j];
-    }
-  }
-  for (; i < len; ++i) {
-    for (int v = 0; v < kDwNV; ++v) {
-      const float* s = src + 4 * v * stride + i;
-      dst[i * kDwNV + v] = v4f{s[0], s[stride], s[2 * stride], s[3 * stride]};
-    }
-  }
-}
-
-// The inverse of dw_interleave.
-void dw_deinterleave(const v4f* src, int len, float* dst, std::size_t stride) {
-  int i = 0;
-  for (; i + 4 <= len; i += 4) {
-    for (int v = 0; v < kDwNV; ++v) {
-      v4f r[4];
-      for (int j = 0; j < 4; ++j) r[j] = src[(i + j) * kDwNV + v];
-      transpose4(r);
-      float* d = dst + 4 * v * stride + i;
-      for (int l = 0; l < 4; ++l) store4(d + l * stride, r[l]);
-    }
-  }
-  for (; i < len; ++i) {
-    for (int v = 0; v < kDwNV; ++v) {
-      const v4f x = src[i * kDwNV + v];
-      float* d = dst + 4 * v * stride + i;
-      for (int l = 0; l < 4; ++l) d[l * stride] = x[l];
-    }
-  }
-}
-
-// The valid taps [k0, k1) of a window starting at input index i0 of an
-// axis of `extent` cells.
-struct TapSpan {
-  int k0, k1;
-};
-
-inline TapSpan valid_taps(int i0, int k, int extent) {
-  return TapSpan{std::max(0, -i0), std::min(k, extent - i0)};
-}
-
-// One depthwise output plane: acc = b, then the valid taps ky-then-kx
-// ascending (invalid taps skipped, as the bounds-checked loop skipped
-// them).
-void dw_forward_plane(const float* x, const float* w, float b,
-                      const ConvGeometry& g, float* y) {
-  const int k = g.kh;
-  for (int oy = 0; oy < g.oh; ++oy) {
-    const int iy0 = oy * g.stride - g.pad;
-    const TapSpan ky = valid_taps(iy0, k, g.h);
-    float* yr = y + static_cast<std::size_t>(oy) * g.ow;
-    for (int ox = 0; ox < g.ow; ++ox) {
-      const int ix0 = ox * g.stride - g.pad;
-      const TapSpan kx = valid_taps(ix0, k, g.w);
-      float acc = b;
-      for (int r = ky.k0; r < ky.k1; ++r) {
-        const float* xr = x + static_cast<std::size_t>(iy0 + r) * g.w;
-        const float* wr = w + r * k;
-        for (int t = kx.k0; t < kx.k1; ++t) acc += wr[t] * xr[ix0 + t];
-      }
-      yr[ox] = acc;
-    }
-  }
-}
-
-// The output planes of one lane group: kDwLanes adjacent channels of one
-// sample, x and y at the first channel's plane, w and b at its weight row
-// and bias.
-void dw_forward_group(const float* x, const float* w, const float* b,
-                      const ConvGeometry& g, float* y) {
-  const int k = g.kh;
-  const int hw = g.h * g.w;
-  const int ohw = g.oh * g.ow;
-  v4f wi[kDwMaxTaps * kDwNV];
-  dw_interleave(w, k * k, k * k, wi);
-  v4f* xi = dw_workspace(static_cast<std::size_t>(hw + ohw) * kDwNV);
-  v4f* yi = xi + static_cast<std::size_t>(hw) * kDwNV;
-  dw_interleave(x, hw, hw, xi);
-  v4f bias[kDwNV];
-  for (int v = 0; v < kDwNV; ++v) bias[v] = load4(b + 4 * v);  // keeps -0.0
-  for (int oy = 0; oy < g.oh; ++oy) {
-    const int iy0 = oy * g.stride - g.pad;
-    const TapSpan ky = valid_taps(iy0, k, g.h);
-    for (int ox = 0; ox < g.ow; ++ox) {
-      const int ix0 = ox * g.stride - g.pad;
-      const TapSpan kx = valid_taps(ix0, k, g.w);
-      const int cell = iy0 * g.w + ix0;
-      v4f acc[kDwNV];
-      for (int v = 0; v < kDwNV; ++v) acc[v] = bias[v];
-      for (int r = ky.k0; r < ky.k1; ++r) {
-        for (int t = kx.k0; t < kx.k1; ++t) {
-          const v4f* wt = wi + (r * k + t) * kDwNV;
-          const v4f* xt = xi + (cell + r * g.w + t) * kDwNV;
-          for (int v = 0; v < kDwNV; ++v) acc[v] += wt[v] * xt[v];
-        }
-      }
-      v4f* o = yi + (oy * g.ow + ox) * kDwNV;
-      for (int v = 0; v < kDwNV; ++v) o[v] = acc[v];
-    }
-  }
-  dw_deinterleave(yi, ohw, y, ohw);
 }
 
 // Depthwise output planes [p0, p1), plane p = n * g.c + c: lane groups where
@@ -729,122 +686,6 @@ void dw_forward_planes(const float* in, const float* weight, const float* bias,
   }
 }
 
-// Gradients of one channel over every sample, the serial visit order: n,
-// oy, ox ascending, then the valid taps. Weight row c and bias[c]
-// accumulate in locals (the same float add sequence) and are stored once:
-// neighbouring channels' rows share cache lines, and shards on other
-// threads write them.
-void dw_backward_channel(const float* grad_out, const float* in,
-                         const float* weight, const ConvGeometry& g,
-                         float* grad_input, float* weight_grad,
-                         float* bias_grad, int c) {
-  const int k = g.kh;
-  const int kk = k * k;
-  const float* w = weight + static_cast<std::size_t>(c) * kk;
-  float* wg_out = weight_grad + static_cast<std::size_t>(c) * kk;
-  float wg[kDwMaxTaps];
-  std::copy(wg_out, wg_out + kk, wg);
-  float bg = bias_grad[c];
-  for (int n = 0; n < g.n; ++n) {
-    const std::size_t p = static_cast<std::size_t>(n) * g.c + c;
-    const float* x = in + p * g.h * g.w;
-    float* gi = grad_input + p * g.h * g.w;
-    const float* go_plane = grad_out + p * g.oh * g.ow;
-    double bias_acc = 0.0;
-    for (int oy = 0; oy < g.oh; ++oy) {
-      const int iy0 = oy * g.stride - g.pad;
-      const TapSpan ky = valid_taps(iy0, k, g.h);
-      const float* gor = go_plane + static_cast<std::size_t>(oy) * g.ow;
-      for (int ox = 0; ox < g.ow; ++ox) {
-        const float go = gor[ox];
-        bias_acc += go;
-        if (go == 0.0f) continue;
-        const int ix0 = ox * g.stride - g.pad;
-        const TapSpan kx = valid_taps(ix0, k, g.w);
-        for (int r = ky.k0; r < ky.k1; ++r) {
-          const std::size_t row = static_cast<std::size_t>(iy0 + r) * g.w;
-          const float* xr = x + row;
-          float* gir = gi + row;
-          const float* wr = w + r * k;
-          float* wgr = wg + r * k;
-          for (int t = kx.k0; t < kx.k1; ++t) {
-            wgr[t] += go * xr[ix0 + t];
-            gir[ix0 + t] += go * wr[t];
-          }
-        }
-      }
-    }
-    bg += static_cast<float>(bias_acc);
-  }
-  std::copy(wg, wg + kk, wg_out);
-  bias_grad[c] = bg;
-}
-
-// Gradients of the lane group of channels [c, c + kDwLanes): each lane runs
-// dw_backward_channel's sequence. The go == 0 skip is a lane select (the
-// accumulator keeps its value, so a -0.0 stays -0.0 and 0 * inf never
-// lands); a cell where every lane's go is 0 is skipped whole. grad_input
-// is pre-zeroed, so each plane's sums start from +0 in the workspace.
-void dw_backward_group(const float* grad_out, const float* in,
-                       const float* weight, const ConvGeometry& g,
-                       float* grad_input, float* weight_grad,
-                       float* bias_grad, int c) {
-  const int k = g.kh;
-  const int kk = k * k;
-  const int hw = g.h * g.w;
-  const int ohw = g.oh * g.ow;
-  v4f wi[kDwMaxTaps * kDwNV];
-  v4f wgi[kDwMaxTaps * kDwNV];
-  dw_interleave(weight + static_cast<std::size_t>(c) * kk, kk, kk, wi);
-  dw_interleave(weight_grad + static_cast<std::size_t>(c) * kk, kk, kk, wgi);
-  v4f bg[kDwNV];
-  for (int v = 0; v < kDwNV; ++v) bg[v] = load4(bias_grad + c + 4 * v);
-  v4f* xi = dw_workspace(static_cast<std::size_t>(2 * hw + ohw) * kDwNV);
-  v4f* gii = xi + static_cast<std::size_t>(hw) * kDwNV;
-  v4f* goi = gii + static_cast<std::size_t>(hw) * kDwNV;
-  for (int n = 0; n < g.n; ++n) {
-    const std::size_t p = static_cast<std::size_t>(n) * g.c + c;
-    dw_interleave(in + p * hw, hw, hw, xi);
-    dw_interleave(grad_out + p * ohw, ohw, ohw, goi);
-    std::fill(gii, gii + static_cast<std::size_t>(hw) * kDwNV, v4f{});
-    Wide bias_acc[kDwNV] = {};
-    for (int oy = 0; oy < g.oh; ++oy) {
-      const int iy0 = oy * g.stride - g.pad;
-      const TapSpan ky = valid_taps(iy0, k, g.h);
-      for (int ox = 0; ox < g.ow; ++ox) {
-        const v4f* go = goi + (oy * g.ow + ox) * kDwNV;
-        v4i live[kDwNV];
-        v4i any = {};
-        for (int v = 0; v < kDwNV; ++v) {
-          widen_add(bias_acc[v], go[v]);
-          live[v] = go[v] != v4f{};
-          any |= live[v];
-        }
-        if ((any[0] | any[1] | any[2] | any[3]) == 0) continue;
-        const int ix0 = ox * g.stride - g.pad;
-        const TapSpan kx = valid_taps(ix0, k, g.w);
-        const int cell = iy0 * g.w + ix0;
-        for (int r = ky.k0; r < ky.k1; ++r) {
-          for (int t = kx.k0; t < kx.k1; ++t) {
-            v4f* wgt = wgi + (r * k + t) * kDwNV;
-            const v4f* wt = wi + (r * k + t) * kDwNV;
-            const v4f* xt = xi + (cell + r * g.w + t) * kDwNV;
-            v4f* git = gii + (cell + r * g.w + t) * kDwNV;
-            for (int v = 0; v < kDwNV; ++v) {
-              wgt[v] = live[v] ? wgt[v] + go[v] * xt[v] : wgt[v];
-              git[v] = live[v] ? git[v] + go[v] * wt[v] : git[v];
-            }
-          }
-        }
-      }
-    }
-    dw_deinterleave(gii, hw, grad_input + p * hw, hw);
-    for (int v = 0; v < kDwNV; ++v) bg[v] += narrow(bias_acc[v]);
-  }
-  dw_deinterleave(wgi, kk, weight_grad + static_cast<std::size_t>(c) * kk, kk);
-  for (int v = 0; v < kDwNV; ++v) store4(bias_grad + c + 4 * v, bg[v]);
-}
-
 // Depthwise gradients for channels [c0, c1): lane groups where kDwLanes
 // channels fit in the range, single channels elsewhere. Every channel walks
 // the samples ascending inside its own call, so weight row c, bias[c] and
@@ -866,14 +707,9 @@ void dw_backward_channels(const float* grad_out, const float* in,
   }
 }
 
-}  // namespace
-
 const Backend& scalar_backend() {
-  static const Backend kScalar{
-      "scalar",          gemm_rows,           im2col_rows,
-      col2im_channels,   conv_forward_cols,   conv_backward_wgrad,
-      conv_backward_colgrad, dw_forward_planes, dw_backward_channels,
-  };
+  static const Backend kScalar{"scalar", gemm_rows, conv_forward_cols<Lanes4>,
+                               conv_backward_colgrad<Lanes4>};
   return kScalar;
 }
 

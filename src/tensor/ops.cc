@@ -127,14 +127,13 @@ void im2col(const float* in, const ConvGeometry& g, float* out) {
   // Each output row belongs to exactly one (channel, ky, kx) triple, so the
   // rows can be filled independently. Grain is derived from the row width
   // only, keeping shard boundaries thread-count independent.
-  const backend::Backend& be = backend::active();
   const std::int64_t grain =
       std::max<std::int64_t>(1, 32768 / std::max(1, col_cols));
   util::parallel_for(
       0, col_rows, grain,
       [&](std::int64_t cr0, std::int64_t cr1) {
-        be.im2col_rows(in, g, out, static_cast<int>(cr0),
-                       static_cast<int>(cr1));
+        backend::im2col_rows(in, g, out, static_cast<int>(cr0),
+                             static_cast<int>(cr1));
       },
       "im2col");
 }
@@ -162,12 +161,11 @@ void col2im(const Tensor& cols, const ConvGeometry& g, Tensor& grad_input) {
   // never across channels, so channels are the race-free unit of work. Each
   // shard walks its channels' column rows in the same ascending order as the
   // serial loop, keeping the accumulation order bit-exact.
-  const backend::Backend& be = backend::active();
   util::parallel_for(
       0, g.c, 1,
       [&](std::int64_t ch0, std::int64_t ch1) {
-        be.col2im_channels(in, g, out, static_cast<int>(ch0),
-                           static_cast<int>(ch1));
+        backend::col2im_channels(in, g, out, static_cast<int>(ch0),
+                                 static_cast<int>(ch1));
       },
       "col2im");
 }

@@ -1,18 +1,15 @@
-// Cross-backend validation: every kernel of the avx2 backend must agree
-// with the scalar reference across a shape/stride/trans-flag/thread-count
-// grid — bit-identical for im2col, col2im, the conv weight gradient and
-// depthwise conv (at the co-search's real shapes), under the ULP tolerance
-// policy of tensor/backend/check.h for GEMM and the FMA conv forward and
-// column gradient — plus unit coverage for the
-// checker utility itself (tolerance violations, NaN/Inf reporting,
-// deterministic failure messages) and for ScopedBackend's resolution of
-// A3CS_BACKEND.
+// Cross-backend validation: the kernels of the avx2 table must agree with
+// the scalar ones across a shape/trans-flag/thread-count grid under the ULP
+// tolerance policy of tensor/backend/check.h, and its conv forward and
+// column gradient must equal fused row loops bit for bit at the
+// co-search's real conv shapes — plus unit coverage for the checker utility
+// itself (tolerance violations, NaN/Inf reporting, deterministic failure
+// messages) and for ScopedBackend's resolution of A3CS_BACKEND.
 //
 // On hosts without AVX2+FMA the grid cases GTEST_SKIP; the checker-utility
 // cases always run.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -21,9 +18,6 @@
 #include <vector>
 
 #include "conv_shapes.h"
-#include "nas/arch.h"
-#include "nas/ops.h"
-#include "nn/layers.h"
 #include "tensor/backend/backend.h"
 #include "tensor/backend/check.h"
 #include "tensor/ops.h"
@@ -35,7 +29,6 @@ namespace a3cs {
 namespace {
 
 namespace backend = tensor::backend;
-using tensor::ConvGeometry;
 using tensor::Shape;
 using tensor::Tensor;
 
@@ -55,7 +48,7 @@ TEST(ScopedBackendFirstUse, RestoresTheEnvBackend) {
   if (util::env_string("A3CS_BACKEND", "") != "avx2") {
     GTEST_SKIP() << "runs under A3CS_BACKEND=avx2";
   }
-  if (!backend::cpu_supports_avx2()) {
+  if (backend::by_name("avx2") == nullptr) {
     GTEST_SKIP() << "host lacks AVX2+FMA; avx2 backend unavailable";
   }
   {
@@ -198,7 +191,7 @@ TEST(Checker, ToleranceScalesWithReductionLength) {
 class BackendGrid : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!backend::cpu_supports_avx2()) {
+    if (backend::by_name("avx2") == nullptr) {
       GTEST_SKIP() << "host lacks AVX2+FMA; avx2 backend unavailable";
     }
   }
@@ -213,12 +206,12 @@ TEST_F(BackendGrid, AvailableNamesListsBoth) {
   EXPECT_STREQ(backend::avx2_backend()->name, "avx2");
 }
 
-TEST_F(BackendGrid, SelectRejectsUnknownNames) {
-  EXPECT_FALSE(backend::select("sse9"));
-  EXPECT_TRUE(backend::select("auto"));
-  EXPECT_STREQ(backend::active().name, "avx2");
-  EXPECT_TRUE(backend::select("scalar"));
-  EXPECT_STREQ(backend::active().name, "scalar");
+TEST_F(BackendGrid, ByNameResolvesNames) {
+  EXPECT_EQ(backend::by_name("sse9"), nullptr);
+  EXPECT_EQ(backend::by_name(""), nullptr);
+  EXPECT_EQ(backend::by_name("auto"), backend::avx2_backend());
+  EXPECT_EQ(backend::by_name("avx2"), backend::avx2_backend());
+  EXPECT_EQ(backend::by_name("scalar"), &backend::scalar_backend());
 }
 
 TEST_F(BackendGrid, GemmMatchesScalarAcrossShapeTransAlphaBetaThreads) {
@@ -280,7 +273,7 @@ TEST_F(BackendGrid, GemmPerBackendResultsThreadCountInvariant) {
   const auto a = random_vec(static_cast<std::int64_t>(m) * k, rng);
   const auto b = random_vec(static_cast<std::int64_t>(k) * n, rng);
   for (const char* name : {"scalar", "avx2"}) {
-    ASSERT_TRUE(backend::select(name));
+    backend::ScopedBackend use(*backend::by_name(name));
     std::vector<std::vector<float>> results;
     for (const int threads : {1, 4}) {
       util::ThreadPool::set_global_threads(threads);
@@ -289,78 +282,6 @@ TEST_F(BackendGrid, GemmPerBackendResultsThreadCountInvariant) {
       results.push_back(std::move(c));
     }
     EXPECT_EQ(results[0], results[1]) << name << " not thread-invariant";
-  }
-  backend::select("scalar");
-}
-
-TEST_F(BackendGrid, Im2colAndCol2imBitExactAcrossStridePadGrid) {
-  // Pure data movement (im2col) and order-preserving accumulation (col2im)
-  // must be BIT-exact across backends: max_ulps = 0.
-  struct GeomCase {
-    int n, c, h, w, kh, stride, pad;
-  };
-  std::vector<GeomCase> geoms = {
-      {2, 3, 12, 12, 3, 1, 1}, {1, 1, 5, 5, 3, 2, 0}, {2, 2, 8, 8, 1, 1, 0},
-      {1, 3, 9, 7, 5, 1, 2},   {3, 1, 6, 6, 3, 2, 1}, {1, 2, 4, 4, 4, 1, 3}};
-  // The search geometries: its 12x12 frames and 6x6, 3x3 and 2x2 cell maps,
-  // k1/k3/k5 at "same" padding, strides 1 and 2.
-  for (const int hw : {2, 3, 6, 12}) {
-    for (const int k : {1, 3, 5}) {
-      for (const int stride : {1, 2}) {
-        geoms.push_back({3, 4, hw, hw, k, stride, k / 2});
-      }
-    }
-  }
-  backend::CheckOptions exact;
-  exact.max_ulps = 0;
-  exact.abs_tol = 0.0f;
-  util::Rng rng(7);
-  for (const auto& gc : geoms) {
-    for (const int threads : {1, 4}) {
-      util::ThreadPool::set_global_threads(threads);
-      Tensor input(Shape::nchw(gc.n, gc.c, gc.h, gc.w));
-      for (std::int64_t i = 0; i < input.numel(); ++i) {
-        input[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-      }
-      const auto g = ConvGeometry::make(input.shape(), gc.kh, gc.kh,
-                                        gc.stride, gc.pad);
-      const Shape cols_shape =
-          Shape::mat(g.c * g.kh * g.kw, g.n * g.oh * g.ow);
-      const std::string label = "geom " + std::to_string(gc.n) + "x" +
-                                std::to_string(gc.c) + "x" +
-                                std::to_string(gc.h) + "x" +
-                                std::to_string(gc.w) + " k" +
-                                std::to_string(gc.kh) + " s" +
-                                std::to_string(gc.stride) + " p" +
-                                std::to_string(gc.pad) + " t" +
-                                std::to_string(threads);
-
-      Tensor cols_ref(cols_shape), cols_avx(cols_shape);
-      {
-        backend::ScopedBackend use(backend::scalar_backend());
-        tensor::im2col(input, g, cols_ref);
-      }
-      {
-        backend::ScopedBackend use(*backend::avx2_backend());
-        tensor::im2col(input, g, cols_avx);
-      }
-      auto res = backend::compare_tensors(cols_ref, cols_avx, exact,
-                                          "im2col " + label);
-      EXPECT_TRUE(res.ok) << res.message;
-
-      Tensor grad_ref(input.shape()), grad_avx(input.shape());
-      {
-        backend::ScopedBackend use(backend::scalar_backend());
-        tensor::col2im(cols_ref, g, grad_ref);
-      }
-      {
-        backend::ScopedBackend use(*backend::avx2_backend());
-        tensor::col2im(cols_ref, g, grad_avx);
-      }
-      res = backend::compare_tensors(grad_ref, grad_avx, exact,
-                                     "col2im " + label);
-      EXPECT_TRUE(res.ok) << res.message;
-    }
   }
 }
 
@@ -384,22 +305,69 @@ bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+// The avx2 conv contract, as row loops: forward is the bias, then
+// std::fma(w, c, acc) for kk ascending; the column gradient is +0, then
+// std::fma(w, g, acc) for oc ascending; both skip w == 0.
+std::vector<float> fused_conv_forward(const std::vector<float>& weight,
+                                      const std::vector<float>& bias,
+                                      const std::vector<float>& cols, int n,
+                                      int out_c, int ckk, int cps) {
+  const int batch_cols = n * cps;
+  std::vector<float> out(static_cast<std::size_t>(n) * out_c * cps);
+  for (int j = 0; j < batch_cols; ++j) {
+    for (int oc = 0; oc < out_c; ++oc) {
+      float acc = bias[static_cast<std::size_t>(oc)];
+      for (int kk = 0; kk < ckk; ++kk) {
+        const float w = weight[static_cast<std::size_t>(oc) * ckk + kk];
+        if (w == 0.0f) continue;
+        acc = std::fma(w, cols[static_cast<std::size_t>(kk) * batch_cols + j],
+                       acc);
+      }
+      out[(static_cast<std::size_t>(j / cps) * out_c + oc) * cps + j % cps] =
+          acc;
+    }
+  }
+  return out;
+}
+
+std::vector<float> fused_conv_colgrad(const std::vector<float>& grad_out,
+                                      const std::vector<float>& weight, int n,
+                                      int out_c, int ckk, int ohw) {
+  const int batch_cols = n * ohw;
+  std::vector<float> gc(static_cast<std::size_t>(ckk) * batch_cols);
+  for (int j = 0; j < batch_cols; ++j) {
+    for (int kk = 0; kk < ckk; ++kk) {
+      float acc = 0.0f;
+      for (int oc = 0; oc < out_c; ++oc) {
+        const float w = weight[static_cast<std::size_t>(oc) * ckk + kk];
+        if (w == 0.0f) continue;
+        acc = std::fma(
+            w,
+            grad_out[(static_cast<std::size_t>(j / ohw) * out_c + oc) * ohw +
+                     j % ohw],
+            acc);
+      }
+      gc[static_cast<std::size_t>(kk) * batch_cols + j] = acc;
+    }
+  }
+  return gc;
+}
+
 TEST_F(BackendGrid, ConvKernelsMatchScalarUnderTolerance) {
-  // Drives the three conv shard kernels directly at every conv geometry of
-  // the search (plus out_c and batch widths off the tile grid), over whole,
+  // Drives the conv shard kernels directly at every conv geometry of the
+  // search (plus out_c and batch widths off the tile grid), over whole,
   // tile-aligned and ragged shard cuts. Scalar vs avx2 must agree under the
-  // tolerance for the FMA forward and column gradient, and bit for bit for
-  // the weight/bias gradient (avx2 runs the scalar entry); each backend must
-  // be bitwise independent of the cuts. A few zero weights exercise the
-  // zero-skip paths.
+  // tolerance for the forward and column gradient, and avx2 must equal the
+  // fused row loops bit for bit; each backend's kernels, and the one weight
+  // and bias gradient kernel, must be bitwise independent of the cuts. A
+  // few zero weights exercise the zero-skip paths.
   std::vector<testing::ConvShape> shapes = testing::search_conv_shapes();
   shapes.push_back({2, 3, 5, 3, 1, 6, 7});
   shapes.push_back({3, 5, 6, 3, 1, 3, 3});
   shapes.push_back({1, 4, 7, 3, 1, 3, 3});
   const backend::Backend* backends[] = {&backend::scalar_backend(),
                                         backend::avx2_backend()};
-  const char* what[] = {"conv-fwd", "conv-wgrad", "conv-bgrad",
-                        "conv-colgrad"};
+  const char* what[] = {"conv-fwd", "conv-colgrad"};
   util::Rng rng(31);
   for (const testing::ConvShape& cs : shapes) {
     SCOPED_TRACE(cs.label());
@@ -415,14 +383,12 @@ TEST_F(BackendGrid, ConvKernelsMatchScalarUnderTolerance) {
     const auto wg0 = random_vec(static_cast<std::int64_t>(out_c) * ckk, rng);
     const auto bg0 = random_vec(out_c, rng);
 
-    // got[backend] = {out, wg, bg, gc} of the whole-range call.
+    // got[backend] = {out, gc} of the whole-range call.
     std::vector<std::vector<float>> got[2];
     const auto col_cuts = shard_cuts(batch_cols, 16);
-    const auto oc_cuts = shard_cuts(out_c, 4);
     for (int bi = 0; bi < 2; ++bi) {
       const backend::Backend& be = *backends[bi];
-      for (std::size_t c = 0; c < col_cuts.size(); ++c) {
-        const std::vector<int>& cuts = col_cuts[c];
+      for (const std::vector<int>& cuts : col_cuts) {
         std::vector<float> out(static_cast<std::size_t>(n) * out_c * ohw);
         std::vector<float> gc(static_cast<std::size_t>(ckk) * batch_cols);
         for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
@@ -433,118 +399,55 @@ TEST_F(BackendGrid, ConvKernelsMatchScalarUnderTolerance) {
                                    out_c, ckk, ohw, batch_cols, cuts[i],
                                    cuts[i + 1]);
         }
-        // Weight/bias gradient (+= from nonzero state), sharded over
-        // out-channels.
-        std::vector<float> wg = wg0, bg = bg0;
-        const std::vector<int>& oc = oc_cuts[c];
-        for (std::size_t i = 0; i + 1 < oc.size(); ++i) {
-          be.conv_backward_wgrad(grad_out.data(), cols.data(), wg.data(),
-                                 bg.data(), n, out_c, ckk, ohw, batch_cols,
-                                 oc[i], oc[i + 1]);
-        }
         if (got[bi].empty()) {
-          got[bi] = {out, wg, bg, gc};
+          got[bi] = {out, gc};
           continue;
         }
-        const std::vector<float>* now[] = {&out, &wg, &bg, &gc};
-        for (int k = 0; k < 4; ++k) {
+        const std::vector<float>* now[] = {&out, &gc};
+        for (int k = 0; k < 2; ++k) {
           EXPECT_TRUE(bit_equal(got[bi][k], *now[k]))
               << be.name << " " << what[k] << " depends on the shard cuts ("
               << cuts.size() - 1 << " column shards)";
         }
       }
     }
-    backend::CheckOptions exact;
-    exact.max_ulps = 0;
-    exact.abs_tol = 0.0f;
     const backend::CheckOptions opts[] = {
-        backend::tolerance_for_reduction(ckk), exact, exact,
+        backend::tolerance_for_reduction(ckk),
         backend::tolerance_for_reduction(out_c)};
-    for (int k = 0; k < 4; ++k) {
+    for (int k = 0; k < 2; ++k) {
       const auto res = backend::compare_elementwise(
           got[0][k].data(), got[1][k].data(),
           static_cast<std::int64_t>(got[0][k].size()), opts[k], what[k]);
       EXPECT_TRUE(res.ok) << res.message;
     }
-  }
-}
+    EXPECT_TRUE(bit_equal(
+        got[1][0], fused_conv_forward(weight, bias, cols, n, out_c, ckk, ohw)))
+        << "avx2 conv-fwd differs from the fused row loop";
+    EXPECT_TRUE(
+        bit_equal(got[1][1], fused_conv_colgrad(grad_out, weight, n, out_c,
+                                                ckk, ohw)))
+        << "avx2 conv-colgrad differs from the fused row loop";
 
-TEST_F(BackendGrid, DepthwiseConvBitIdenticalAtSearchShapes) {
-  // Every depthwise conv a 6-cell co-search on the 12x12 arcade frames runs:
-  // each cell's input geometry (6x6, 3x3, 2x2; strides 1 and 2) crossed with
-  // the inverted-residual candidates (k3/k5 x expansion 1/3/5), at the
-  // rollout batch (8 envs) and the 5-step update batch (40). The layer's
-  // forward and its second, accumulating backward must be bit-identical on
-  // both backends at 1 and 4 threads.
-  nas::SearchSpaceConfig cfg;
-  cfg.num_cells = 6;
-  const auto space = nas::space_geometry(nn::ObsSpec{3, 12, 12}, cfg);
-  const backend::Backend* backends[] = {&backend::scalar_backend(),
-                                        backend::avx2_backend()};
-  const char* what[] = {"output", "grad_input", "weight grad", "bias grad"};
-  backend::CheckOptions exact;
-  exact.max_ulps = 0;
-  exact.abs_tol = 0.0f;
-  int cases = 0;
-  for (const nas::CellGeometry& cell : space.cells) {
-    for (const nas::CandidateOp& op : nas::candidate_ops()) {
-      if (op.expansion == 0) continue;
-      for (const int n : {8, 40}) {
-        const int ch = cell.in_c * op.expansion;
-        const std::string label = op.id + " " + std::to_string(n) + "x" +
-                                  std::to_string(ch) + "x" +
-                                  std::to_string(cell.in_h) + "x" +
-                                  std::to_string(cell.in_w) + " s" +
-                                  std::to_string(cell.stride);
-        const Shape in_shape = Shape::nchw(n, ch, cell.in_h, cell.in_w);
-        const auto g = ConvGeometry::make(in_shape, op.kernel, op.kernel,
-                                          cell.stride, op.kernel / 2);
-        util::Rng data_rng(43);
-        Tensor x(in_shape);
-        Tensor go(Shape::nchw(n, ch, g.oh, g.ow));
-        for (Tensor* t : {&x, &go}) {
-          for (std::int64_t i = 0; i < t->numel(); ++i) {
-            (*t)[i] = static_cast<float>(data_rng.uniform(-1.0, 1.0));
-          }
-        }
-        std::vector<Tensor> ref;
-        for (const backend::Backend* be : backends) {
-          backend::ScopedBackend use(*be);
-          for (const int threads : {1, 4}) {
-            util::ThreadPool::set_global_threads(threads);
-            util::Rng rng(41);
-            nn::DepthwiseConv2d dw("dw", ch, op.kernel, cell.stride,
-                                   op.kernel / 2, rng);
-            dw.forward(x);
-            dw.backward(go);
-            Tensor out = dw.forward(x);
-            Tensor gi = dw.backward(go);
-            const auto params = dw.parameters();
-            const std::vector<Tensor> got = {out, gi, params[0]->grad,
-                                             params[1]->grad};
-            if (ref.empty()) {
-              ref = got;
-              continue;
-            }
-            for (std::size_t k = 0; k < got.size(); ++k) {
-              const std::string at = std::string(what[k]) + " " + label +
-                                     " " + be->name + " t" +
-                                     std::to_string(threads);
-              const auto res = backend::compare_tensors(ref[k], got[k], exact,
-                                                        "dw " + at);
-              EXPECT_TRUE(res.ok) << res.message;
-              EXPECT_EQ(std::memcmp(ref[k].data(), got[k].data(),
-                                    ref[k].numel() * sizeof(float)),
-                        0)
-                  << "dw " << at << " differs in sign bits";
-            }
-          }
-        }
-        ++cases;
+    // Weight/bias gradient (+= from nonzero state), sharded over
+    // out-channels.
+    std::vector<std::vector<float>> wgrad;
+    for (const std::vector<int>& oc : shard_cuts(out_c, 4)) {
+      std::vector<float> wg = wg0, bg = bg0;
+      for (std::size_t i = 0; i + 1 < oc.size(); ++i) {
+        backend::conv_backward_wgrad(grad_out.data(), cols.data(), wg.data(),
+                                     bg.data(), n, out_c, ckk, ohw,
+                                     batch_cols, oc[i], oc[i + 1]);
       }
+      if (wgrad.empty()) {
+        wgrad = {wg, bg};
+        continue;
+      }
+      EXPECT_TRUE(bit_equal(wgrad[0], wg))
+          << "conv-wgrad depends on the shard cuts";
+      EXPECT_TRUE(bit_equal(wgrad[1], bg))
+          << "conv-bgrad depends on the shard cuts";
     }
   }
-  EXPECT_EQ(cases, 6 * 6 * 2);
 }
 
 TEST_F(BackendGrid, GemmBetaZeroNeverReadsC) {
@@ -555,7 +458,7 @@ TEST_F(BackendGrid, GemmBetaZeroNeverReadsC) {
   const auto a = random_vec(static_cast<std::int64_t>(m) * k, rng);
   const auto b = random_vec(static_cast<std::int64_t>(k) * n, rng);
   for (const char* name : {"scalar", "avx2"}) {
-    ASSERT_TRUE(backend::select(name));
+    backend::ScopedBackend use(*backend::by_name(name));
     std::vector<float> c(static_cast<std::size_t>(m) * n,
                          std::numeric_limits<float>::quiet_NaN());
     tensor::gemm_raw(a.data(), false, b.data(), false, c.data(), m, k, n,
@@ -564,7 +467,6 @@ TEST_F(BackendGrid, GemmBetaZeroNeverReadsC) {
       ASSERT_TRUE(std::isfinite(v)) << name << " read uninitialized C";
     }
   }
-  backend::select("scalar");
 }
 
 }  // namespace

@@ -261,7 +261,6 @@ void expect_scalar_dw_bit_exact(const DwParam& p) {
   // inside the second.
   const auto g =
       tensor::ConvGeometry::make(in.x.shape(), p.k, p.k, p.stride, pad);
-  const tensor::backend::Backend& be = tensor::backend::scalar_backend();
   const auto cuts = [](std::int64_t end) {
     std::vector<std::int64_t> at = {0};
     for (const std::int64_t c : {3, 11}) {
@@ -273,17 +272,18 @@ void expect_scalar_dw_bit_exact(const DwParam& p) {
   Tensor out(ref_out.shape());
   const std::vector<std::int64_t> planes = cuts(static_cast<std::int64_t>(p.n) * p.c);
   for (std::size_t i = 0; i + 1 < planes.size(); ++i) {
-    be.dw_forward_planes(in.x.data(), weight.data(), bias.data(), g,
-                         out.data(), planes[i], planes[i + 1]);
+    tensor::backend::dw_forward_planes(in.x.data(), weight.data(),
+                                       bias.data(), g, out.data(), planes[i],
+                                       planes[i + 1]);
   }
   EXPECT_TRUE(bit_equal(out, ref_out)) << where << " forward, cut ranges";
   Tensor gi(in.x.shape()), wg(weight.shape()), bg(bias.shape());
   const std::vector<std::int64_t> channels = cuts(p.c);
   for (std::size_t i = 0; i + 1 < channels.size(); ++i) {
-    be.dw_backward_channels(in.go.data(), in.x.data(), weight.data(), g,
-                            gi.data(), wg.data(), bg.data(),
-                            static_cast<int>(channels[i]),
-                            static_cast<int>(channels[i + 1]));
+    tensor::backend::dw_backward_channels(
+        in.go.data(), in.x.data(), weight.data(), g, gi.data(), wg.data(),
+        bg.data(), static_cast<int>(channels[i]),
+        static_cast<int>(channels[i + 1]));
   }
   EXPECT_TRUE(bit_equal(gi, ref_gi1)) << where << " grad_input, cut ranges";
   EXPECT_TRUE(bit_equal(wg, ref_wg1)) << where << " weight grad, cut ranges";
@@ -297,8 +297,11 @@ TEST_P(DepthwiseGradTest, ScalarBackendBitExactWithBoundsCheckedLoop) {
 // The search space's depthwise shapes (8/24/40 channels on 6x6, 48/80 on
 // 3x3, 96/160 on 2x2, expansions of 8/16/32) plus 7x7 and the channel tails
 // 5/6/7/9 that no lane group covers whole, at the eval (1), rollout (8)
-// and update (40) batches, k3 and k5, stride 1 and 2. A fixture of its own:
-// finite differences at these sizes would take minutes.
+// and update (40) batches, k3 and k5, stride 1 and 2; then every depthwise
+// conv a 6-cell co-search on the 12x12 arcade frames runs (each cell's
+// input geometry crossed with the inverted-residual candidates) at the
+// rollout and update batches, where the list lacks it. A fixture of its
+// own: finite differences at these sizes would take minutes.
 std::vector<DwParam> search_dw_shapes() {
   struct MapChannels {
     int hw;
@@ -316,6 +319,25 @@ std::vector<DwParam> search_dw_shapes() {
           for (const int stride : {1, 2}) {
             shapes.push_back(DwParam{n, c, k, stride, m.hw, m.hw});
           }
+        }
+      }
+    }
+  }
+  nas::SearchSpaceConfig cfg;
+  cfg.num_cells = 6;
+  const auto space = nas::space_geometry(nn::ObsSpec{3, 12, 12}, cfg);
+  for (const nas::CellGeometry& cell : space.cells) {
+    for (const nas::CandidateOp& op : nas::candidate_ops()) {
+      if (op.expansion == 0) continue;
+      for (const int n : {8, 40}) {
+        const DwParam p{n,           cell.in_c * op.expansion, op.kernel,
+                        cell.stride, cell.in_h,                cell.in_w};
+        const auto same = [&](const DwParam& o) {
+          return o.n == p.n && o.c == p.c && o.k == p.k &&
+                 o.stride == p.stride && o.h == p.h && o.w == p.w;
+        };
+        if (std::none_of(shapes.begin(), shapes.end(), same)) {
+          shapes.push_back(p);
         }
       }
     }
@@ -339,36 +361,30 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(p.h) + "x" + std::to_string(p.w);
     });
 
-TEST(DepthwiseConv2d, EveryBackendBitIdenticalAtOneAndFourThreads) {
+TEST(DepthwiseConv2d, BitIdenticalAtOneAndFourThreads) {
   struct Case {
     int n, c, k, stride, h, w;
   };
   const Case cases[] = {{8, 40, 3, 1, 6, 6}, {5, 48, 5, 2, 3, 3},
                         {3, 96, 5, 1, 2, 2}, {6, 40, 3, 2, 7, 7}};
-  for (const std::string& name : tensor::backend::available_names()) {
-    ASSERT_TRUE(tensor::backend::select(name));
-    for (const Case& cs : cases) {
-      util::Rng rng(107);
-      nn::DepthwiseConv2d dw("dw", cs.c, cs.k, cs.stride, cs.k / 2, rng);
-      const Tensor x =
-          random_tensor(Shape::nchw(cs.n, cs.c, cs.h, cs.w), rng);
-      const auto g = tensor::ConvGeometry::make(x.shape(), cs.k, cs.k,
-                                                cs.stride, cs.k / 2);
-      const Tensor go =
-          random_tensor(Shape::nchw(cs.n, cs.c, g.oh, g.ow), rng);
-      util::ThreadPool::set_global_threads(1);
-      const auto serial = run_dw(dw, x, go);
-      util::ThreadPool::set_global_threads(4);
-      const auto sharded = run_dw(dw, x, go);
-      for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_TRUE(bit_equal(serial[i], sharded[i]))
-            << name << " output " << i << " differs, case k" << cs.k << " s"
-            << cs.stride << " " << cs.h << "x" << cs.w;
-      }
+  for (const Case& cs : cases) {
+    util::Rng rng(107);
+    nn::DepthwiseConv2d dw("dw", cs.c, cs.k, cs.stride, cs.k / 2, rng);
+    const Tensor x = random_tensor(Shape::nchw(cs.n, cs.c, cs.h, cs.w), rng);
+    const auto g = tensor::ConvGeometry::make(x.shape(), cs.k, cs.k,
+                                              cs.stride, cs.k / 2);
+    const Tensor go = random_tensor(Shape::nchw(cs.n, cs.c, g.oh, g.ow), rng);
+    util::ThreadPool::set_global_threads(1);
+    const auto serial = run_dw(dw, x, go);
+    util::ThreadPool::set_global_threads(4);
+    const auto sharded = run_dw(dw, x, go);
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(bit_equal(serial[i], sharded[i]))
+          << "output " << i << " differs, case k" << cs.k << " s"
+          << cs.stride << " " << cs.h << "x" << cs.w;
     }
   }
   util::ThreadPool::set_global_threads(1);
-  tensor::backend::select("scalar");
 }
 
 struct LinParam {

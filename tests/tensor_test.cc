@@ -4,6 +4,8 @@
 #include <cstring>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "tensor/backend/backend.h"
 #include "tensor/ops.h"
@@ -331,38 +333,102 @@ void im2col_checked(const Tensor& x, const ConvGeometry& g, Tensor& cols) {
   }
 }
 
-TEST(Im2Col, ScalarBitExactWithCheckedLoopAcrossStridesAndPads) {
+// The serial col2im scatter-add: column rows ascending, the accumulation
+// order the scalar backend keeps per channel.
+void col2im_checked(const Tensor& cols, const ConvGeometry& g, Tensor& img) {
+  const int hw = g.h * g.w, ohw = g.oh * g.ow, col_cols = g.n * ohw;
+  img.zero();
+  for (int cr = 0; cr < g.c * g.kh * g.kw; ++cr) {
+    const int kw_off = cr % g.kw;
+    const int kh_off = (cr / g.kw) % g.kh;
+    const int ch = cr / (g.kw * g.kh);
+    const float* icell =
+        cols.data() + static_cast<std::size_t>(cr) * col_cols;
+    for (int n = 0; n < g.n; ++n) {
+      float* plane = img.data() + (static_cast<std::size_t>(n) * g.c + ch) * hw;
+      for (int oy = 0; oy < g.oh; ++oy) {
+        const int iy = oy * g.stride - g.pad + kh_off;
+        for (int ox = 0; ox < g.ow; ++ox, ++icell) {
+          const int ix = ox * g.stride - g.pad + kw_off;
+          if (iy >= 0 && iy < g.h && ix >= 0 && ix < g.w) {
+            plane[static_cast<std::size_t>(iy) * g.w + ix] += *icell;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Im2Col, ScalarIm2colAndCol2imBitExactWithCheckedLoops) {
   // Strides 1-3, pads from 0 past k/2 (whole border rows and columns of
-  // zeros, interiors that are empty), 1x1 plane copies and non-square maps.
-  tensor::backend::ScopedBackend use(tensor::backend::scalar_backend());
-  util::Rng rng(21);
-  int cases = 0;
+  // zeros, interiors that are empty), 1x1 plane copies and non-square maps;
+  // then the search geometries: its 12x12 frames and 6x6, 3x3 and 2x2 cell
+  // maps, k1/k3/k5 at "same" padding, strides 1 and 2. Each at 1 and 4
+  // threads: col2im shards on channels, im2col on column rows.
+  std::vector<ConvCase> geoms;
   for (const int k : {1, 2, 3, 5}) {
     for (const int stride : {1, 2, 3}) {
       for (int pad = 0; pad <= k + 1; ++pad) {
         for (const auto& [h, w] : {std::pair{1, 1}, std::pair{2, 3},
                                    std::pair{5, 4}, std::pair{7, 9}}) {
           if (h + 2 * pad < k || w + 2 * pad < k) continue;
-          Tensor x(Shape::nchw(2, 3, h, w));
-          for (std::int64_t i = 0; i < x.numel(); ++i) {
-            x[i] = static_cast<float>(rng.uniform(-1, 1));
-          }
-          const auto g = ConvGeometry::make(x.shape(), k, k, stride, pad);
-          const Shape cols_shape =
-              Shape::mat(g.c * k * k, g.n * g.oh * g.ow);
-          Tensor want(cols_shape), got(cols_shape, 7.0f);
-          im2col_checked(x, g, want);
-          tensor::im2col(x, g, got);
-          ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
-                                   sizeof(float) * want.numel()))
-              << "k" << k << " s" << stride << " p" << pad << " " << h
-              << "x" << w;
-          ++cases;
+          geoms.push_back({2, 3, h, w, k, stride, pad});
         }
       }
     }
   }
-  EXPECT_GT(cases, 150);
+  for (const int hw : {2, 3, 6, 12}) {
+    for (const int k : {1, 3, 5}) {
+      for (const int stride : {1, 2}) {
+        geoms.push_back({3, 4, hw, hw, k, stride, k / 2});
+      }
+    }
+  }
+  // Wider maps, single channels and an even kernel.
+  for (const ConvCase& p : {ConvCase{2, 3, 12, 12, 3, 1, 1},
+                            ConvCase{1, 1, 5, 5, 3, 2, 0},
+                            ConvCase{2, 2, 8, 8, 1, 1, 0},
+                            ConvCase{1, 3, 9, 7, 5, 1, 2},
+                            ConvCase{3, 1, 6, 6, 3, 2, 1},
+                            ConvCase{1, 2, 4, 4, 4, 1, 3}}) {
+    geoms.push_back(p);
+  }
+  EXPECT_GT(geoms.size(), 170u);
+  util::Rng rng(21);
+  for (const ConvCase& p : geoms) {
+    Tensor x(Shape::nchw(p.n, p.c, p.h, p.w));
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      x[i] = static_cast<float>(rng.uniform(-1, 1));
+    }
+    const auto g = ConvGeometry::make(x.shape(), p.k, p.k, p.stride, p.pad);
+    const Shape cols_shape = Shape::mat(g.c * p.k * p.k, g.n * g.oh * g.ow);
+    // col2im(im2col(x)) only adds copies of one pixel into it, which any
+    // order sums alike, so col2im gets columns of their own.
+    Tensor want(cols_shape), cols(cols_shape), want_img(x.shape());
+    for (std::int64_t i = 0; i < cols.numel(); ++i) {
+      cols[i] = static_cast<float>(rng.uniform(-1, 1));
+    }
+    im2col_checked(x, g, want);
+    col2im_checked(cols, g, want_img);
+    for (const int threads : {1, 4}) {
+      util::ThreadPool::set_global_threads(threads);
+      Tensor got(cols_shape, 7.0f), got_img(x.shape(), 7.0f);
+      tensor::im2col(x, g, got);
+      tensor::col2im(cols, g, got_img);
+      const std::string where =
+          std::to_string(p.n) + "x" + std::to_string(p.c) + "x" +
+          std::to_string(p.h) + "x" + std::to_string(p.w) + " k" +
+          std::to_string(p.k) + " s" + std::to_string(p.stride) + " p" +
+          std::to_string(p.pad) + " t" + std::to_string(threads);
+      ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                               sizeof(float) * want.numel()))
+          << "im2col " << where;
+      ASSERT_EQ(0, std::memcmp(want_img.data(), got_img.data(),
+                               sizeof(float) * want_img.numel()))
+          << "col2im " << where;
+    }
+  }
+  util::ThreadPool::set_global_threads(1);
 }
 
 TEST(ConvGeometry, OutputDims) {
