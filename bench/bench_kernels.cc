@@ -132,7 +132,8 @@ namespace {
 // on 3x3 (ckk 144, 9). im2col and the backend conv kernels run inside
 // Conv2d::forward; with `backward` each sample times a forward + backward
 // pair (backward consumes the forward's cache, 3 passes of flops).
-// Swept over backends like "gemm".
+// Swept over backends like "gemm". The rows take 0.2-3.4 ms, so they sample
+// under steady_budget like the depthwise rows.
 void conv_cases(Bench& b, bool backward) {
   struct Case {
     int n, ch, hw;
@@ -153,12 +154,15 @@ void conv_cases(Bench& b, bool backward) {
                               std::to_string(cs.ch) + "x" +
                               std::to_string(cs.hw) + "x" +
                               std::to_string(cs.hw) + "_k3";
+    // 2.6-9.4, mostly about 5 GFLOP/s at one thread (BENCH_KERNELS.json).
+    const double expected_ms = static_cast<double>(flops) / 5e6;
     for (const std::string& backend : tensor::backend::available_names()) {
       tensor::backend::ScopedBackend scoped(*tensor::backend::by_name(backend));
       for (int threads : thread_counts(b.smoke())) {
         b.config(shape + "_" + backend)
             .threads(threads)
             .work(flops, 0)
+            .budget(obs::perf::steady_budget(expected_ms))
             .run([&] {
               conv.forward(x);
               if (backward) conv.backward(g);

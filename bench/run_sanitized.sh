@@ -33,8 +33,10 @@
 # grids (backend_check_test), the inference forwards and their per-thread
 # column workspaces,
 # VecEnv stepping, the top-K NAS backward, the DAS sweeps, concurrent serve
-# batches) and the guard's cross-thread pieces
-# (the global FaultInjector, the metrics it bumps), run with A3CS_THREADS=4
+# batches), the guard's cross-thread pieces
+# (the global FaultInjector, the metrics it bumps) and the obs layer
+# (obs_test: the run scope installs the trace writers that pool-thread
+# ProfScopes and trace events read), run with A3CS_THREADS=4
 # so the pool actually fans out. The standalone UBSan pass sweeps the
 # numeric layers — tensor kernels, nn layers/optimizers, the NAS/DAS/accel
 # math — where signed overflow and bad float casts would hide.
@@ -52,7 +54,7 @@ BUILD="$ROOT/build-san-$SAN"
 SMOKE=""
 
 if [ "$SAN" = "thread" ]; then
-  TESTS="thread_pool_test tensor_test nn_layers_test infer_test backend_check_test arcade_test determinism_test guard_test serve_test"
+  TESTS="thread_pool_test obs_test tensor_test nn_layers_test infer_test backend_check_test arcade_test determinism_test guard_test serve_test"
   # Skip the (wall-clock) stall-watchdog cases: TSan's slowdown makes any
   # timing threshold meaningless.
   GUARD_FILTER="-*Stall*"

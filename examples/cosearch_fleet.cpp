@@ -12,7 +12,8 @@
 // Lambda / DSP lists are cycled across shards; shard k searches with seed
 // S + k*9973. A3CS_FLEET_* environment variables override supervision knobs
 // and inject deterministic faults (docs/FLEET.md). A3CS_TRACE_PATH enables
-// a supervisor trace plus per-shard traces at <out>/shard-K.trace.jsonl.
+// a supervisor trace plus per-shard traces at <out>/shard-K.trace.jsonl;
+// A3CS_PROFILE_CHROME likewise gives each shard <out>/shard-K.chrome.json.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -24,8 +25,7 @@
 #include "core/result_io.h"
 #include "fleet/supervisor.h"
 #include "fleet/worker.h"
-#include "obs/obs_config.h"
-#include "obs/trace.h"
+#include "obs/run_scope.h"
 #include "util/atomic_file.h"
 #include "util/config.h"
 
@@ -110,7 +110,7 @@ int main(int argc, char** argv) try {
     return 2;
   }
 
-  obs::TraceSession trace(obs::ObsConfig{}.with_env_overrides());
+  const obs::RunScope scope(obs::ObsConfig{}, "fleet");
 
   cfg.worker_binary = self_binary(argv[0]);
   cfg.game = game;

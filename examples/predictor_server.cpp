@@ -13,7 +13,9 @@
 // serve::PredictorService (util::ThreadPool — the repo's only sanctioned
 // threading layer). Malformed requests get an {"ok":false,...} reply, never
 // a crash. SIGINT/SIGTERM drain gracefully: pending replies are flushed,
-// then a cache summary goes to stderr.
+// then a cache summary goes to stderr. The server runs inside one
+// obs::RunScope, so A3CS_TRACE_PATH, A3CS_PROFILE and A3CS_PROFILE_CHROME
+// work as for the other entry points (docs/OBSERVABILITY.md).
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -32,8 +34,7 @@
 
 #include "accel/predictor.h"
 #include "ckpt/signal.h"
-#include "obs/obs_config.h"
-#include "obs/trace.h"
+#include "obs/run_scope.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "util/config.h"
@@ -142,10 +143,10 @@ void print_cache_summary(const serve::PredictorService& service) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  // Every knob the server reads, before it serves anything. A3CS_TRACE=1 /
-  // A3CS_TRACE_PATH=... record one "serve_batch" JSONL event per eval
+  // Every knob the server reads, before it serves anything.
+  // A3CS_TRACE_PATH=... records one "serve_batch" JSONL event per eval
   // request, summarized by examples/trace_report.
-  const obs::ObsConfig obs_cfg = obs::ObsConfig{}.with_env_overrides();
+  (void)obs::ObsConfig{}.with_env_overrides();
   const serve::CacheConfig cache_cfg =
       serve::CacheConfig{}.with_env_overrides();
   (void)util::ExecConfig{}.with_env_overrides();
@@ -168,7 +169,7 @@ int main(int argc, char** argv) try {
   // write, not kill the process.
   std::signal(SIGPIPE, SIG_IGN);
 
-  obs::TraceSession trace_session(obs_cfg);
+  const obs::RunScope scope(obs::ObsConfig{}, "serve");
 
   accel::Predictor predictor;
   serve::PredictorService service(predictor, cache_cfg);

@@ -1,5 +1,5 @@
 // Offline summary of a JSONL run trace produced with A3CS_TRACE_PATH=... (or
-// ObsConfig::trace_enabled): per-phase wall-time breakdown, the hierarchical
+// ObsConfig::trace_path): per-phase wall-time breakdown, the hierarchical
 // profile (when the run had A3CS_PROFILE=1), and the co-search trajectory —
 // how the loss terms, alpha entropy and the predicted hardware cost evolved
 // from the first to the last iteration.

@@ -40,7 +40,7 @@ void evaluate_batch(const AcceleratorSpace& space, const Predictor& predictor,
   // Documented estimate, not a measured count: the analytic predictor does a
   // few dozen scalar ops per layer, so one evaluation is roughly layers * 64
   // flops.
-  static obs::perf::WorkCounters& work =
+  static const obs::perf::WorkCounters work =
       obs::perf::WorkCounters::named("das-eval");
   const std::int64_t n = static_cast<std::int64_t>(drawn.size());
   work.add(64 * n * static_cast<std::int64_t>(net.layers.size()), 0, 0);

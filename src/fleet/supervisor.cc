@@ -20,6 +20,7 @@
 #include "fleet/protocol.h"
 #include "fleet/worker.h"
 #include "obs/metrics.h"
+#include "obs/perf/chrome_trace.h"
 #include "obs/trace.h"
 #include "util/config.h"
 #include "util/logging.h"
@@ -180,10 +181,14 @@ void SupervisorImpl::spawn(WorkerSlot& w) {
   }
   const std::vector<std::string> args = worker_argv(opts);
 
+  // Each worker traces to its own files beside the supervisor's: one shared
+  // path would have every shard truncate and interleave the same file.
+  const std::string shard_prefix =
+      cfg_.out_dir + "/shard-" + std::to_string(w.spec.shard);
+  const std::string trace_path = shard_prefix + ".trace.jsonl";
+  const std::string chrome_path = shard_prefix + ".chrome.json";
   const bool tracing = obs::trace_active();
-  const std::string trace_path =
-      cfg_.out_dir + "/shard-" + std::to_string(w.spec.shard) +
-      ".trace.jsonl";
+  const bool chrome = obs::perf::chrome_trace_active();
 
   const pid_t pid = ::fork();
   A3CS_CHECK(pid >= 0, "fleet: fork failed");
@@ -198,11 +203,14 @@ void SupervisorImpl::spawn(WorkerSlot& w) {
           "A3CS_FLEET_HANG", "A3CS_FLEET_DIVERGE", "A3CS_FLEET_CORRUPT_TIP",
           "A3CS_FLEET_HB_S", "A3CS_FLEET_RESTARTS", "A3CS_FLEET_BACKOFF_S",
           "A3CS_FLEET_BACKOFF_MAX_S", "A3CS_FLEET_REALLOC",
-          "A3CS_FLEET_POLL_MS", "A3CS_TRACE_PATH"}) {
+          "A3CS_FLEET_POLL_MS", "A3CS_TRACE_PATH", "A3CS_PROFILE_CHROME"}) {
       ::unsetenv(name);
     }
     if (tracing) {
       ::setenv("A3CS_TRACE_PATH", trace_path.c_str(), 1);
+    }
+    if (chrome) {
+      ::setenv("A3CS_PROFILE_CHROME", chrome_path.c_str(), 1);
     }
     std::vector<std::string> full;
     full.reserve(args.size() + 1);

@@ -107,7 +107,7 @@ Tensor Conv2d::run(const Tensor& x, const ConvGeometry& g,
     // One FMA per (sample, out-channel, ckk, output-cell); weights and cols
     // read once each per use, output written once (float32). The kernels'
     // zero-weight skip is not subtracted from this analytic model.
-    static obs::perf::WorkCounters& wc =
+    static const obs::perf::WorkCounters wc =
         obs::perf::WorkCounters::named("conv-fwd");
     const std::int64_t out_cells =
         static_cast<std::int64_t>(g.n) * out_c_ * cols_per_sample;
@@ -148,7 +148,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   {
     // Weight-grad and input-grad passes are each a GEMM-shaped reduction of
     // the same (n, oc, ckk, ohw) volume — 2 FMAs per element in total.
-    static obs::perf::WorkCounters& wc =
+    static const obs::perf::WorkCounters wc =
         obs::perf::WorkCounters::named("conv-bwd");
     const std::int64_t vol =
         static_cast<std::int64_t>(geom_.n) * out_c_ * ckk * ohw;
@@ -236,7 +236,7 @@ Tensor DepthwiseConv2d::run(const Tensor& x) const {
   {
     // One FMA per (output cell, tap); input, weights and bias read once,
     // output written once (float32).
-    static obs::perf::WorkCounters& wc =
+    static const obs::perf::WorkCounters wc =
         obs::perf::WorkCounters::named("dw-fwd");
     wc.add(2 * taps * planes * plane_out,
            4 * (x.numel() + channels_ * (taps + 1)), 4 * planes * plane_out);
@@ -270,7 +270,7 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
     // Weight-grad and input-grad FMAs per (output cell, tap); reads
     // grad_out, the cached input and the weights, writes grad_input and the
     // weight/bias gradients.
-    static obs::perf::WorkCounters& wc =
+    static const obs::perf::WorkCounters wc =
         obs::perf::WorkCounters::named("dw-bwd");
     const std::int64_t params = channels_ * (taps + 1);
     wc.add(4 * taps * channels_ * channel_out,

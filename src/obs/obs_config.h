@@ -2,15 +2,13 @@
 // standalone by benches/tools). Environment variables mirror A3CS_LOG_LEVEL
 // so a run can be instrumented without recompiling or touching configs:
 //
-//   A3CS_TRACE_PATH=search.jsonl   enable JSONL tracing to this file
-//   A3CS_TRACE=0|1                 force tracing off/on (path defaults to
-//                                  a3cs_trace.jsonl when enabled without one)
-//   A3CS_TRACE_FLUSH_EVERY=N       flush the trace file every N events
+//   A3CS_TRACE_PATH=search.jsonl   JSONL tracing to this file
 //   A3CS_TRACE_EVERY=N             emit every Nth per-iteration event
 //   A3CS_PROFILE=0|1               hierarchical wall-time profiling scopes
-//   A3CS_PROFILE_SUMMARY=0|1       print the profile table at end of run
 //   A3CS_PROFILE_CHROME=out.json   export ProfScopes as Chrome/Perfetto
 //                                  trace_events JSON (implies A3CS_PROFILE=1)
+//
+// Each sink has one switch, its path: a sink is on iff its path is set.
 #pragma once
 
 #include <string>
@@ -18,20 +16,15 @@
 namespace a3cs::obs {
 
 struct ObsConfig {
-  // JSONL run tracing (TraceWriter). Disabled by default; enabling without a
-  // path writes to "a3cs_trace.jsonl".
-  bool trace_enabled = false;
+  // JSONL run tracing (TraceWriter) to this file; empty = off.
   std::string trace_path;
-  int trace_flush_every = 64;
   // Emit every Nth per-iteration trace event (1 = every iteration). Phase
   // and summary events are never thinned.
   int trace_every = 1;
 
-  // Hierarchical ProfScope wall-time profiling.
+  // Hierarchical ProfScope wall-time profiling. The outermost run scope
+  // that enabled it logs the profile table when it finishes.
   bool profile_enabled = false;
-  // Print the profile summary table (via util::TextTable) when a run that
-  // enabled profiling finishes.
-  bool profile_summary = true;
   // When non-empty, export scopes as Chrome trace_events JSON to this path
   // (openable in chrome://tracing / ui.perfetto.dev). Implies
   // profile_enabled.

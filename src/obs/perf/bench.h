@@ -169,9 +169,11 @@ class BenchSuite {
 double exact_quantile(const std::vector<double>& sorted_ms, double q);
 
 // Standard bench-binary main: reads its knobs first (a malformed one is
-// one stderr line and return value 2, see util/config.h), parses --json/--filter/--list, installs trace/profile sessions from env
-// (A3CS_TRACE*, A3CS_PROFILE, A3CS_PROFILE_CHROME), runs the suite, prints
-// the result table, and writes the JSON artifact when requested.
+// one stderr line and return value 2, see util/config.h), parses
+// --json/--filter/--list, opens one obs::RunScope over the suite (so
+// A3CS_TRACE_PATH, A3CS_PROFILE and A3CS_PROFILE_CHROME apply), runs the
+// suite, prints the result table, and writes the JSON artifact when
+// requested.
 int run_bench_main(const std::string& suite_name, int argc, char** argv);
 
 }  // namespace a3cs::obs::perf

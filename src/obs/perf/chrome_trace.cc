@@ -1,26 +1,24 @@
 #include "obs/perf/chrome_trace.h"
 
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "obs/obs_config.h"
 #include "obs/perf/run_meta.h"
 #include "obs/trace.h"
-#include "util/logging.h"
+#include "util/config.h"
 
 namespace a3cs::obs::perf {
 
 namespace {
 
-// Global writer slot. Only ChromeTraceSession writes it; hot-path readers use
-// a relaxed load (a scope racing a session teardown is handled by the frame
-// generation check below, not by ordering).
+// Global writer slot. Only RunScope writes it; hot-path readers use a
+// relaxed load (a ProfScope racing a RunScope teardown is handled by the
+// frame generation check below, not by ordering).
 std::atomic<ChromeTraceWriter*> g_chrome_trace{nullptr};
 
 // One open ProfScope on this thread. `writer` records which writer (if any)
 // the Begin event went to, so End is emitted iff the same writer is still
-// installed — a session torn down or swapped mid-scope never produces an
+// installed — a writer torn down or swapped mid-scope never produces an
 // unbalanced or cross-file event.
 struct Frame {
   const char* name;
@@ -48,7 +46,7 @@ ChromeTraceWriter::ChromeTraceWriter(const std::string& path,
       start_(std::chrono::steady_clock::now()) {
   file_.open(path, std::ios::out | std::ios::trunc);
   if (!file_.is_open()) {
-    throw std::runtime_error("ChromeTraceWriter: cannot open " + path);
+    throw util::InputError("Chrome trace file", path, "a writable path");
   }
   file_ << "{\"otherData\":" << render_meta_json(collect_run_meta())
         << ",\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
@@ -107,27 +105,8 @@ ChromeTraceWriter* global_chrome_trace() {
   return g_chrome_trace.load(std::memory_order_relaxed);
 }
 
-ChromeTraceSession::ChromeTraceSession(const ObsConfig& cfg) {
-  if (cfg.profile_chrome_path.empty()) return;
-  if (g_chrome_trace.load(std::memory_order_relaxed) != nullptr) {
-    A3CS_LOG(WARN) << "Chrome trace session already active; ignoring nested "
-                      "session for "
-                   << cfg.profile_chrome_path;
-    return;
-  }
-  try {
-    owned_ = new ChromeTraceWriter(cfg.profile_chrome_path);
-  } catch (const std::exception& e) {
-    A3CS_LOG(WARN) << "Chrome trace disabled: " << e.what();
-    return;
-  }
-  g_chrome_trace.store(owned_, std::memory_order_release);
-}
-
-ChromeTraceSession::~ChromeTraceSession() {
-  if (owned_ == nullptr) return;
-  g_chrome_trace.store(nullptr, std::memory_order_release);
-  delete owned_;
+void set_global_chrome_trace(ChromeTraceWriter* writer) {
+  g_chrome_trace.store(writer, std::memory_order_release);
 }
 
 void chrome_scope_begin(const char* name) {

@@ -1,6 +1,7 @@
 // Chrome/Perfetto `trace_events` export of the ProfScope hierarchy.
 //
-// When a ChromeTraceSession is active (A3CS_PROFILE_CHROME=out.json), every
+// When the outermost obs::RunScope has a Chrome path
+// (A3CS_PROFILE_CHROME=out.json), it opens a ChromeTraceWriter and every
 // ProfScope additionally emits a Begin/End duration-event pair into a JSON
 // file that chrome://tracing and https://ui.perfetto.dev open directly:
 //
@@ -32,18 +33,15 @@
 #include <string>
 #include <thread>
 
-namespace a3cs::obs {
-
-struct ObsConfig;
-
-namespace perf {
+namespace a3cs::obs::perf {
 
 class ChromeTraceWriter {
  public:
-  // Opens (truncates) `path` and writes the metadata header; throws on
-  // failure. `max_events` caps the file (default ~1M events); once reached,
-  // new Begin events are dropped (their matching Ends are dropped with them,
-  // so the emitted stream stays balanced).
+  // Opens (truncates) `path` and writes the metadata header; throws
+  // util::InputError naming the path when it cannot. `max_events` caps the
+  // file (default ~1M events); once reached, new Begin events are dropped
+  // (their matching Ends are dropped with them, so the emitted stream stays
+  // balanced).
   explicit ChromeTraceWriter(const std::string& path,
                              std::int64_t max_events = 1'000'000);
   ~ChromeTraceWriter();
@@ -81,26 +79,12 @@ class ChromeTraceWriter {
 
 // ---------------------------------------------------------------- global ----
 
-// The process-global Chrome trace slot (mirrors obs::global_trace()).
+// The process-global Chrome trace slot (mirrors obs::global_trace()). Only
+// the outermost obs::RunScope sets it; destroying the writer after clearing
+// the slot finalizes the JSON file (closes the traceEvents array).
 ChromeTraceWriter* global_chrome_trace();
+void set_global_chrome_trace(ChromeTraceWriter* writer);
 inline bool chrome_trace_active() { return global_chrome_trace() != nullptr; }
-
-// RAII owner of the global slot. Active iff cfg.profile_chrome_path is
-// non-empty and no outer session owns the slot already. Closing the session
-// finalizes the JSON file (closes the traceEvents array).
-class ChromeTraceSession {
- public:
-  explicit ChromeTraceSession(const ObsConfig& cfg);
-  ~ChromeTraceSession();
-
-  ChromeTraceSession(const ChromeTraceSession&) = delete;
-  ChromeTraceSession& operator=(const ChromeTraceSession&) = delete;
-
-  bool active() const { return owned_ != nullptr; }
-
- private:
-  ChromeTraceWriter* owned_ = nullptr;
-};
 
 // --- ProfScope hooks (called by Profiler::enter/leave, not user code) -------
 
@@ -117,5 +101,4 @@ void chrome_scope_end();
 void chrome_annotate_work(std::int64_t flops, std::int64_t bytes_read,
                           std::int64_t bytes_written);
 
-}  // namespace perf
-}  // namespace a3cs::obs
+}  // namespace a3cs::obs::perf

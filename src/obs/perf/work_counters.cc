@@ -1,90 +1,59 @@
 #include "obs/perf/work_counters.h"
 
-#include <memory>
-#include <mutex>
+#include <array>
+#include <map>
+#include <string_view>
 
-#include "obs/metrics.h"
 #include "obs/perf/chrome_trace.h"
 #include "obs/trace.h"
 
 namespace a3cs::obs::perf {
 
 namespace {
-
-struct WorkRegistry {
-  std::mutex mu;
-  // std::map keeps snapshot/emission order sorted (byte-stable output).
-  std::map<std::string, std::unique_ptr<WorkCounters>> counters;
-};
-
-WorkRegistry& work_registry() {
-  // Leaked singleton: magic-static init is thread-safe, the pointer is never
-  // reassigned, and all mutation goes through mu. A3CS_LINT(conc-static-local)
-  static WorkRegistry* registry = new WorkRegistry();
-  return *registry;
-}
-
+constexpr std::string_view kPrefix = "work.";
 }  // namespace
 
-struct WorkRegistryAccess {
-  static WorkCounters* make() { return new WorkCounters(); }
-};
-
-WorkCounters& WorkCounters::named(const std::string& kernel) {
-  WorkRegistry& reg = work_registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  auto& slot = reg.counters[kernel];
-  if (!slot) slot.reset(WorkRegistryAccess::make());
-  return *slot;
+WorkCounters WorkCounters::named(const std::string& kernel) {
+  MetricsRegistry& metrics = MetricsRegistry::global();
+  const std::string prefix = std::string(kPrefix) + kernel;
+  return {metrics.counter(prefix + ".flops"),
+          metrics.counter(prefix + ".bytes_read"),
+          metrics.counter(prefix + ".bytes_written")};
 }
 
-void WorkCounters::add(std::int64_t flops, std::int64_t bytes_read,
-                       std::int64_t bytes_written) {
-  flops_.fetch_add(flops, std::memory_order_relaxed);
-  bytes_read_.fetch_add(bytes_read, std::memory_order_relaxed);
-  bytes_written_.fetch_add(bytes_written, std::memory_order_relaxed);
-  chrome_annotate_work(flops, bytes_read, bytes_written);
-}
-
-std::map<std::string, WorkSnapshot> work_snapshot() {
-  WorkRegistry& reg = work_registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  std::map<std::string, WorkSnapshot> out;
-  for (const auto& [name, wc] : reg.counters) {
-    out[name] = WorkSnapshot{wc->flops(), wc->bytes_read(),
-                             wc->bytes_written()};
-  }
-  return out;
-}
-
-void reset_work_counters() {
-  WorkRegistry& reg = work_registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (auto& [name, wc] : reg.counters) wc->reset();
+void WorkCounters::add(std::int64_t flop_count, std::int64_t read,
+                       std::int64_t written) const {
+  flops.inc(flop_count);
+  bytes_read.inc(read);
+  bytes_written.inc(written);
+  chrome_annotate_work(flop_count, read, written);
 }
 
 void record_work_metrics() {
-  MetricsRegistry& metrics = MetricsRegistry::global();
-  for (const auto& [name, snap] : work_snapshot()) {
-    metrics.gauge("work." + name + ".flops")
-        .set(static_cast<double>(snap.flops));
-    metrics.gauge("work." + name + ".bytes_read")
-        .set(static_cast<double>(snap.bytes_read));
-    metrics.gauge("work." + name + ".bytes_written")
-        .set(static_cast<double>(snap.bytes_written));
-    if (snap.flops == 0 && snap.bytes_read == 0 && snap.bytes_written == 0) {
-      continue;
-    }
+  if (!trace_active()) return;
+  // kernel -> {flops, bytes_read, bytes_written}; std::map keeps the events
+  // in kernel-name order.
+  std::map<std::string, std::array<std::int64_t, 3>> kernels;
+  for (const auto& [name, value] :
+       MetricsRegistry::global().snapshot().counters) {
+    if (name.compare(0, kPrefix.size(), kPrefix) != 0) continue;
+    const std::size_t dot = name.rfind('.');
+    const std::string_view field = std::string_view(name).substr(dot + 1);
+    auto& totals = kernels[name.substr(kPrefix.size(), dot - kPrefix.size())];
+    totals[field == "flops" ? 0 : field == "bytes_read" ? 1 : 2] = value;
+  }
+  for (const auto& [kernel, t] : kernels) {
+    const auto [flops, bytes_read, bytes_written] = t;
+    if (flops == 0 && bytes_read == 0 && bytes_written == 0) continue;
+    const std::int64_t bytes = bytes_read + bytes_written;
     trace_event("work")
-        .kv("kernel", name)
-        .kv("flops", snap.flops)
-        .kv("bytes_read", snap.bytes_read)
-        .kv("bytes_written", snap.bytes_written)
-        .kv("intensity",
-            snap.bytes_read + snap.bytes_written > 0
-                ? static_cast<double>(snap.flops) /
-                      static_cast<double>(snap.bytes_read + snap.bytes_written)
-                : 0.0);
+        .kv("kernel", kernel)
+        .kv("flops", flops)
+        .kv("bytes_read", bytes_read)
+        .kv("bytes_written", bytes_written)
+        .kv("intensity", bytes > 0 ? static_cast<double>(flops) /
+                                         static_cast<double>(bytes)
+                                   : 0.0);
   }
 }
 

@@ -1,83 +1,50 @@
 // Per-kernel work accounting: floating-point operations and bytes moved.
 //
-// Kernels bind a named counter once (function-local static reference — the
-// registry entry is never destroyed) and add their analytic work model per
-// call:
+// A kernel's work counts are three counters of the global MetricsRegistry,
+// `work.<kernel>.flops`, `work.<kernel>.bytes_read` and
+// `work.<kernel>.bytes_written`. Kernels bind them once (a function-local
+// static; the registry entries are never destroyed) and add their analytic
+// work model per call:
 //
-//   static WorkCounters& wc = WorkCounters::named("gemm");
+//   static const WorkCounters wc = WorkCounters::named("gemm");
 //   wc.add(2 * m * k * n, /*bytes_read=*/..., /*bytes_written=*/...);
 //
 // add() is three relaxed fetch_adds plus a thread-local Chrome-trace frame
 // annotation — cheap enough to leave always-on in the inner GEMM/conv/im2col
 // kernels. Work totals feed three consumers:
 //   * chrome trace "E" events (args.flops / bytes_*) for roofline readouts,
-//   * MetricsRegistry gauges `work.<kernel>.flops` etc. via
-//     record_work_metrics(),
-//   * one "work" JSONL trace event per kernel at end of run.
+//   * the metrics registry, like any other counter,
+//   * one "work" JSONL trace event per kernel at end of run
+//     (record_work_metrics()).
 //
 // Counts are analytic (derived from shapes), not measured — they say how much
 // work the algorithm did, independent of cache behaviour, which is exactly
 // what arithmetic-intensity plots want.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
+
+#include "obs/metrics.h"
 
 namespace a3cs::obs::perf {
 
-class WorkCounters {
- public:
-  // Returns the process-global counter for `kernel`, creating it on first
-  // use. The reference is stable for the process lifetime.
-  static WorkCounters& named(const std::string& kernel);
+struct WorkCounters {
+  // The registry counters of `kernel`, created on first use.
+  static WorkCounters named(const std::string& kernel);
 
   // Accumulates work and annotates the innermost open Chrome-trace scope of
   // the calling thread (if any).
-  void add(std::int64_t flops, std::int64_t bytes_read,
-           std::int64_t bytes_written);
+  void add(std::int64_t flop_count, std::int64_t read,
+           std::int64_t written) const;
 
-  std::int64_t flops() const {
-    return flops_.load(std::memory_order_relaxed);
-  }
-  std::int64_t bytes_read() const {
-    return bytes_read_.load(std::memory_order_relaxed);
-  }
-  std::int64_t bytes_written() const {
-    return bytes_written_.load(std::memory_order_relaxed);
-  }
-
-  void reset() {
-    flops_.store(0, std::memory_order_relaxed);
-    bytes_read_.store(0, std::memory_order_relaxed);
-    bytes_written_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  WorkCounters() = default;
-  friend struct WorkRegistryAccess;
-
-  std::atomic<std::int64_t> flops_{0};
-  std::atomic<std::int64_t> bytes_read_{0};
-  std::atomic<std::int64_t> bytes_written_{0};
+  Counter& flops;
+  Counter& bytes_read;
+  Counter& bytes_written;
 };
 
-struct WorkSnapshot {
-  std::int64_t flops = 0;
-  std::int64_t bytes_read = 0;
-  std::int64_t bytes_written = 0;
-};
-
-// Ordered (byte-stable) snapshot of every registered kernel's totals.
-std::map<std::string, WorkSnapshot> work_snapshot();
-
-// Zeroes all registered counters (test isolation / back-to-back runs).
-void reset_work_counters();
-
-// Publishes `work.<kernel>.flops|bytes_read|bytes_written` gauges into the
-// global MetricsRegistry and emits one "work" JSONL trace event per kernel
-// with nonzero totals. Called at end of run next to record_exec_stats().
+// Emits one "work" JSONL trace event per kernel with nonzero totals, read
+// from the registry. Called at end of run next to record_exec_stats().
 void record_work_metrics();
 
 }  // namespace a3cs::obs::perf

@@ -3,13 +3,16 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 #include <utility>
 
-#include "obs/obs_config.h"
+#include "util/config.h"
 #include "util/logging.h"
 
 namespace a3cs::obs {
+
+namespace {
+constexpr int kFlushEvery = 64;  // events between flushes
+}  // namespace
 
 void TraceWriter::append_json_string(std::string& out, std::string_view s) {
   out += '"';
@@ -44,12 +47,11 @@ void TraceWriter::append_json_number(std::string& out, double v) {
   out += buf;
 }
 
-TraceWriter::TraceWriter(const std::string& path, int flush_every)
+TraceWriter::TraceWriter(const std::string& path)
     : path_(path),
-      flush_every_(flush_every < 1 ? 1 : flush_every),
       start_(std::chrono::steady_clock::now()),
       file_(path, std::ios::trunc) {
-  if (!file_) throw std::runtime_error("TraceWriter: cannot open " + path);
+  if (!file_) throw util::InputError("trace file", path, "a writable path");
   event("trace_start").kv("wall_time", util::iso8601_now());
 }
 
@@ -69,7 +71,7 @@ void TraceWriter::commit(std::string&& line) {
   std::lock_guard<std::mutex> lock(mu_);
   file_ << line;
   events_.fetch_add(1, std::memory_order_relaxed);
-  if (++pending_ >= flush_every_) {
+  if (++pending_ >= kFlushEvery) {
     file_.flush();
     pending_ = 0;
   }
@@ -149,18 +151,8 @@ TraceWriter* global_trace() {
   return g_trace.load(std::memory_order_acquire);
 }
 
-TraceSession::TraceSession(const ObsConfig& cfg) {
-  if (!cfg.trace_enabled || cfg.trace_path.empty()) return;
-  if (global_trace() != nullptr) return;  // outer session owns the slot
-  owned_ = new TraceWriter(cfg.trace_path, cfg.trace_flush_every);
-  g_trace.store(owned_, std::memory_order_release);
-  A3CS_LOG(INFO) << "tracing to " << cfg.trace_path;
-}
-
-TraceSession::~TraceSession() {
-  if (owned_ == nullptr) return;
-  g_trace.store(nullptr, std::memory_order_release);
-  delete owned_;
+void set_global_trace(TraceWriter* writer) {
+  g_trace.store(writer, std::memory_order_release);
 }
 
 TraceWriter::EventBuilder trace_event(std::string_view type) {

@@ -8,14 +8,15 @@
 // deltas are wall-time accurate even if the system clock steps; the opening
 // "trace_start" event records the ISO-8601 wall-clock time for anchoring.
 // Writers are thread-safe (one line is committed atomically under a mutex)
-// and buffer lines, flushing every `flush_every` events.
+// and buffer lines, flushing every 64 events and on close.
 //
-// Most call sites go through the process-global trace slot:
+// Library code writes through the process-global trace slot, which the
+// outermost obs::RunScope fills when its config has a trace path:
 //
-//   obs::TraceSession session(cfg);   // RAII: installs a global writer
+//   obs::RunScope scope(cfg, "co-search");   // opens and installs a writer
 //   obs::trace_event("phase").kv("name", "rollout").kv("dur_ms", 3.2);
 //
-// When no session is active, trace_event() costs one atomic load and the
+// When no writer is installed, trace_event() costs one atomic load and the
 // builder's kv() calls are no-ops — tracing disabled is near-free.
 #pragma once
 
@@ -29,13 +30,11 @@
 
 namespace a3cs::obs {
 
-struct ObsConfig;
-
 class TraceWriter {
  public:
-  // Opens (truncates) `path`; throws on failure. Emits a "trace_start"
-  // header event.
-  explicit TraceWriter(const std::string& path, int flush_every = 64);
+  // Opens (truncates) `path`; throws util::InputError naming the path when
+  // it cannot. Emits a "trace_start" header event.
+  explicit TraceWriter(const std::string& path);
   ~TraceWriter();
 
   TraceWriter(const TraceWriter&) = delete;
@@ -88,7 +87,6 @@ class TraceWriter {
   double elapsed_ms() const;
 
   std::string path_;
-  int flush_every_;
   std::chrono::steady_clock::time_point start_;
   std::mutex mu_;
   std::ofstream file_;
@@ -98,29 +96,14 @@ class TraceWriter {
 
 // ---------------------------------------------------------------- global ----
 
-// The process-global trace slot used by instrumented library code. At most
-// one writer is active at a time; nested TraceSessions are no-ops.
+// The process-global trace slot used by instrumented library code. Only the
+// outermost obs::RunScope sets it: to its writer on entry, to nullptr on
+// exit.
 TraceWriter* global_trace();
+void set_global_trace(TraceWriter* writer);
 
-// RAII owner of the global trace slot. If `cfg.trace_enabled` and no session
-// is already active, opens a writer at cfg.trace_path; otherwise inert.
-class TraceSession {
- public:
-  explicit TraceSession(const ObsConfig& cfg);
-  ~TraceSession();
-
-  TraceSession(const TraceSession&) = delete;
-  TraceSession& operator=(const TraceSession&) = delete;
-
-  bool active() const { return owned_ != nullptr; }
-  TraceWriter* writer() { return owned_; }
-
- private:
-  TraceWriter* owned_ = nullptr;
-};
-
-// Event builder against the global slot; inert (near-free) when no session
-// is active.
+// Event builder against the global slot; inert (near-free) when no writer
+// is installed.
 TraceWriter::EventBuilder trace_event(std::string_view type);
 inline bool trace_active() { return global_trace() != nullptr; }
 

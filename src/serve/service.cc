@@ -121,7 +121,7 @@ std::vector<ServeResult> PredictorService::evaluate_batch(
     // Documented estimate, not a measured count (the same model as the DAS
     // sweep's das-eval counter): the analytic predictor does a few dozen
     // scalar ops per layer, so one evaluation is roughly layers * 64 flops.
-    static obs::perf::WorkCounters& work =
+    static const obs::perf::WorkCounters work =
         obs::perf::WorkCounters::named("serve-eval");
     work.add(64 * m * net.signature.num_layers, 0, 0);
     util::parallel_for(

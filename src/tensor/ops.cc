@@ -33,7 +33,8 @@ void gemm_raw(const float* a, bool trans_a, const float* b, bool trans_b,
   {
     // Analytic work model: one FMA (2 flops) per (m,k,n) element; A and B
     // each read once, C written once (float32).
-    static obs::perf::WorkCounters& wc = obs::perf::WorkCounters::named("gemm");
+    static const obs::perf::WorkCounters wc =
+        obs::perf::WorkCounters::named("gemm");
     const std::int64_t mk = static_cast<std::int64_t>(m) * std::max(0, k);
     const std::int64_t kn = static_cast<std::int64_t>(std::max(0, k)) * n;
     const std::int64_t mn = static_cast<std::int64_t>(m) * n;
@@ -118,7 +119,7 @@ void im2col(const float* in, const ConvGeometry& g, float* out) {
   {
     // Pure data movement: every output cell is one gather (or zero fill);
     // the input is touched ~kh*kw times through the sliding windows.
-    static obs::perf::WorkCounters& wc =
+    static const obs::perf::WorkCounters wc =
         obs::perf::WorkCounters::named("im2col");
     const std::int64_t cells =
         static_cast<std::int64_t>(col_rows) * col_cols;
@@ -146,7 +147,7 @@ void col2im(const Tensor& cols, const ConvGeometry& g, Tensor& grad_input) {
   A3CS_PROF_SCOPE("col2im");
   {
     // Scatter-accumulate: one add per column cell back into the image.
-    static obs::perf::WorkCounters& wc =
+    static const obs::perf::WorkCounters wc =
         obs::perf::WorkCounters::named("col2im");
     const std::int64_t cells =
         static_cast<std::int64_t>(col_rows) * col_cols;

@@ -152,7 +152,7 @@ TEST(EnvKnobs, MalformedKnobsThrowNamingKnobAndValue) {
   const std::pair<const char*, const char*> cases[] = {
       {"A3CS_THREADS", "12abc"},       {"A3CS_SCALE", "abc"},
       {"A3CS_SCALE", "0"},             {"A3CS_TRACE_EVERY", "0"},
-      {"A3CS_TRACE", "yes"},           {"A3CS_CKPT_KEEP", "99999999999"},
+      {"A3CS_PROFILE", "yes"},         {"A3CS_CKPT_KEEP", "99999999999"},
       {"A3CS_GUARD", "heel"},          {"A3CS_BACKEND", "avx"},
       {"A3CS_FAULT_NAN_GRAD", "abc"},  {"A3CS_FAULT_NAN_GRAD", "5:"},
       {"A3CS_FAULT_NAN_GRAD", "5:0"},  {"A3CS_FAULT_INF_LOSS", "5;2"},
@@ -185,7 +185,6 @@ TEST(EnvKnobs, ReadingKnobsArmsNoFault) {
 TEST(EnvKnobs, CosearchStartTraceCarriesSetKnobs) {
   const std::string path = ::testing::TempDir() + "/core_env_trace.jsonl";
   auto cfg = small_config();
-  cfg.obs.trace_enabled = true;
   cfg.obs.trace_path = path;
   ::setenv("A3CS_GUARD_COOLDOWN", "20", 1);  // the default: a no-op knob
   core::CoSearchEngine("Catch", cfg, nullptr).run(100);

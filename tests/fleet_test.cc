@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "fleet/frontier.h"
 #include "fleet/protocol.h"
 #include "fleet/supervisor.h"
+#include "obs/jsonl.h"
 #include "util/config.h"
 
 namespace a3cs::fleet {
@@ -237,6 +239,61 @@ TEST(FleetFault, BadKnobExitsTwoWithoutSpawning) {
                          std::istreambuf_iterator<char>());
   EXPECT_NE(text.find("A3CS_GUARD=\"heel\""), std::string::npos) << text;
   EXPECT_FALSE(std::filesystem::exists(out / "shard-0")) << "worker spawned";
+  std::filesystem::remove_all(out);
+}
+
+// --------------------------------------------------------------- traces ----
+
+// Under A3CS_PROFILE_CHROME the supervisor keeps the given path and each
+// worker writes its own <out>/shard-K.chrome.json: every file must parse as
+// one JSON document whose Begin/End events balance per thread.
+TEST(FleetTrace, EveryShardWritesItsOwnBalancedChromeTrace) {
+  const auto out = std::filesystem::temp_directory_path() /
+                   ("a3cs_fleet_chrome_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(out);
+  std::filesystem::create_directories(out);
+  const std::string given = (out / "fleet.chrome.json").string();
+  const std::string cmd = "env A3CS_PROFILE_CHROME=" + given + " " +
+                          COSEARCH_FLEET_BIN + " Catch --workers 3 " +
+                          "--frames 64 --backoff 0.05 --out " + out.string() +
+                          " > " + (out / "log.txt").string() + " 2>&1";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  std::vector<std::string> files = {given};
+  for (int k = 0; k < 3; ++k) {
+    files.push_back((out / ("shard-" + std::to_string(k) + ".chrome.json"))
+                        .string());
+  }
+  for (const std::string& path : files) {
+    std::ifstream in(path);
+    ASSERT_TRUE(in.is_open()) << path;
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const obs::JsonValue root = obs::JsonValue::parse(text);
+    std::map<double, std::vector<std::string>> open;  // tid -> B names
+    int begins = 0;
+    for (const obs::JsonValue& ev : root.find("traceEvents")->as_array()) {
+      auto& stack = open[ev.number_or("tid", 0)];
+      if (ev.string_or("ph", "") == "B") {
+        stack.push_back(ev.string_or("name", ""));
+        ++begins;
+        continue;
+      }
+      ASSERT_FALSE(stack.empty()) << "unbalanced E in " << path;
+      EXPECT_EQ(stack.back(), ev.string_or("name", "")) << path;
+      stack.pop_back();
+    }
+    for (const auto& [tid, stack] : open) {
+      EXPECT_TRUE(stack.empty()) << "unclosed B on tid " << tid << " in "
+                                 << path;
+    }
+    // The workers run profiled co-searches; the supervisor runs none.
+    if (path != given) {
+      EXPECT_GT(begins, 0) << path;
+    }
+  }
   std::filesystem::remove_all(out);
 }
 

@@ -99,7 +99,6 @@ TEST(GuardRecovery, HealsInjectedFaultsViaRollback) {
   cfg.ckpt.dir = temp_dir("heal");
   cfg.ckpt.every_iters = 2;
   cfg.ckpt.keep = 8;
-  cfg.obs.trace_enabled = true;
   cfg.obs.trace_every = 1;
   cfg.obs.trace_path = cfg.ckpt.dir + "/trace.jsonl";
 
@@ -163,7 +162,6 @@ TEST(GuardRecovery, RollbackFallsBackPastTruncatedTip) {
   cfg.ckpt.dir = temp_dir("torn");
   cfg.ckpt.every_iters = 2;
   cfg.ckpt.keep = 8;
-  cfg.obs.trace_enabled = true;
   cfg.obs.trace_every = 1;
   cfg.obs.trace_path = cfg.ckpt.dir + "/trace.jsonl";
 

@@ -11,9 +11,11 @@
 #include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "obs/obs_config.h"
+#include "obs/perf/chrome_trace.h"
 #include "obs/profile.h"
 #include "obs/run_scope.h"
 #include "obs/trace.h"
+#include "util/config.h"
 
 namespace a3cs {
 namespace {
@@ -152,7 +154,7 @@ TEST(Metrics, ResetZeroesEverything) {
 TEST(Trace, JsonlRoundTrip) {
   TempFile tmp("obs_trace_roundtrip.jsonl");
   {
-    obs::TraceWriter writer(tmp.path(), /*flush_every=*/1);
+    obs::TraceWriter writer(tmp.path());
     writer.event("iter")
         .kv("frames", std::int64_t{640})
         .kv("loss", 1.25)
@@ -187,7 +189,7 @@ TEST(Trace, EveryLineIsWellFormedUnderConcurrency) {
   constexpr int kThreads = 4;
   constexpr int kEvents = 500;
   {
-    obs::TraceWriter writer(tmp.path(), /*flush_every=*/16);
+    obs::TraceWriter writer(tmp.path());
     // Raw threads on purpose: these tests hammer cross-thread atomicity of the
     // metrics/trace primitives themselves. A3CS_LINT(conc-raw-thread)
     std::vector<std::thread> threads;
@@ -207,26 +209,25 @@ TEST(Trace, EveryLineIsWellFormedUnderConcurrency) {
             static_cast<std::size_t>(kThreads) * kEvents + 1);
 }
 
-TEST(Trace, GlobalSessionGatesTraceEvents) {
+TEST(RunScope, GatesTraceEventsAndKeepsTheOuterWriter) {
   EXPECT_EQ(obs::global_trace(), nullptr);
-  obs::trace_event("dropped").kv("x", 1);  // inert without a session
+  obs::trace_event("dropped").kv("x", 1);  // inert without a scope
 
   TempFile tmp("obs_trace_session.jsonl");
   obs::ObsConfig cfg;
-  cfg.trace_enabled = true;
   cfg.trace_path = tmp.path();
   {
-    obs::TraceSession session(cfg);
-    ASSERT_TRUE(session.active());
-    EXPECT_NE(obs::global_trace(), nullptr);
+    const obs::RunScope scope(cfg, "outer");
+    obs::TraceWriter* writer = obs::global_trace();
+    ASSERT_NE(writer, nullptr);
+    EXPECT_EQ(writer->path(), tmp.path());
     obs::trace_event("kept").kv("x", 2);
     {
-      // A nested session must not steal or close the outer writer.
-      obs::TraceSession inner(cfg);
-      EXPECT_FALSE(inner.active());
-      EXPECT_EQ(obs::global_trace(), session.writer());
+      // A nested scope must not steal or close the outer writer.
+      const obs::RunScope inner(cfg, "inner");
+      EXPECT_EQ(obs::global_trace(), writer);
     }
-    EXPECT_NE(obs::global_trace(), nullptr);
+    EXPECT_EQ(obs::global_trace(), writer);
   }
   EXPECT_EQ(obs::global_trace(), nullptr);
 
@@ -235,10 +236,44 @@ TEST(Trace, GlobalSessionGatesTraceEvents) {
   EXPECT_EQ(events[1].string_or("type", ""), "kept");
 }
 
-TEST(Trace, DisabledConfigOpensNothing) {
-  obs::ObsConfig cfg;  // trace_enabled = false
-  obs::TraceSession session(cfg);
-  EXPECT_FALSE(session.active());
+TEST(RunScope, EmptyPathsOpenNothing) {
+  const obs::RunScope scope(obs::ObsConfig{}, "quiet");
+  EXPECT_EQ(obs::global_trace(), nullptr);
+  EXPECT_FALSE(obs::perf::chrome_trace_active());
+}
+
+// A sink that cannot open fails its scope before the scope counts or turns
+// profiling on, so the next scope is the outermost one again and installs
+// its writer.
+TEST(RunScope, UnopenableSinkThrowsAndLeavesNothingOpen) {
+  obs::Profiler::set_enabled(false);
+  const std::string bad = "/nonexistent-a3cs-dir/sink.json";
+  obs::ObsConfig trace_cfg;
+  trace_cfg.trace_path = bad;
+  trace_cfg.profile_enabled = true;
+  obs::ObsConfig chrome_cfg;
+  chrome_cfg.profile_chrome_path = bad;
+  for (const obs::ObsConfig& cfg : {trace_cfg, chrome_cfg}) {
+    try {
+      const obs::RunScope scope(cfg, "bad");
+      ADD_FAILURE() << "opened " << bad;
+    } catch (const util::InputError& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(obs::Profiler::enabled());
+    EXPECT_EQ(obs::global_trace(), nullptr);
+    EXPECT_FALSE(obs::perf::chrome_trace_active());
+  }
+
+  TempFile tmp("obs_run_scope_after_bad.jsonl");
+  obs::ObsConfig good;
+  good.trace_path = tmp.path();
+  {
+    const obs::RunScope scope(good, "good");
+    ASSERT_NE(obs::global_trace(), nullptr);
+    EXPECT_EQ(obs::global_trace()->path(), tmp.path());
+  }
   EXPECT_EQ(obs::global_trace(), nullptr);
 }
 
@@ -364,7 +399,7 @@ TEST_F(ProfilerTest, SummaryAndTraceEmission) {
 
   TempFile tmp("obs_profile_trace.jsonl");
   {
-    obs::TraceWriter writer(tmp.path(), 1);
+    obs::TraceWriter writer(tmp.path());
     obs::Profiler::global().emit_to_trace(writer);
   }
   const auto events = obs::parse_jsonl_file(tmp.path());
@@ -379,10 +414,8 @@ TEST_F(ProfilerTest, SummaryAndTraceEmission) {
 TEST_F(ProfilerTest, RunScopeReportsOnceFromTheOutermostScope) {
   TempFile tmp("obs_run_scope.jsonl");
   obs::ObsConfig cfg;
-  cfg.trace_enabled = true;
   cfg.trace_path = tmp.path();
   cfg.profile_enabled = true;
-  cfg.profile_summary = false;
   {
     const obs::RunScope outer(cfg, "outer");
     obs::TraceWriter* writer = obs::global_trace();
@@ -406,10 +439,8 @@ TEST_F(ProfilerTest, RunScopeReportsOnceFromTheOutermostScope) {
 TEST_F(ProfilerTest, RunScopeSkipsTheReportWhenUnwinding) {
   TempFile tmp("obs_run_scope_throw.jsonl");
   obs::ObsConfig cfg;
-  cfg.trace_enabled = true;
   cfg.trace_path = tmp.path();
   cfg.profile_enabled = true;
-  cfg.profile_summary = false;
   try {
     const obs::RunScope scope(cfg, "run");
     A3CS_PROF_SCOPE("phase");
@@ -425,40 +456,22 @@ TEST_F(ProfilerTest, RunScopeSkipsTheReportWhenUnwinding) {
 
 TEST(ObsConfig, EnvOverridesWin) {
   ::setenv("A3CS_TRACE_PATH", "/tmp/override.jsonl", 1);
-  ::setenv("A3CS_TRACE_FLUSH_EVERY", "7", 1);
+  ::setenv("A3CS_TRACE_EVERY", "7", 1);
   ::setenv("A3CS_PROFILE", "1", 1);
   obs::ObsConfig cfg;
   const obs::ObsConfig resolved = cfg.with_env_overrides();
-  EXPECT_TRUE(resolved.trace_enabled);
   EXPECT_EQ(resolved.trace_path, "/tmp/override.jsonl");
-  EXPECT_EQ(resolved.trace_flush_every, 7);
+  EXPECT_EQ(resolved.trace_every, 7);
   EXPECT_TRUE(resolved.profile_enabled);
   ::unsetenv("A3CS_TRACE_PATH");
-  ::unsetenv("A3CS_TRACE_FLUSH_EVERY");
+  ::unsetenv("A3CS_TRACE_EVERY");
   ::unsetenv("A3CS_PROFILE");
-}
-
-TEST(ObsConfig, TraceEnvCanForceOff) {
-  ::setenv("A3CS_TRACE", "0", 1);
-  obs::ObsConfig cfg;
-  cfg.trace_enabled = true;
-  cfg.trace_path = "x.jsonl";
-  EXPECT_FALSE(cfg.with_env_overrides().trace_enabled);
-  ::unsetenv("A3CS_TRACE");
-}
-
-TEST(ObsConfig, EnableWithoutPathGetsDefaultPath) {
-  ::setenv("A3CS_TRACE", "1", 1);
-  obs::ObsConfig cfg;
-  const obs::ObsConfig resolved = cfg.with_env_overrides();
-  EXPECT_TRUE(resolved.trace_enabled);
-  EXPECT_EQ(resolved.trace_path, "a3cs_trace.jsonl");
-  ::unsetenv("A3CS_TRACE");
 }
 
 TEST(ObsConfig, DefaultsAreQuiet) {
   const obs::ObsConfig resolved = obs::ObsConfig{}.with_env_overrides();
-  EXPECT_FALSE(resolved.trace_enabled);
+  EXPECT_TRUE(resolved.trace_path.empty());
+  EXPECT_TRUE(resolved.profile_chrome_path.empty());
   EXPECT_FALSE(resolved.profile_enabled);
 }
 

@@ -27,6 +27,7 @@
 #include "obs/perf/run_meta.h"
 #include "obs/perf/work_counters.h"
 #include "obs/profile.h"
+#include "obs/run_scope.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -457,12 +458,9 @@ int check_balanced(const obs::JsonValue& root) {
 TEST(ChromeTrace, BalancedEventsWithWorkAnnotations) {
   TempFile tmp("/perf_chrome_unit.json");
   obs::ObsConfig cfg;
-  cfg.profile_enabled = true;
   cfg.profile_chrome_path = tmp.path();
-  obs::Profiler::set_enabled(true);
   {
-    obs::perf::ChromeTraceSession session(cfg);
-    ASSERT_TRUE(session.active());
+    const obs::RunScope scope(cfg, "chrome unit");
     ASSERT_TRUE(obs::perf::chrome_trace_active());
     {
       A3CS_PROF_SCOPE("outer");
@@ -504,8 +502,8 @@ TEST(ChromeTrace, BalancedEventsWithWorkAnnotations) {
 TEST(ChromeTrace, ScopesWithoutSessionEmitNothing) {
   obs::Profiler::set_enabled(true);
   {
-    // No ChromeTraceSession: the thread-local stack must still balance and
-    // no writer may be touched.
+    // No run scope opened a Chrome writer: the thread-local stack must still
+    // balance and no writer may be touched.
     A3CS_PROF_SCOPE("orphan");
     obs::perf::WorkCounters::named("orphan-kernel").add(1, 1, 1);
   }
@@ -516,7 +514,7 @@ TEST(ChromeTrace, ScopesWithoutSessionEmitNothing) {
 // ----------------------------------------------------------- work counters --
 
 TEST(WorkCounters, GemmFlopsMatchAnalyticModel) {
-  obs::perf::reset_work_counters();
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
   const int m = 8, k = 16, n = 4;
   Tensor a(Shape::mat(m, k));
   Tensor b(Shape::mat(k, n));
@@ -525,19 +523,17 @@ TEST(WorkCounters, GemmFlopsMatchAnalyticModel) {
   for (std::int64_t i = 0; i < b.numel(); ++i) b[i] = 0.25f;
   tensor::gemm(a, false, b, false, c);
 
-  const auto snap = obs::perf::work_snapshot();
-  const auto it = snap.find("gemm");
-  ASSERT_NE(it, snap.end());
-  EXPECT_EQ(it->second.flops, 2ll * m * k * n);
+  // The work counts are registry counters; compare the deltas of this call.
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::global().snapshot();
+  const auto delta = [&](const std::string& name) {
+    const auto was = before.counters.find(name);
+    return after.counters.at(name) -
+           (was == before.counters.end() ? 0 : was->second);
+  };
+  EXPECT_EQ(delta("work.gemm.flops"), 2ll * m * k * n);
   // A(m,k) + B(k,n) floats read, C(m,n) floats written.
-  EXPECT_EQ(it->second.bytes_read, 4ll * (m * k + k * n));
-  EXPECT_EQ(it->second.bytes_written, 4ll * m * n);
-
-  obs::perf::reset_work_counters();
-  const auto cleared = obs::perf::work_snapshot();
-  const auto it2 = cleared.find("gemm");
-  ASSERT_NE(it2, cleared.end());
-  EXPECT_EQ(it2->second.flops, 0);
+  EXPECT_EQ(delta("work.gemm.bytes_read"), 4ll * (m * k + k * n));
+  EXPECT_EQ(delta("work.gemm.bytes_written"), 4ll * m * n);
 }
 
 // ------------------------------------------------- histogram quantiles ----
@@ -581,9 +577,6 @@ TEST(ChromeTrace, CosearchFullEmitsValidAnnotatedTrace) {
                           trace.path() + " " + A3CS_COSEARCH_BIN + " > " +
                           log.path() + " 2>&1";
   ASSERT_EQ(run_command(cmd), 0);
-  // Only the pipeline's run scope opens the Chrome session; the co-search
-  // phase nested inside it must not try to open a second one.
-  EXPECT_EQ(slurp(log.path()).find("already active"), std::string::npos);
 
   // The full-file balance/metadata check through the real tool.
   const std::string check_cmd = std::string(A3CS_BENCH_REPORT_BIN) +
@@ -645,9 +638,8 @@ TEST(ChromeTrace, CosearchFullEmitsValidAnnotatedTrace) {
 // pipeline's, and the whole co-search phase is one pipeline-cosearch call.
 TEST(RunScope, PipelineProfileWithoutTraceLogsOnePipelineTable) {
   TempFile log("/perf_profile_no_trace.log");
-  const std::string cmd = std::string("A3CS_SCALE=0.001 A3CS_TRACE=0 ") +
-                          "A3CS_PROFILE=1 " + A3CS_COSEARCH_BIN + " > " +
-                          log.path() + " 2>&1";
+  const std::string cmd = std::string("A3CS_SCALE=0.001 A3CS_PROFILE=1 ") +
+                          A3CS_COSEARCH_BIN + " > " + log.path() + " 2>&1";
   ASSERT_EQ(run_command(cmd), 0);
   const std::string text = slurp(log.path());
 
@@ -689,6 +681,27 @@ TEST(EnvKnobs, CosearchFullRejectsBadFaultPlanBeforeWork) {
       << text;
   EXPECT_EQ(text.find("running the full A3C-S pipeline"), std::string::npos)
       << text;
+}
+
+// A Chrome trace path that cannot be opened fails the run like a malformed
+// knob: one stderr line naming the path, exit status 2, no trace written.
+TEST(EnvKnobs, CosearchFullRejectsUnopenableChromePath) {
+  TempFile log("/perf_bad_chrome_path.log");
+  const std::string bad = "/nonexistent-a3cs-dir/chrome.json";
+  const std::string cmd = std::string("A3CS_SCALE=0.001 ") +
+                          "A3CS_PROFILE_CHROME=" + bad + " " +
+                          A3CS_COSEARCH_BIN + " Catch > " + log.path() +
+                          " 2>&1";
+  EXPECT_EQ(run_command(cmd), 2);
+  const std::string text = slurp(log.path());
+  int naming = 0;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find(bad) != std::string::npos) ++naming;
+  }
+  EXPECT_EQ(naming, 1) << text;
+  EXPECT_EQ(text.find("=== A3C-S result"), std::string::npos) << text;
 }
 
 }  // namespace
