@@ -14,6 +14,7 @@
 // and inject deterministic faults (docs/FLEET.md). A3CS_TRACE_PATH enables
 // a supervisor trace plus per-shard traces at <out>/shard-K.trace.jsonl;
 // A3CS_PROFILE_CHROME likewise gives each shard <out>/shard-K.chrome.json.
+// A shard's respawn N >= 1 writes <out>/shard-K.iN.* instead.
 #include <iostream>
 #include <string>
 #include <vector>

@@ -6,7 +6,9 @@
 #include <filesystem>
 #include <initializer_list>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "arcade/games.h"
@@ -43,6 +45,16 @@ std::unique_ptr<nas::Supernet> build_supernet(const std::string& game_title,
       std::make_unique<nas::Supernet>(probe->obs_spec(), cfg.supernet, rng);
   *raw = supernet.get();
   return supernet;
+}
+
+// CRC over a network's serialized parameters: pins the teacher a checkpoint
+// was taken against, so resuming with a different (e.g. retrained) teacher
+// fails loudly instead of silently diverging.
+std::uint32_t params_crc(nn::ActorCriticNet& net) {
+  std::ostringstream oss;
+  net.save_params(oss);
+  const std::string bytes = oss.str();
+  return util::crc32(bytes.data(), bytes.size());
 }
 
 }  // namespace
@@ -210,20 +222,6 @@ IterStats CoSearchEngine::one_iteration(bool update_theta, bool update_alpha,
   return stats;
 }
 
-namespace {
-
-// CRC over a network's serialized parameters: pins the teacher a checkpoint
-// was taken against, so resuming with a different (e.g. retrained) teacher
-// fails loudly instead of silently diverging.
-std::uint32_t params_crc(nn::ActorCriticNet& net) {
-  std::ostringstream oss;
-  net.save_params(oss);
-  const std::string bytes = oss.str();
-  return util::crc32(bytes.data(), bytes.size());
-}
-
-}  // namespace
-
 void CoSearchEngine::save_checkpoint(ckpt::SectionWriter& writer) {
   namespace sio = util::sio;
   {
@@ -235,7 +233,10 @@ void CoSearchEngine::save_checkpoint(ckpt::SectionWriter& writer) {
     sio::put_bool(out, cfg_.hardware_aware);
     sio::put_bool(out, cfg_.optimization == Optimization::kBiLevel);
     sio::put_bool(out, teacher_ != nullptr);
-    sio::put_u32(out, teacher_ != nullptr ? params_crc(*teacher_) : 0);
+    if (teacher_ != nullptr && !teacher_crc_) {
+      teacher_crc_ = params_crc(*teacher_);
+    }
+    sio::put_u32(out, teacher_crc_.value_or(0));
     sio::put_i64(out, iter_);
     sio::put_bool(out, alpha_turn_);
     sio::put_i64(out, next_tau_decay_);
@@ -478,6 +479,10 @@ struct CoSearchEngine::RunState {
   obs::Counter& ckpt_bytes = reg.counter("ckpt.bytes");
   obs::Counter& ckpt_restores = reg.counter("ckpt.restores");
   obs::Histogram& ckpt_write_ms = reg.histogram("ckpt.write_ms", kMsBuckets);
+  obs::Histogram& ckpt_sync_ms = reg.histogram("ckpt.sync_ms", kMsBuckets);
+  // Commits checkpoints off the loop thread (inline at one thread); null
+  // when checkpointing is off, so such a run starts no thread.
+  std::unique_ptr<util::SerialWorker> ckpt_writer{};
 };
 
 CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
@@ -490,6 +495,21 @@ CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
       .set(util::ThreadPool::global().threads());
   guard::FaultInjector::global().arm_from_env();
   RunState rs{cfg_, total_frames, scope.config().trace_every};
+  // No commit outlives run(). On the normal path finish_run() has already
+  // waited (and thrown any writer error); when run() unwinds (a callback's
+  // exception, GuardAbort) the error is logged rather than thrown over the
+  // exception in flight.
+  struct WriterDrain {
+    CoSearchEngine& engine;
+    ~WriterDrain() {
+      try {
+        engine.wait_for_checkpoint();
+      } catch (const std::exception& e) {
+        A3CS_LOG(ERROR) << e.what();
+      }
+      engine.ckpt_writer_ = nullptr;
+    }
+  } drain{*this};
   obs::trace_event("cosearch_start")
       .kv("game", game_title_)
       .kv("threads", util::ThreadPool::global().threads())
@@ -525,20 +545,25 @@ CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
       next_callback_ += callback_every;
     }
   }
+  CoSearchResult result = finish_run();
   if (stopped) {
     A3CS_LOG(INFO) << "stop signal received; checkpointed at iteration "
                    << iter_ << " and exiting the search loop";
   }
-  return finish_run();
+  return result;
 }
 
 void CoSearchEngine::resume(RunState& rs) {
   if (!rs.ckpt_cfg.enabled()) return;
   rs.ckpt_mgr = std::make_unique<ckpt::CheckpointManager>(rs.ckpt_cfg);
+  rs.ckpt_writer = std::make_unique<util::SerialWorker>(
+      util::ThreadPool::global().threads());
+  ckpt_writer_ = rs.ckpt_writer.get();
   rs.stop_guard = std::make_unique<ckpt::StopSignalGuard>();
   if (!rs.ckpt_cfg.resume) return;
   ckpt::SectionReader reader;
   int fallbacks = 0;
+  wait_for_checkpoint();
   const std::int64_t at = rs.ckpt_mgr->load_newest_valid(&reader, &fallbacks);
   if (at < 0) {
     A3CS_LOG(WARN) << "checkpoint resume requested but no valid "
@@ -681,6 +706,7 @@ bool CoSearchEngine::rollback(RunState& rs) {
   if (!rs.ckpt_mgr) return false;
   ckpt::SectionReader reader;
   int fallbacks = 0;
+  wait_for_checkpoint();
   const std::int64_t at = rs.ckpt_mgr->load_newest_valid(
       &reader, &fallbacks, /*require_healthy=*/true);
   if (at < 0) return false;
@@ -726,6 +752,7 @@ void CoSearchEngine::abort_run(RunState& rs, const std::string& why) {
   rs.aborts.inc();
   std::string dump_path;
   if (rs.ckpt_mgr) {
+    wait_for_checkpoint();
     ckpt::SectionWriter dump;
     save_checkpoint(dump);
     dump.set_healthy(false);
@@ -762,17 +789,54 @@ bool CoSearchEngine::checkpoint_cadence(RunState& rs) {
   return stopped;
 }
 
+// The loop thread takes the snapshot; the run's writer commits it (encode,
+// tmp + fsync + rename, prune) while the next iterations run. The file holds
+// the bytes a synchronous commit would write; only the moment they become
+// durable moves, and wait_for_checkpoint() pins it where it matters.
 void CoSearchEngine::write_checkpoint(RunState& rs, const char* reason) {
   const auto t0 = std::chrono::steady_clock::now();
-  ckpt::SectionWriter writer;
-  save_checkpoint(writer);
-  writer.set_healthy(rs.last_iter_healthy);
-  const std::size_t bytes = rs.ckpt_mgr->commit(iter_, writer);
+  wait_for_checkpoint();  // at most one commit in flight
+  auto snapshot = std::make_shared<ckpt::SectionWriter>();
+  save_checkpoint(*snapshot);
+  snapshot->set_healthy(rs.last_iter_healthy);
+  const double write_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  ckpt_writer_->submit([&rs, snapshot, reason, write_ms, iter = iter_,
+                        frames = collector_.frames(),
+                        healthy = rs.last_iter_healthy] {
+    const auto t1 = std::chrono::steady_clock::now();
+    const std::string path = rs.ckpt_mgr->path_for(iter);
+    std::size_t bytes = 0;
+    try {
+      bytes = rs.ckpt_mgr->commit(iter, *snapshot);
+    } catch (const std::exception& e) {
+      throw std::runtime_error("checkpoint commit of " + path +
+                               " failed: " + e.what());
+    }
+    const double sync_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t1)
+                               .count();
+    rs.ckpt_writes.inc();
+    rs.ckpt_bytes.inc(static_cast<std::int64_t>(bytes));
+    rs.ckpt_sync_ms.record(sync_ms);
+    obs::trace_event("ckpt_write")
+        .kv("iter", iter)
+        .kv("frames", frames)
+        .kv("bytes", static_cast<std::int64_t>(bytes))
+        .kv("write_ms", write_ms)
+        .kv("sync_ms", sync_ms)
+        .kv("reason", reason)
+        .kv("healthy", healthy);
+  });
+  rs.ckpt_write_ms.record(write_ms);
+  rs.last_ckpt = std::chrono::steady_clock::now();
   if (guard::FaultInjector::global().should_fire(guard::FaultKind::kTruncCkpt,
                                                  iter_)) {
-    // Torn-tip fault: halve the file AFTER the atomic commit, simulating the
+    // Torn-tip fault: halve the file once it is committed, simulating the
     // disk filling up / the machine dying mid-write in a world without the
     // tmp+rename protocol. load_newest_valid must fall back past it.
+    wait_for_checkpoint();
     const std::string path = rs.ckpt_mgr->path_for(iter_);
     std::error_code ec;
     const auto size = std::filesystem::file_size(path, ec);
@@ -782,23 +846,14 @@ void CoSearchEngine::write_checkpoint(RunState& rs, const char* reason) {
                      << " to " << size / 2 << " bytes";
     }
   }
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  rs.ckpt_writes.inc();
-  rs.ckpt_bytes.inc(static_cast<std::int64_t>(bytes));
-  rs.ckpt_write_ms.record(ms);
-  rs.last_ckpt = std::chrono::steady_clock::now();
-  obs::trace_event("ckpt_write")
-      .kv("iter", iter_)
-      .kv("frames", collector_.frames())
-      .kv("bytes", static_cast<std::int64_t>(bytes))
-      .kv("write_ms", ms)
-      .kv("reason", reason)
-      .kv("healthy", rs.last_iter_healthy);
+}
+
+void CoSearchEngine::wait_for_checkpoint() {
+  if (ckpt_writer_ != nullptr) ckpt_writer_->wait();
 }
 
 CoSearchResult CoSearchEngine::finish_run() {
+  wait_for_checkpoint();
   CoSearchResult result;
   result.arch = supernet_->derive();
   result.frames = collector_.frames();

@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,6 +129,16 @@ class CoSearchEngine {
   void save_checkpoint(ckpt::SectionWriter& writer);
   void restore_checkpoint(const ckpt::SectionReader& reader);
 
+  // The durability barrier. Inside run() a periodic checkpoint is a
+  // snapshot taken on the loop thread (save_checkpoint) and a commit
+  // (encode, tmp + fsync + rename, prune) on one background writer, with at
+  // most one commit in flight. This waits for that commit and rethrows its
+  // error, naming the path. run() calls it before the next snapshot, every
+  // ring read, the abort dump and its return; a callback calls it before
+  // publishing anything that presumes the boundary's checkpoint is on disk
+  // (fleet workers do, before each point line). A no-op outside run().
+  void wait_for_checkpoint();
+
   // Iterations completed so far (survives checkpoint/restore).
   std::int64_t iterations() const { return iter_; }
 
@@ -172,6 +183,10 @@ class CoSearchEngine {
   nas::Supernet* supernet_;  // owned by net_'s backbone
   std::unique_ptr<nn::ActorCriticNet> net_;
   nn::ActorCriticNet* teacher_;
+  // CRC of the teacher's parameters, which the search only reads: pins the
+  // teacher a checkpoint was taken against. Taken on the first snapshot, so
+  // engines that never checkpoint never pay for it.
+  std::optional<std::uint32_t> teacher_crc_;
   rl::RolloutCollector collector_;
   accel::AcceleratorSpace space_;
   accel::Predictor predictor_;
@@ -187,6 +202,10 @@ class CoSearchEngine {
   std::int64_t next_callback_ = 0;
   double reward_ewma_ = 0.0;
   bool reward_ewma_init_ = false;
+
+  // The running run()'s checkpoint writer; null outside run() and when
+  // checkpointing is off.
+  util::SerialWorker* ckpt_writer_ = nullptr;
 };
 
 // Reads every A3CS_* knob a co-search run consults (threads, backend, scale,

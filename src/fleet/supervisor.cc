@@ -54,7 +54,7 @@ struct WorkerSlot {
   int rfd = -1;
   std::string rbuf;
   int restarts = 0;
-  bool launched_once = false;
+  int incarnations = 0;  // launched so far
   bool corrupt_applied = false;
   bool diverged_line = false;
   std::int64_t frames_target = 0;
@@ -174,7 +174,7 @@ void SupervisorImpl::spawn(WorkerSlot& w) {
   opts.ckpt_keep = cfg_.ckpt_keep;
   opts.point_every = cfg_.point_every;
   opts.result_path = dir + "/result.txt";
-  if (!w.launched_once) {  // faults fire on the first incarnation only
+  if (w.incarnations == 0) {  // faults fire on the first incarnation only
     opts.kill_at = faults_.kill_at(w.spec.shard);
     opts.hang_at = faults_.hang_at(w.spec.shard);
     opts.diverge_at = faults_.diverge_at(w.spec.shard);
@@ -182,9 +182,14 @@ void SupervisorImpl::spawn(WorkerSlot& w) {
   const std::vector<std::string> args = worker_argv(opts);
 
   // Each worker traces to its own files beside the supervisor's: one shared
-  // path would have every shard truncate and interleave the same file.
-  const std::string shard_prefix =
+  // path would have every shard truncate and interleave the same file. A
+  // respawn N >= 1 writes shard-K.iN.*, so the incarnation it replaces keeps
+  // its trace.
+  std::string shard_prefix =
       cfg_.out_dir + "/shard-" + std::to_string(w.spec.shard);
+  if (w.incarnations > 0) {
+    shard_prefix += ".i" + std::to_string(w.incarnations);
+  }
   const std::string trace_path = shard_prefix + ".trace.jsonl";
   const std::string chrome_path = shard_prefix + ".chrome.json";
   const bool tracing = obs::trace_active();
@@ -231,8 +236,8 @@ void SupervisorImpl::spawn(WorkerSlot& w) {
   w.rbuf.clear();
   w.diverged_line = false;
   w.last_hb = Clock::now();
-  const bool restart = w.launched_once;
-  w.launched_once = true;
+  const bool restart = w.incarnations > 0;
+  ++w.incarnations;
   w.state = WState::kRunning;
   ++result_.spawns;
   static obs::Counter& spawns =

@@ -238,6 +238,9 @@ int run_fleet_worker(const WorkerOptions& o) {
           out.line(format_heartbeat(o.shard, engine.iterations(),
                                     engine.frames()));
           if (o.point_every > 0 && iter % o.point_every == 0) {
+            // A point presumes its boundary's checkpoint is on disk: a
+            // restart resumes from there and re-emits it.
+            engine.wait_for_checkpoint();
             out.line(format_point(make_point(o, engine)));
           }
         },

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "util/config.h"
+#include "util/logging.h"
 
 namespace a3cs::util {
 
@@ -143,6 +145,82 @@ std::vector<ThreadPool::LabelStat> ThreadPool::label_stats() const {
               return std::strcmp(a.label, b.label) < 0;
             });
   return out;
+}
+
+SerialWorker::~SerialWorker() {
+  std::thread thread;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+    thread = std::move(thread_);
+  }
+  work_cv_.notify_all();
+  if (thread.joinable()) thread.join();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!error_) return;
+  try {
+    std::rethrow_exception(error_);
+  } catch (const std::exception& e) {
+    A3CS_LOG(ERROR) << "SerialWorker: uncollected job error: " << e.what();
+  } catch (...) {
+    A3CS_LOG(ERROR) << "SerialWorker: uncollected non-standard job error";
+  }
+}
+
+void SerialWorker::submit(std::function<void()> job) {
+  if (inline_) {
+    run_job(job);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(job));
+    if (!thread_.joinable()) thread_ = std::thread([this] { loop(); });
+  }
+  work_cv_.notify_one();
+}
+
+void SerialWorker::wait() {
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_cv_.wait(lock, [this] { return queue_.empty() && !busy_; });
+    error = std::exchange(error_, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+bool SerialWorker::started() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return thread_.joinable();
+}
+
+void SerialWorker::loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopped and drained
+    std::function<void()> job = std::move(queue_.front());
+    queue_.pop_front();
+    busy_ = true;
+    lock.unlock();
+    run_job(job);
+    lock.lock();
+    busy_ = false;
+    idle_cv_.notify_all();
+  }
+}
+
+void SerialWorker::run_job(std::function<void()>& job) {
+  std::exception_ptr error;
+  try {
+    job();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  job = nullptr;  // free what the job captured before wait() returns
+  std::lock_guard<std::mutex> lock(mu_);
+  if (error && !error_) error_ = error;
 }
 
 namespace {

@@ -23,6 +23,9 @@
 //
 // Thread count resolution: ExecConfig{}.with_env_overrides() reads
 // A3CS_THREADS (1 = serial default; 0 or "auto" = hardware concurrency).
+//
+// SerialWorker (below) is the one other owner of a thread: a single FIFO
+// background thread for work that must leave the caller, not be sharded.
 #pragma once
 
 #include <atomic>
@@ -30,6 +33,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -187,6 +191,45 @@ class ThreadPool {
     std::atomic<std::int64_t> tasks{0};
   };
   std::array<LabelSlot, kMaxLabels> labels_;
+};
+
+// One background thread that runs submitted jobs in FIFO order: work that
+// must leave the calling thread without entering the sharded pool, such as a
+// checkpoint's encode + fsync + rename. It is not a ThreadPool member, so
+// only its owner pays for it: the thread starts on the first submit(), and
+// with `threads` <= 1 (the resolved execution thread count) there is no
+// thread at all and submit() runs the job inline. Either way a job's
+// exception is kept and rethrown by the next wait() (the first one wins;
+// later jobs still run). The destructor runs what is queued, then joins;
+// it logs an error no wait() collected.
+class SerialWorker {
+ public:
+  explicit SerialWorker(int threads) : inline_(threads <= 1) {}
+  ~SerialWorker();
+
+  SerialWorker(const SerialWorker&) = delete;
+  SerialWorker& operator=(const SerialWorker&) = delete;
+
+  void submit(std::function<void()> job);
+  // Blocks until every submitted job has finished, then rethrows the first
+  // error since the last wait().
+  void wait();
+  // Whether the background thread exists.
+  bool started();
+
+ private:
+  void loop();
+  void run_job(std::function<void()>& job);
+
+  const bool inline_;
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // the thread: a job or stop
+  std::condition_variable idle_cv_;  // wait(): the queue drained
+  std::deque<std::function<void()>> queue_ A3CS_GUARDED_BY(mu_);
+  bool busy_ A3CS_GUARDED_BY(mu_) = false;
+  bool stop_ A3CS_GUARDED_BY(mu_) = false;
+  std::exception_ptr error_ A3CS_GUARDED_BY(mu_);
+  std::thread thread_ A3CS_GUARDED_BY(mu_);
 };
 
 // Convenience wrapper over the global pool.

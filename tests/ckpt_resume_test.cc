@@ -85,7 +85,9 @@ void expect_resume_bit_exact(const std::string& threads_env) {
                        ref_dir + "/ckpts", ref_out, false, 0, 0),
             0);
   // Crash mid-run: the helper _Exit(17)s inside the iteration-kDieAt
-  // callback, right after that iteration's checkpoint hit disk.
+  // callback, after that iteration's checkpoint was handed to the writer. At
+  // one thread it is on disk; at more it may still be in flight, and the
+  // kill loses it, so the resume starts from the checkpoint before it.
   ASSERT_EQ(run_helper(env, kTotalIters, crash_dir + "/ckpts", "-", false,
                        kDieAt, 0),
             17);

@@ -2,7 +2,9 @@
 // (ckpt_resume_test.cc). Runs a tiny co-search with per-iteration
 // checkpointing and can simulate
 //   - a hard crash: _Exit(17) mid-callback at a given iteration (no
-//     destructors, no flushes — exactly what a kill -9 leaves behind), or
+//     destructors, no flushes — exactly what a kill -9 leaves behind; with
+//     more than one thread that iteration's checkpoint may still be in
+//     flight on the engine's writer and is then lost with the process), or
 //   - a graceful signal: raise(SIGTERM) at a given iteration, exercising the
 //     StopSignalGuard -> final-checkpoint -> clean-return path.
 // On normal completion it writes a canonical dump of the final search state

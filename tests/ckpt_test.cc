@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include "ckpt/signal.h"
 #include "core/cosearch.h"
 #include "das/das.h"
+#include "guard/fault.h"
 #include "nn/optim.h"
 #include "nn/zoo.h"
 #include "rl/a2c.h"
@@ -670,6 +672,61 @@ TEST(CoSearchCheckpoint, SignalTriggersFinalCheckpointAndCleanExit) {
   EXPECT_EQ(mgr.list().size(), 1u);
   EXPECT_EQ(mgr.list().front(), engine.iterations());
   ckpt::clear_stop();
+  fs::remove_all(cfg.ckpt.dir);
+}
+
+// At two threads checkpoints commit on the run's background writer. The
+// torn-tip fault waits for the commit before halving the file, so the ring's
+// tip is torn and a resume falls back past it.
+TEST(CoSearchCheckpoint, TruncFaultTearsTheCommittedTipAtTwoThreads) {
+  guard::FaultInjector::global().reset();
+  auto cfg = tiny_cosearch_config();
+  cfg.exec.threads = 2;
+  cfg.ckpt.dir = temp_dir("trunc_async");
+  cfg.ckpt.every_iters = 1;
+  cfg.ckpt.keep = 8;
+  ::setenv("A3CS_FAULT_TRUNC_CKPT", "6", 1);
+  core::CoSearchEngine engine("Catch", cfg, nullptr);
+  engine.run(6 * 8);
+  ::unsetenv("A3CS_FAULT_TRUNC_CKPT");
+  guard::FaultInjector::global().reset();
+
+  ckpt::CheckpointManager mgr(cfg.ckpt);
+  ASSERT_EQ(mgr.list().back(), 6);
+  EXPECT_THROW(ckpt::SectionReader::from_file(mgr.path_for(6)),
+               ckpt::CkptError);
+  ckpt::SectionReader reader;
+  int fallbacks = 0;
+  EXPECT_EQ(mgr.load_newest_valid(&reader, &fallbacks), 5);
+  EXPECT_EQ(fallbacks, 1);
+  fs::remove_all(cfg.ckpt.dir);
+}
+
+// A commit that fails on the writer thread surfaces at the next barrier: the
+// run throws, and the message names the checkpoint it could not write.
+TEST(CoSearchCheckpoint, FailedBackgroundCommitThrowsAtTheNextBarrier) {
+  auto cfg = tiny_cosearch_config();
+  cfg.exec.threads = 2;
+  cfg.ckpt.dir = temp_dir("removed");
+  cfg.ckpt.every_iters = 1;
+  core::CoSearchEngine engine("Catch", cfg, nullptr);
+  std::string error;
+  try {
+    engine.run(
+        10 * 8,
+        [&](std::int64_t frames) {
+          if (frames / 8 != 3) return;
+          engine.wait_for_checkpoint();  // checkpoint 3 is on disk
+          fs::remove_all(cfg.ckpt.dir);
+        },
+        8);
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find(cfg.ckpt.dir + "/ckpt-000000004.a3ck"),
+            std::string::npos)
+      << "error: " << error;
+  EXPECT_LT(engine.iterations(), 10);
   fs::remove_all(cfg.ckpt.dir);
 }
 

@@ -297,6 +297,46 @@ TEST(FleetTrace, EveryShardWritesItsOwnBalancedChromeTrace) {
   std::filesystem::remove_all(out);
 }
 
+// A killed shard's restart writes <out>/shard-K.i1.* instead of truncating
+// the first incarnation's files. The restart and the unkilled shard close
+// valid, balanced Chrome traces; the killed incarnation died in _Exit, so
+// its file is whatever reached disk before the kill: the header and the
+// events flushed so far, without the closing brackets.
+TEST(FleetTrace, RestartedShardKeepsTheKilledIncarnationsTrace) {
+  const auto out = std::filesystem::temp_directory_path() /
+                   ("a3cs_fleet_restart_trace_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(out);
+  std::filesystem::create_directories(out);
+  const std::string cmd =
+      "env A3CS_FLEET_KILL=0@3 A3CS_PROFILE_CHROME=" +
+      (out / "fleet.chrome.json").string() + " " + COSEARCH_FLEET_BIN +
+      " Catch --workers 2 --frames 64 --backoff 0.05 --out " + out.string() +
+      " > " + (out / "log.txt").string() + " 2>&1";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  for (const char* name : {"shard-0.i1.chrome.json", "shard-1.chrome.json"}) {
+    const std::string check = std::string(A3CS_BENCH_REPORT_BIN) +
+                              " --chrome-check " + (out / name).string() +
+                              " >> " + (out / "check.txt").string() + " 2>&1";
+    const int rc = std::system(check.c_str());
+    ASSERT_TRUE(WIFEXITED(rc));
+    EXPECT_EQ(WEXITSTATUS(rc), 0) << name;
+  }
+  EXPECT_FALSE(std::filesystem::exists(out / "shard-1.i1.chrome.json"))
+      << "shard 1 was never restarted";
+
+  std::ifstream in(out / "shard-0.chrome.json");
+  ASSERT_TRUE(in.is_open());
+  const std::string killed((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_EQ(killed.rfind("{\"otherData\":", 0), 0u);
+  EXPECT_NE(killed.find("\"ph\":\"B\""), std::string::npos)
+      << "the killed incarnation's events were overwritten";
+  std::filesystem::remove_all(out);
+}
+
 // --------------------------------------------------------------- config ----
 
 TEST(FleetConfig, EnvOverridesWin) {

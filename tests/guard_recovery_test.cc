@@ -185,6 +185,44 @@ TEST(GuardRecovery, RollbackFallsBackPastTruncatedTip) {
   fs::remove_all(cfg.ckpt.dir);
 }
 
+// At two threads a checkpoint commits on the writer thread while the next
+// iteration runs. With every budget but one rollback at zero, the first
+// error rolls back on that very next iteration: the ring read must wait for
+// the in-flight commit and restore it, not the tip before it.
+TEST(GuardRecovery, RollbackRightAfterAnAsyncCommitRestoresThatCommit) {
+  InjectorGuard isolate;
+  guard::FaultInjector::global().arm(guard::FaultKind::kNanParam, 6);
+
+  auto cfg = tiny_cosearch_config();
+  cfg.exec.threads = 2;
+  cfg.guard.mode = guard::GuardMode::kHeal;
+  cfg.guard.skip_budget = 0;
+  cfg.guard.soften_budget = 0;
+  cfg.guard.max_rollbacks = 1;
+  cfg.ckpt.dir = temp_dir("async");
+  cfg.ckpt.every_iters = 1;
+  cfg.ckpt.keep = 8;
+  cfg.obs.trace_path = cfg.ckpt.dir + "/trace.jsonl";
+
+  core::CoSearchEngine engine("Catch", cfg, nullptr);
+  engine.run(12 * 8);
+  EXPECT_EQ(engine.iterations(), 12);
+  EXPECT_TRUE(nn::param_norm_stats(engine.net().parameters()).finite);
+
+  std::int64_t from = -1, restored_at = -1;
+  for (const obs::JsonValue& ev :
+       obs::parse_jsonl_file(cfg.obs.trace_path)) {
+    if (ev.string_or("type", "") == "guard_event" &&
+        ev.string_or("kind", "") == "rollback_done") {
+      from = static_cast<std::int64_t>(ev.number_or("from_iter", -1.0));
+      restored_at = static_cast<std::int64_t>(ev.number_or("iter", -1.0));
+    }
+  }
+  EXPECT_EQ(from, 7);
+  EXPECT_EQ(restored_at, 6) << "the commit submitted one iteration earlier";
+  fs::remove_all(cfg.ckpt.dir);
+}
+
 // With every budget at zero the first unhealable error tops out the ladder:
 // the engine throws GuardAbort and leaves an unhealthy-tagged diagnostic
 // dump for post-mortem restore.

@@ -134,7 +134,9 @@ TEST(Lint, DetWallClockScopedToNumericDirs) {
   const auto in_nn = lint_fixture("det_wall_clock.cc", "src/nn/fused.cc");
   ASSERT_EQ(count_rule(in_nn, "det-wall-clock"), 1) << dump(in_nn);
   for (const auto& f : in_nn) {
-    if (f.rule == "det-wall-clock") EXPECT_EQ(f.line, 6);
+    if (f.rule == "det-wall-clock") {
+      EXPECT_EQ(f.line, 6);
+    }
   }
   // Timing code in bench/ (and src/obs/) is the sanctioned home for clocks.
   const auto in_bench = lint_fixture("det_wall_clock.cc", "bench/fused.cc");
@@ -211,7 +213,9 @@ TEST(Lint, ConcRawProcessConfinedToFleet) {
   // (asserted via the exact count above: the fixture's sup.fork() /
   // sup->waitpid() lines are not among the three findings).
   for (const auto& f : fs) {
-    if (f.rule == "conc-raw-process") EXPECT_LE(f.line, 19) << dump(fs);
+    if (f.rule == "conc-raw-process") {
+      EXPECT_LE(f.line, 19) << dump(fs);
+    }
   }
 }
 
@@ -220,8 +224,12 @@ TEST(Lint, ConcStaticLocalAndMutableGlobal) {
   ASSERT_EQ(count_rule(fs, "conc-mutable-global"), 1) << dump(fs);
   ASSERT_EQ(count_rule(fs, "conc-static-local"), 1) << dump(fs);
   for (const auto& f : fs) {
-    if (f.rule == "conc-mutable-global") EXPECT_EQ(f.line, 10);
-    if (f.rule == "conc-static-local") EXPECT_EQ(f.line, 16);
+    if (f.rule == "conc-mutable-global") {
+      EXPECT_EQ(f.line, 10);
+    }
+    if (f.rule == "conc-static-local") {
+      EXPECT_EQ(f.line, 16);
+    }
   }
 }
 
@@ -327,7 +335,9 @@ TEST(Lex, LineSplicedCommentSwallowsNextLine) {
       "int after = 1;\n");
   bool saw_after = false;
   for (const auto& t : lexed.tokens) {
-    if (t.kind == TokKind::kIdent) EXPECT_NE(t.text, "rand");
+    if (t.kind == TokKind::kIdent) {
+      EXPECT_NE(t.text, "rand");
+    }
     if (t.text == "after") {
       saw_after = true;
       // Line numbering must survive the splice.
