@@ -36,10 +36,11 @@
 # batches), the guard's cross-thread pieces
 # (the global FaultInjector, the metrics it bumps), the obs layer
 # (obs_test: the run scope installs the trace writers that pool-thread
-# ProfScopes and trace events read) and the co-search's background
-# checkpoint writer against the loop thread's snapshots, barriers and ring
-# reads (ckpt_test, guard_recovery_test), run with A3CS_THREADS=4
-# so the pool actually fans out. The standalone UBSan pass sweeps the
+# ProfScopes and trace events read) and the checkpoint manager's background
+# commit against the loop thread's snapshots, barriers and ring reads
+# (ckpt_test, guard_recovery_test, and the kill-and-resume byte-equality
+# suite ckpt_resume_test), run with A3CS_THREADS=4 so the pool actually fans
+# out and the commit runs on its own thread. The standalone UBSan pass sweeps the
 # numeric layers — tensor kernels, nn layers/optimizers, the NAS/DAS/accel
 # math — where signed overflow and bad float casts would hide.
 #
@@ -56,7 +57,7 @@ BUILD="$ROOT/build-san-$SAN"
 SMOKE=""
 
 if [ "$SAN" = "thread" ]; then
-  TESTS="thread_pool_test obs_test tensor_test nn_layers_test infer_test backend_check_test arcade_test determinism_test guard_test serve_test ckpt_test guard_recovery_test"
+  TESTS="thread_pool_test obs_test tensor_test nn_layers_test infer_test backend_check_test arcade_test determinism_test guard_test serve_test ckpt_test guard_recovery_test ckpt_resume_test"
   # Skip the (wall-clock) stall-watchdog cases: TSan's slowdown makes any
   # timing threshold meaningless.
   GUARD_FILTER="-*Stall*"

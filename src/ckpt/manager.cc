@@ -1,8 +1,11 @@
 #include "ckpt/manager.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "util/atomic_file.h"
@@ -47,7 +50,8 @@ CkptConfig CkptConfig::with_env_overrides() const {
   return out;
 }
 
-CheckpointManager::CheckpointManager(CkptConfig cfg) : cfg_(std::move(cfg)) {
+CheckpointManager::CheckpointManager(CkptConfig cfg, int threads)
+    : cfg_(std::move(cfg)), commit_(threads) {
   A3CS_CHECK(cfg_.enabled(), "CheckpointManager: empty checkpoint directory");
   A3CS_CHECK(cfg_.keep >= 1, "CheckpointManager: keep must be >= 1");
   fs::create_directories(cfg_.dir);
@@ -58,7 +62,7 @@ CheckpointManager::CheckpointManager(CkptConfig cfg) : cfg_(std::move(cfg)) {
   // so deleting them on startup is always safe; without the sweep, a
   // frequently restarted fleet shard accumulates one torn file per kill.
   // Only ".a3ck.tmp" names are touched — stray user files stay untouched,
-  // mirroring the pruning policy of list().
+  // mirroring the pruning policy of scan().
   static obs::Counter& tmp_swept =
       obs::MetricsRegistry::global().counter("ckpt.tmp_swept");
   const std::string kTmpTail = std::string(kSuffix) + ".tmp";
@@ -89,11 +93,47 @@ std::string CheckpointManager::path_for(std::int64_t iter) const {
 
 std::size_t CheckpointManager::commit(std::int64_t iter,
                                       const SectionWriter& writer) {
+  wait();
+  return write_and_prune(iter, writer);
+}
+
+void CheckpointManager::commit_async(
+    std::int64_t iter, const std::function<void(SectionWriter&)>& snapshot,
+    std::function<void(const CommitStats&)> durable) {
+  using Clock = std::chrono::steady_clock;
+  const auto ms_since = [](Clock::time_point t) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t).count();
+  };
+  const Clock::time_point t0 = Clock::now();
+  wait();  // at most one commit in flight
+  auto writer = std::make_shared<SectionWriter>();
+  snapshot(*writer);
+  const double write_ms = ms_since(t0);
+  commit_.start([this, iter, writer, write_ms, ms_since,
+                 durable = std::move(durable)] {
+    const Clock::time_point t1 = Clock::now();
+    CommitStats stats;
+    try {
+      stats.bytes = write_and_prune(iter, *writer);
+    } catch (const std::exception& e) {
+      throw std::runtime_error("checkpoint commit of " + path_for(iter) +
+                               " failed: " + e.what());
+    }
+    stats.write_ms = write_ms;
+    stats.sync_ms = ms_since(t1);
+    durable(stats);
+  });
+}
+
+void CheckpointManager::wait() { commit_.wait(); }
+
+std::size_t CheckpointManager::write_and_prune(std::int64_t iter,
+                                               const SectionWriter& writer) {
   const std::string bytes = writer.encode();
   util::atomic_write_file(path_for(iter), bytes);
 
   // Prune the ring: keep the newest cfg_.keep checkpoints.
-  std::vector<std::int64_t> iters = list();
+  std::vector<std::int64_t> iters = scan();
   if (static_cast<int>(iters.size()) > cfg_.keep) {
     const std::size_t drop = iters.size() - static_cast<std::size_t>(cfg_.keep);
     for (std::size_t i = 0; i < drop; ++i) {
@@ -104,7 +144,12 @@ std::size_t CheckpointManager::commit(std::int64_t iter,
   return bytes.size();
 }
 
-std::vector<std::int64_t> CheckpointManager::list() const {
+std::vector<std::int64_t> CheckpointManager::list() {
+  wait();
+  return scan();
+}
+
+std::vector<std::int64_t> CheckpointManager::scan() const {
   std::vector<std::int64_t> iters;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(cfg_.dir, ec)) {
@@ -117,7 +162,7 @@ std::vector<std::int64_t> CheckpointManager::list() const {
 
 std::int64_t CheckpointManager::load_newest_valid(SectionReader* out,
                                                   int* fallbacks,
-                                                  bool require_healthy) const {
+                                                  bool require_healthy) {
   static obs::Counter& fallback_counter =
       obs::MetricsRegistry::global().counter("ckpt.fallbacks");
   static obs::Counter& unhealthy_counter =
@@ -149,7 +194,7 @@ std::int64_t CheckpointManager::load_newest_valid(SectionReader* out,
   return -1;
 }
 
-int CheckpointManager::remove_newer_than(std::int64_t iter) const {
+int CheckpointManager::remove_newer_than(std::int64_t iter) {
   int removed = 0;
   for (const std::int64_t it : list()) {
     if (it <= iter) continue;
@@ -157,6 +202,17 @@ int CheckpointManager::remove_newer_than(std::int64_t iter) const {
     if (fs::remove(path_for(it), ec)) ++removed;
   }
   return removed;
+}
+
+void CheckpointManager::tear_tip(std::error_code& ec) {
+  const std::vector<std::int64_t> iters = list();
+  if (iters.empty()) return;
+  const std::string path = path_for(iters.back());
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (!ec) fs::resize_file(path, size / 2, ec);
+  if (ec) return;
+  A3CS_LOG(WARN) << "fault injection: truncated checkpoint " << path << " to "
+                 << size / 2 << " bytes";
 }
 
 }  // namespace a3cs::ckpt

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <filesystem>
 #include <initializer_list>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "arcade/games.h"
@@ -448,9 +448,8 @@ struct CoSearchEngine::RunState {
                                 static_cast<double>(total_frames)),
       total_frames};
   // Checkpointing: periodic (iteration and/or wall-clock cadence) plus a
-  // final write on SIGINT/SIGTERM. The manager is null when it is off.
+  // final write on SIGINT/SIGTERM.
   ckpt::CkptConfig ckpt_cfg = cfg.ckpt.with_env_overrides();
-  std::unique_ptr<ckpt::CheckpointManager> ckpt_mgr{};
   std::unique_ptr<ckpt::StopSignalGuard> stop_guard{};
   std::chrono::steady_clock::time_point last_ckpt =
       std::chrono::steady_clock::now();
@@ -480,9 +479,6 @@ struct CoSearchEngine::RunState {
   obs::Counter& ckpt_restores = reg.counter("ckpt.restores");
   obs::Histogram& ckpt_write_ms = reg.histogram("ckpt.write_ms", kMsBuckets);
   obs::Histogram& ckpt_sync_ms = reg.histogram("ckpt.sync_ms", kMsBuckets);
-  // Commits checkpoints off the loop thread (inline at one thread); null
-  // when checkpointing is off, so such a run starts no thread.
-  std::unique_ptr<util::SerialWorker> ckpt_writer{};
 };
 
 CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
@@ -495,21 +491,6 @@ CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
       .set(util::ThreadPool::global().threads());
   guard::FaultInjector::global().arm_from_env();
   RunState rs{cfg_, total_frames, scope.config().trace_every};
-  // No commit outlives run(). On the normal path finish_run() has already
-  // waited (and thrown any writer error); when run() unwinds (a callback's
-  // exception, GuardAbort) the error is logged rather than thrown over the
-  // exception in flight.
-  struct WriterDrain {
-    CoSearchEngine& engine;
-    ~WriterDrain() {
-      try {
-        engine.wait_for_checkpoint();
-      } catch (const std::exception& e) {
-        A3CS_LOG(ERROR) << e.what();
-      }
-      engine.ckpt_writer_ = nullptr;
-    }
-  } drain{*this};
   obs::trace_event("cosearch_start")
       .kv("game", game_title_)
       .kv("threads", util::ThreadPool::global().threads())
@@ -526,26 +507,35 @@ CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
   // already have positioned them); only the callback cadence is per-run,
   // and a resumed checkpoint overrides it.
   next_callback_ = callback_every;
-  resume(rs);
   bool stopped = false;
-  while (!stopped && collector_.frames() < total_frames) {
-    const IterStats stats = iterate(rs);
-    if (!respond_to_health(rs, stats)) continue;
-    while (collector_.frames() >= next_tau_decay_) {
-      supernet_->decay_temperature();
-      next_tau_decay_ += cfg_.tau_decay_every_frames;
+  CoSearchResult result;
+  try {
+    resume(rs);
+    while (!stopped && collector_.frames() < total_frames) {
+      const IterStats stats = iterate(rs);
+      if (!respond_to_health(rs, stats)) continue;
+      while (collector_.frames() >= next_tau_decay_) {
+        supernet_->decay_temperature();
+        next_tau_decay_ += cfg_.tau_decay_every_frames;
+      }
+      // The checkpoint is written BEFORE the user callback fires at the
+      // same boundary, so a crash inside the callback resumes from a state
+      // that has not advanced past it.
+      stopped = checkpoint_cadence(rs);
+      if (callback && callback_every > 0 &&
+          collector_.frames() >= next_callback_) {
+        callback(collector_.frames());
+        next_callback_ += callback_every;
+      }
     }
-    // The checkpoint is written BEFORE the user callback fires at the same
-    // boundary, so a crash inside the callback resumes from a state that
-    // has not advanced past it.
-    stopped = checkpoint_cadence(rs);
-    if (callback && callback_every > 0 &&
-        collector_.frames() >= next_callback_) {
-      callback(collector_.frames());
-      next_callback_ += callback_every;
-    }
+    result = finish_run();
+  } catch (...) {
+    // No commit outlives run(): closing the ring joins the one in flight,
+    // and logs its error rather than throwing it over this exception.
+    ckpt_.reset();
+    throw;
   }
-  CoSearchResult result = finish_run();
+  ckpt_.reset();
   if (stopped) {
     A3CS_LOG(INFO) << "stop signal received; checkpointed at iteration "
                    << iter_ << " and exiting the search loop";
@@ -555,16 +545,13 @@ CoSearchResult CoSearchEngine::run(std::int64_t total_frames,
 
 void CoSearchEngine::resume(RunState& rs) {
   if (!rs.ckpt_cfg.enabled()) return;
-  rs.ckpt_mgr = std::make_unique<ckpt::CheckpointManager>(rs.ckpt_cfg);
-  rs.ckpt_writer = std::make_unique<util::SerialWorker>(
-      util::ThreadPool::global().threads());
-  ckpt_writer_ = rs.ckpt_writer.get();
+  ckpt_ = std::make_unique<ckpt::CheckpointManager>(
+      rs.ckpt_cfg, util::ThreadPool::global().threads());
   rs.stop_guard = std::make_unique<ckpt::StopSignalGuard>();
   if (!rs.ckpt_cfg.resume) return;
   ckpt::SectionReader reader;
   int fallbacks = 0;
-  wait_for_checkpoint();
-  const std::int64_t at = rs.ckpt_mgr->load_newest_valid(&reader, &fallbacks);
+  const std::int64_t at = ckpt_->load_newest_valid(&reader, &fallbacks);
   if (at < 0) {
     A3CS_LOG(WARN) << "checkpoint resume requested but no valid "
                    << "checkpoint in " << rs.ckpt_cfg.dir
@@ -573,7 +560,7 @@ void CoSearchEngine::resume(RunState& rs) {
   }
   restore_checkpoint(reader);
   rs.ckpt_restores.inc();
-  A3CS_LOG(INFO) << "resumed co-search from " << rs.ckpt_mgr->path_for(at)
+  A3CS_LOG(INFO) << "resumed co-search from " << ckpt_->path_for(at)
                  << " (iteration " << iter_ << ", " << collector_.frames()
                  << " frames)";
   obs::trace_event("ckpt_restore")
@@ -703,11 +690,10 @@ void CoSearchEngine::soften(RunState& rs) {
 // Restores the newest healthy checkpoint and reseeds every sampler; false
 // when there is none to restore.
 bool CoSearchEngine::rollback(RunState& rs) {
-  if (!rs.ckpt_mgr) return false;
+  if (!ckpt_) return false;
   ckpt::SectionReader reader;
   int fallbacks = 0;
-  wait_for_checkpoint();
-  const std::int64_t at = rs.ckpt_mgr->load_newest_valid(
+  const std::int64_t at = ckpt_->load_newest_valid(
       &reader, &fallbacks, /*require_healthy=*/true);
   if (at < 0) return false;
   const std::int64_t from_iter = iter_;
@@ -715,7 +701,7 @@ bool CoSearchEngine::rollback(RunState& rs) {
   // Stale tips newer than the restore point are by construction unhealthy
   // (or about to be shadowed); drop them so they can never win a later
   // newest-first scan.
-  rs.ckpt_mgr->remove_newer_than(at);
+  ckpt_->remove_newer_than(at);
   rs.policy.on_rollback();
   rs.monitor.reset();
   // Distinct reseed per rollback: replaying the restored state with its
@@ -733,7 +719,7 @@ bool CoSearchEngine::rollback(RunState& rs) {
   rs.rollbacks.inc();
   rs.ckpt_restores.inc();
   A3CS_LOG(WARN) << "guard: rolled back from iteration " << from_iter
-                 << " to healthy checkpoint " << rs.ckpt_mgr->path_for(at)
+                 << " to healthy checkpoint " << ckpt_->path_for(at)
                  << " (rollback " << rs.policy.rollbacks() << " of "
                  << rs.guard_cfg.max_rollbacks << ", reseeded)";
   obs::trace_event("guard_event")
@@ -751,8 +737,7 @@ bool CoSearchEngine::rollback(RunState& rs) {
 void CoSearchEngine::abort_run(RunState& rs, const std::string& why) {
   rs.aborts.inc();
   std::string dump_path;
-  if (rs.ckpt_mgr) {
-    wait_for_checkpoint();
+  if (ckpt_) {
     ckpt::SectionWriter dump;
     save_checkpoint(dump);
     dump.set_healthy(false);
@@ -774,7 +759,7 @@ void CoSearchEngine::abort_run(RunState& rs, const std::string& why) {
 }
 
 bool CoSearchEngine::checkpoint_cadence(RunState& rs) {
-  if (!rs.ckpt_mgr) return false;
+  if (!ckpt_) return false;
   const bool stopped = ckpt::stop_requested();
   const bool iter_due =
       rs.ckpt_cfg.every_iters > 0 && iter_ % rs.ckpt_cfg.every_iters == 0;
@@ -789,67 +774,53 @@ bool CoSearchEngine::checkpoint_cadence(RunState& rs) {
   return stopped;
 }
 
-// The loop thread takes the snapshot; the run's writer commits it (encode,
+// The loop thread takes the snapshot; the manager commits it (encode,
 // tmp + fsync + rename, prune) while the next iterations run. The file holds
 // the bytes a synchronous commit would write; only the moment they become
-// durable moves, and wait_for_checkpoint() pins it where it matters.
+// durable moves, and the manager's barrier pins it where it matters.
 void CoSearchEngine::write_checkpoint(RunState& rs, const char* reason) {
-  const auto t0 = std::chrono::steady_clock::now();
-  wait_for_checkpoint();  // at most one commit in flight
-  auto snapshot = std::make_shared<ckpt::SectionWriter>();
-  save_checkpoint(*snapshot);
-  snapshot->set_healthy(rs.last_iter_healthy);
-  const double write_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-  ckpt_writer_->submit([&rs, snapshot, reason, write_ms, iter = iter_,
-                        frames = collector_.frames(),
-                        healthy = rs.last_iter_healthy] {
-    const auto t1 = std::chrono::steady_clock::now();
-    const std::string path = rs.ckpt_mgr->path_for(iter);
-    std::size_t bytes = 0;
-    try {
-      bytes = rs.ckpt_mgr->commit(iter, *snapshot);
-    } catch (const std::exception& e) {
-      throw std::runtime_error("checkpoint commit of " + path +
-                               " failed: " + e.what());
-    }
-    const double sync_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t1)
-                               .count();
-    rs.ckpt_writes.inc();
-    rs.ckpt_bytes.inc(static_cast<std::int64_t>(bytes));
-    rs.ckpt_sync_ms.record(sync_ms);
-    obs::trace_event("ckpt_write")
-        .kv("iter", iter)
-        .kv("frames", frames)
-        .kv("bytes", static_cast<std::int64_t>(bytes))
-        .kv("write_ms", write_ms)
-        .kv("sync_ms", sync_ms)
-        .kv("reason", reason)
-        .kv("healthy", healthy);
-  });
-  rs.ckpt_write_ms.record(write_ms);
+  ckpt_->commit_async(
+      iter_,
+      [&](ckpt::SectionWriter& snapshot) {
+        save_checkpoint(snapshot);
+        snapshot.set_healthy(rs.last_iter_healthy);
+      },
+      // Registry metrics outlive the run, so the job may reach them.
+      [&writes = rs.ckpt_writes, &total_bytes = rs.ckpt_bytes,
+       &write_ms = rs.ckpt_write_ms, &sync_ms = rs.ckpt_sync_ms, reason,
+       iter = iter_, frames = collector_.frames(),
+       healthy = rs.last_iter_healthy](
+          const ckpt::CheckpointManager::CommitStats& commit) {
+        writes.inc();
+        total_bytes.inc(static_cast<std::int64_t>(commit.bytes));
+        write_ms.record(commit.write_ms);
+        sync_ms.record(commit.sync_ms);
+        obs::trace_event("ckpt_write")
+            .kv("iter", iter)
+            .kv("frames", frames)
+            .kv("bytes", static_cast<std::int64_t>(commit.bytes))
+            .kv("write_ms", commit.write_ms)
+            .kv("sync_ms", commit.sync_ms)
+            .kv("reason", reason)
+            .kv("healthy", healthy);
+      });
   rs.last_ckpt = std::chrono::steady_clock::now();
   if (guard::FaultInjector::global().should_fire(guard::FaultKind::kTruncCkpt,
                                                  iter_)) {
-    // Torn-tip fault: halve the file once it is committed, simulating the
-    // disk filling up / the machine dying mid-write in a world without the
-    // tmp+rename protocol. load_newest_valid must fall back past it.
-    wait_for_checkpoint();
-    const std::string path = rs.ckpt_mgr->path_for(iter_);
+    // Torn-tip fault: halve the committed file, simulating the disk filling
+    // up / the machine dying mid-write in a world without the tmp+rename
+    // protocol. load_newest_valid must fall back past it.
     std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    if (!ec && size > 0) {
-      std::filesystem::resize_file(path, size / 2, ec);
-      A3CS_LOG(WARN) << "fault injection: truncated checkpoint " << path
-                     << " to " << size / 2 << " bytes";
+    ckpt_->tear_tip(ec);
+    if (ec) {
+      A3CS_LOG(WARN) << "fault injection: could not tear the checkpoint tip: "
+                     << ec.message();
     }
   }
 }
 
 void CoSearchEngine::wait_for_checkpoint() {
-  if (ckpt_writer_ != nullptr) ckpt_writer_->wait();
+  if (ckpt_) ckpt_->wait();
 }
 
 CoSearchResult CoSearchEngine::finish_run() {

@@ -131,12 +131,13 @@ class CoSearchEngine {
 
   // The durability barrier. Inside run() a periodic checkpoint is a
   // snapshot taken on the loop thread (save_checkpoint) and a commit
-  // (encode, tmp + fsync + rename, prune) on one background writer, with at
-  // most one commit in flight. This waits for that commit and rethrows its
-  // error, naming the path. run() calls it before the next snapshot, every
-  // ring read, the abort dump and its return; a callback calls it before
-  // publishing anything that presumes the boundary's checkpoint is on disk
-  // (fleet workers do, before each point line). A no-op outside run().
+  // (encode, tmp + fsync + rename, prune) that the run's
+  // ckpt::CheckpointManager runs in the background, with at most one commit
+  // in flight; the manager waits for it before any ring read or write. This
+  // waits for that commit and rethrows its error, naming the path. run()
+  // calls it before it returns; a callback calls it before publishing
+  // anything that presumes the boundary's checkpoint is on disk (fleet
+  // workers do, before each point line). A no-op outside run().
   void wait_for_checkpoint();
 
   // Iterations completed so far (survives checkpoint/restore).
@@ -203,9 +204,9 @@ class CoSearchEngine {
   double reward_ewma_ = 0.0;
   bool reward_ewma_init_ = false;
 
-  // The running run()'s checkpoint writer; null outside run() and when
-  // checkpointing is off.
-  util::SerialWorker* ckpt_writer_ = nullptr;
+  // The running run()'s checkpoint ring, which owns the commit in flight;
+  // null outside run() and when checkpointing is off.
+  std::unique_ptr<ckpt::CheckpointManager> ckpt_;
 };
 
 // Reads every A3CS_* knob a co-search run consults (threads, backend, scale,

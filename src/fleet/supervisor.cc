@@ -16,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "ckpt/manager.h"
 #include "ckpt/signal.h"
 #include "fleet/protocol.h"
 #include "fleet/worker.h"
@@ -73,26 +74,6 @@ void trace_fleet(const char* kind, int shard, std::int64_t iter,
       .kv("shard", static_cast<std::int64_t>(shard))
       .kv("iter", iter)
       .kv("detail", detail);
-}
-
-// Truncates the newest ring checkpoint to half its size (the
-// A3CS_FLEET_CORRUPT_TIP fault): resume must CRC-reject it and fall back
-// down the ring.
-void corrupt_tip_checkpoint(const std::string& ckpt_dir) {
-  std::string newest;
-  for (const auto& entry : fs::directory_iterator(ckpt_dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("ckpt-", 0) != 0) continue;
-    if (name.size() < 5 || name.substr(name.size() - 5) != ".a3ck") continue;
-    if (name > newest) newest = name;  // 9-digit iters: lexical == numeric
-  }
-  if (newest.empty()) return;
-  const fs::path path = fs::path(ckpt_dir) / newest;
-  const auto size = fs::file_size(path);
-  fs::resize_file(path, size / 2);
-  A3CS_LOG(WARN) << "fleet fault: truncated tip checkpoint " << path.string()
-                 << " to " << (size / 2) << " bytes";
 }
 
 class SupervisorImpl {
@@ -367,7 +348,21 @@ void SupervisorImpl::on_exit(WorkerSlot& w, int status) {
     return;
   }
   if (faults_.corrupt_tip(w.spec.shard) && !w.corrupt_applied) {
-    corrupt_tip_checkpoint(shard_dir(w.spec.shard) + "/ckpt");
+    // The A3CS_FLEET_CORRUPT_TIP fault: resume must CRC-reject the torn tip
+    // and fall back down the ring. Opening the dead worker's ring sweeps its
+    // staging files, as the restart would.
+    ckpt::CkptConfig ring;
+    ring.dir = shard_dir(w.spec.shard) + "/ckpt";
+    std::error_code ec;
+    try {
+      ckpt::CheckpointManager(ring).tear_tip(ec);
+    } catch (const fs::filesystem_error& e) {  // the ring's directory
+      ec = e.code();
+    }
+    if (ec) {
+      A3CS_LOG(WARN) << "fleet fault: could not tear shard " << w.spec.shard
+                     << "'s checkpoint tip: " << ec.message();
+    }
     w.corrupt_applied = true;
   }
   const double delay = std::min(

@@ -37,8 +37,11 @@ RunScope::RunScope(const ObsConfig& cfg, const char* label)
 
 RunScope::~RunScope() {
   g_depth.fetch_sub(1);
+  // An empty tree (a process whose scopes all ran elsewhere, such as the
+  // fleet supervisor) reports nothing.
   if (outermost_ && cfg_.profile_enabled &&
-      std::uncaught_exceptions() <= uncaught_) {
+      std::uncaught_exceptions() <= uncaught_ &&
+      !Profiler::global().flatten().empty()) {
     if (trace_) Profiler::global().emit_to_trace(*trace_);
     std::ostringstream oss;
     Profiler::global().print_summary(oss);

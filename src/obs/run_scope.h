@@ -12,7 +12,7 @@
 // outranks its co-search phase and a bench suite outranks its rows: the
 // profile table (logged as "<label> wall-time profile") and the "profile"
 // trace records appear once per process. The report is skipped when the
-// scope unwinds through an exception.
+// scope unwinds through an exception, and when the profile tree is empty.
 //
 // A sink path that cannot be opened throws util::InputError naming it
 // before the scope counts or enables anything, so a later scope is again

@@ -10,10 +10,6 @@
 
 namespace a3cs::obs {
 
-namespace {
-constexpr int kFlushEvery = 64;  // events between flushes
-}  // namespace
-
 void TraceWriter::append_json_string(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
@@ -55,11 +51,6 @@ TraceWriter::TraceWriter(const std::string& path)
   event("trace_start").kv("wall_time", util::iso8601_now());
 }
 
-TraceWriter::~TraceWriter() {
-  std::lock_guard<std::mutex> lock(mu_);
-  file_.flush();
-}
-
 double TraceWriter::elapsed_ms() const {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start_)
@@ -69,18 +60,8 @@ double TraceWriter::elapsed_ms() const {
 void TraceWriter::commit(std::string&& line) {
   line += "}\n";
   std::lock_guard<std::mutex> lock(mu_);
-  file_ << line;
+  file_ << line << std::flush;
   events_.fetch_add(1, std::memory_order_relaxed);
-  if (++pending_ >= kFlushEvery) {
-    file_.flush();
-    pending_ = 0;
-  }
-}
-
-void TraceWriter::flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  file_.flush();
-  pending_ = 0;
 }
 
 TraceWriter::EventBuilder::EventBuilder(TraceWriter* writer,

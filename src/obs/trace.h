@@ -8,7 +8,8 @@
 // deltas are wall-time accurate even if the system clock steps; the opening
 // "trace_start" event records the ISO-8601 wall-clock time for anchoring.
 // Writers are thread-safe (one line is committed atomically under a mutex)
-// and buffer lines, flushing every 64 events and on close.
+// and write each line through to the file as it commits, so a process that
+// dies by _Exit or SIGKILL leaves every committed event readable.
 //
 // Library code writes through the process-global trace slot, which the
 // outermost obs::RunScope fills when its config has a trace path:
@@ -35,7 +36,6 @@ class TraceWriter {
   // Opens (truncates) `path`; throws util::InputError naming the path when
   // it cannot. Emits a "trace_start" header event.
   explicit TraceWriter(const std::string& path);
-  ~TraceWriter();
 
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
@@ -44,7 +44,6 @@ class TraceWriter {
   std::int64_t events_written() const {
     return events_.load(std::memory_order_relaxed);
   }
-  void flush();
 
   // Builder for one event line. Committed (written to the file) when the
   // builder is destroyed, i.e. at the end of the full expression:
@@ -90,7 +89,6 @@ class TraceWriter {
   std::chrono::steady_clock::time_point start_;
   std::mutex mu_;
   std::ofstream file_;
-  int pending_ = 0;
   std::atomic<std::int64_t> events_{0};
 };
 

@@ -147,80 +147,39 @@ std::vector<ThreadPool::LabelStat> ThreadPool::label_stats() const {
   return out;
 }
 
-SerialWorker::~SerialWorker() {
-  std::thread thread;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-    thread = std::move(thread_);
-  }
-  work_cv_.notify_all();
-  if (thread.joinable()) thread.join();
-  std::lock_guard<std::mutex> lock(mu_);
+BackgroundJob::~BackgroundJob() {
+  if (thread_.joinable()) thread_.join();
   if (!error_) return;
   try {
     std::rethrow_exception(error_);
   } catch (const std::exception& e) {
-    A3CS_LOG(ERROR) << "SerialWorker: uncollected job error: " << e.what();
+    A3CS_LOG(ERROR) << "BackgroundJob: uncollected job error: " << e.what();
   } catch (...) {
-    A3CS_LOG(ERROR) << "SerialWorker: uncollected non-standard job error";
+    A3CS_LOG(ERROR) << "BackgroundJob: uncollected non-standard job error";
   }
 }
 
-void SerialWorker::submit(std::function<void()> job) {
+void BackgroundJob::start(std::function<void()> job) {
+  A3CS_CHECK(!thread_.joinable() && !error_,
+             "BackgroundJob: start() before wait() collected the last job");
+  // The job's captures die with `run`, before wait() returns.
+  auto run = [this, job = std::move(job)] {
+    try {
+      job();
+    } catch (...) {
+      error_ = std::current_exception();
+    }
+  };
   if (inline_) {
-    run_job(job);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(job));
-    if (!thread_.joinable()) thread_ = std::thread([this] { loop(); });
-  }
-  work_cv_.notify_one();
-}
-
-void SerialWorker::wait() {
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock, [this] { return queue_.empty() && !busy_; });
-    error = std::exchange(error_, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-bool SerialWorker::started() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return thread_.joinable();
-}
-
-void SerialWorker::loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) return;  // stopped and drained
-    std::function<void()> job = std::move(queue_.front());
-    queue_.pop_front();
-    busy_ = true;
-    lock.unlock();
-    run_job(job);
-    lock.lock();
-    busy_ = false;
-    idle_cv_.notify_all();
+    run();
+  } else {
+    thread_ = std::thread(std::move(run));
   }
 }
 
-void SerialWorker::run_job(std::function<void()>& job) {
-  std::exception_ptr error;
-  try {
-    job();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  job = nullptr;  // free what the job captured before wait() returns
-  std::lock_guard<std::mutex> lock(mu_);
-  if (error && !error_) error_ = error;
+void BackgroundJob::wait() {
+  if (thread_.joinable()) thread_.join();
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 namespace {

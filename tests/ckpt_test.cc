@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstdio>
 #include <filesystem>
@@ -398,6 +399,35 @@ TEST(CheckpointManager, EnvOverridesWin) {
   ::unsetenv("A3CS_CKPT_RESUME");
 }
 
+// The manager owns the commit in flight: a ring read right after
+// commit_async() waits for that commit, so it sees the new checkpoint even
+// while a multi-MB encode + fsync is still running on the job's thread.
+TEST(CheckpointManager, RingReadsWaitForTheAsyncCommit) {
+  ckpt::CkptConfig cfg;
+  cfg.dir = temp_dir("async_read");
+  ckpt::CheckpointManager mgr(cfg, /*threads=*/2);
+  std::string payload(std::size_t{8} << 20, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>(i * 131 + (i >> 9));
+  }
+  const auto snapshot = [&payload](ckpt::SectionWriter& w) {
+    w.add_section("blob", payload);
+  };
+  std::atomic<std::size_t> durable_bytes{0};
+  mgr.commit_async(7, snapshot,
+                   [&](const ckpt::CheckpointManager::CommitStats& c) {
+                     durable_bytes.store(c.bytes);
+                   });
+  EXPECT_EQ(mgr.list(), (std::vector<std::int64_t>{7}));
+  EXPECT_GT(durable_bytes.load(), payload.size());
+
+  mgr.commit_async(8, snapshot, [](const auto&) {});
+  ckpt::SectionReader reader;
+  EXPECT_EQ(mgr.load_newest_valid(&reader), 8);
+  EXPECT_EQ(reader.payload("blob"), payload);
+  fs::remove_all(cfg.dir);
+}
+
 // Regression for the startup sweep: a process killed inside
 // util::atomic_write_file leaves "<ckpt>.a3ck.tmp" behind; the next
 // CheckpointManager over the same directory must delete it (it was never
@@ -675,7 +705,7 @@ TEST(CoSearchCheckpoint, SignalTriggersFinalCheckpointAndCleanExit) {
   fs::remove_all(cfg.ckpt.dir);
 }
 
-// At two threads checkpoints commit on the run's background writer. The
+// At two threads checkpoints commit on the manager's background job. The
 // torn-tip fault waits for the commit before halving the file, so the ring's
 // tip is torn and a resume falls back past it.
 TEST(CoSearchCheckpoint, TruncFaultTearsTheCommittedTipAtTwoThreads) {
@@ -702,7 +732,7 @@ TEST(CoSearchCheckpoint, TruncFaultTearsTheCommittedTipAtTwoThreads) {
   fs::remove_all(cfg.ckpt.dir);
 }
 
-// A commit that fails on the writer thread surfaces at the next barrier: the
+// A commit that fails on its own thread surfaces at the next barrier: the
 // run throws, and the message names the checkpoint it could not write.
 TEST(CoSearchCheckpoint, FailedBackgroundCommitThrowsAtTheNextBarrier) {
   auto cfg = tiny_cosearch_config();

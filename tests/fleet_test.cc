@@ -300,8 +300,9 @@ TEST(FleetTrace, EveryShardWritesItsOwnBalancedChromeTrace) {
 // A killed shard's restart writes <out>/shard-K.i1.* instead of truncating
 // the first incarnation's files. The restart and the unkilled shard close
 // valid, balanced Chrome traces; the killed incarnation died in _Exit, so
-// its file is whatever reached disk before the kill: the header and the
-// events flushed so far, without the closing brackets.
+// its Chrome file is whatever reached disk before the kill: the header and
+// the events flushed so far, without the closing brackets. Its JSONL trace
+// writes each event through, so every line it committed is readable.
 TEST(FleetTrace, RestartedShardKeepsTheKilledIncarnationsTrace) {
   const auto out = std::filesystem::temp_directory_path() /
                    ("a3cs_fleet_restart_trace_" + std::to_string(::getpid()));
@@ -309,7 +310,9 @@ TEST(FleetTrace, RestartedShardKeepsTheKilledIncarnationsTrace) {
   std::filesystem::create_directories(out);
   const std::string cmd =
       "env A3CS_FLEET_KILL=0@3 A3CS_PROFILE_CHROME=" +
-      (out / "fleet.chrome.json").string() + " " + COSEARCH_FLEET_BIN +
+      (out / "fleet.chrome.json").string() +
+      " A3CS_TRACE_PATH=" + (out / "fleet.trace.jsonl").string() + " " +
+      COSEARCH_FLEET_BIN +
       " Catch --workers 2 --frames 64 --backoff 0.05 --out " + out.string() +
       " > " + (out / "log.txt").string() + " 2>&1";
   const int status = std::system(cmd.c_str());
@@ -334,6 +337,14 @@ TEST(FleetTrace, RestartedShardKeepsTheKilledIncarnationsTrace) {
   EXPECT_EQ(killed.rfind("{\"otherData\":", 0), 0u);
   EXPECT_NE(killed.find("\"ph\":\"B\""), std::string::npos)
       << "the killed incarnation's events were overwritten";
+
+  const std::string killed_trace = (out / "shard-0.trace.jsonl").string();
+  ASSERT_GT(std::filesystem::file_size(killed_trace), 0u);
+  bool started = false;
+  for (const obs::JsonValue& ev : obs::parse_jsonl_file(killed_trace)) {
+    started |= ev.string_or("type", "") == "cosearch_start";
+  }
+  EXPECT_TRUE(started) << "the killed incarnation's cosearch_start is lost";
   std::filesystem::remove_all(out);
 }
 

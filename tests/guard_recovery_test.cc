@@ -185,7 +185,7 @@ TEST(GuardRecovery, RollbackFallsBackPastTruncatedTip) {
   fs::remove_all(cfg.ckpt.dir);
 }
 
-// At two threads a checkpoint commits on the writer thread while the next
+// At two threads a checkpoint commits on a thread of its own while the next
 // iteration runs. With every budget but one rollback at zero, the first
 // error rolls back on that very next iteration: the ring read must wait for
 // the in-flight commit and restore it, not the tip before it.

@@ -452,6 +452,22 @@ TEST_F(ProfilerTest, RunScopeSkipsTheReportWhenUnwinding) {
   ASSERT_EQ(events.size(), 1u);  // trace_start only
 }
 
+// A scope under which no ProfScope ran (the fleet supervisor's) logs no
+// empty profile table; one that ran a scope still logs its table.
+TEST_F(ProfilerTest, RunScopeLogsNoProfileForAnEmptyTree) {
+  obs::ObsConfig cfg;
+  cfg.profile_enabled = true;
+  ::testing::internal::CaptureStderr();
+  { const obs::RunScope scope(cfg, "idle"); }
+  {
+    const obs::RunScope scope(cfg, "busy");
+    A3CS_PROF_SCOPE("phase");
+  }
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(log.find("idle wall-time profile"), std::string::npos) << log;
+  EXPECT_NE(log.find("busy wall-time profile"), std::string::npos) << log;
+}
+
 // -------------------------------------------------------------- Config ----
 
 TEST(ObsConfig, EnvOverridesWin) {

@@ -203,76 +203,69 @@ TEST(ThreadPool, GlobalPoolResizable) {
   EXPECT_EQ(util::ThreadPool::global().worker_count(), 0);
 }
 
-// -------------------------------------------------------- SerialWorker ----
+// ------------------------------------------------------- BackgroundJob ----
 
 using ThreadId = decltype(std::this_thread::get_id());
 
-TEST(SerialWorker, RunsJobsInSubmissionOrderOnOneBackgroundThread) {
-  util::SerialWorker worker(2);
-  EXPECT_FALSE(worker.started()) << "the thread starts on the first submit";
-  std::vector<int> order;
-  std::vector<ThreadId> ids(16);
-  for (int i = 0; i < 16; ++i) {
-    worker.submit([&order, &ids, i] {
-      order.push_back(i);
-      ids[static_cast<std::size_t>(i)] = std::this_thread::get_id();
-    });
-  }
-  EXPECT_TRUE(worker.started());
-  worker.wait();
-  ASSERT_EQ(order.size(), 16u);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  for (const ThreadId& id : ids) {
-    EXPECT_EQ(id, ids.front());
-    EXPECT_NE(id, std::this_thread::get_id());
-  }
-}
-
-TEST(SerialWorker, JobExceptionIsRethrownAtWaitAndLaterJobsStillRun) {
+TEST(BackgroundJob, RunsOneJobOffTheCallerAndRethrowsItsErrorOnce) {
   for (const int threads : {1, 2}) {
-    util::SerialWorker worker(threads);
-    bool later_ran = false;
-    worker.submit([] { throw std::runtime_error("disk full at /x/ckpt"); });
-    worker.submit([] { throw std::logic_error("second error"); });
-    worker.submit([&later_ran] { later_ran = true; });
+    util::BackgroundJob job(threads);
+    ThreadId ran_on;
+    job.start([&ran_on] { ran_on = std::this_thread::get_id(); });
+    job.wait();
+    EXPECT_EQ(ran_on == std::this_thread::get_id(), threads == 1);
+
+    job.start([] { throw std::runtime_error("disk full at /x/ckpt"); });
     try {
-      worker.wait();
+      job.wait();
       ADD_FAILURE() << "wait() swallowed the job's exception";
     } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "disk full at /x/ckpt") << "first error wins";
+      EXPECT_STREQ(e.what(), "disk full at /x/ckpt");
     }
-    EXPECT_TRUE(later_ran);
-    EXPECT_NO_THROW(worker.wait()) << "an error is rethrown once";
+    EXPECT_NO_THROW(job.wait()) << "an error is rethrown once";
   }
 }
 
-TEST(SerialWorker, SingleThreadRunsInlineWithoutAThread) {
-  util::SerialWorker worker(1);
+TEST(BackgroundJob, StartBeforeTheLastJobIsCollectedThrows) {
+  util::BackgroundJob job(2);
+  std::atomic<bool> release{false};
+  job.start([&release] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  EXPECT_THROW(job.start([] {}), std::runtime_error) << "no second job";
+  release.store(true);
+  job.wait();
+}
+
+TEST(BackgroundJob, SingleThreadRunsInlineWithoutAThread) {
+  util::BackgroundJob job(1);
   bool ran = false;
   ThreadId ran_on;
-  worker.submit([&] {
+  job.start([&] {
     ran = true;
     ran_on = std::this_thread::get_id();
   });
-  EXPECT_TRUE(ran) << "inline: the job finished inside submit()";
+  EXPECT_TRUE(ran) << "inline: the job finished inside start()";
   EXPECT_EQ(ran_on, std::this_thread::get_id());
-  EXPECT_FALSE(worker.started());
-  worker.wait();
+  job.wait();
 }
 
-TEST(SerialWorker, DestructorRunsQueuedJobsAndJoins) {
-  std::atomic<int> done{0};
+TEST(BackgroundJob, DestructorJoinsAndLogsAnUncollectedError) {
+  std::atomic<bool> done{false};
+  ::testing::internal::CaptureStderr();
   {
-    util::SerialWorker worker(2);
-    for (int i = 0; i < 3; ++i) {
-      worker.submit([&done] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        done.fetch_add(1);
-      });
-    }
-    worker.submit([] { throw std::runtime_error("never collected"); });
-  }  // no wait(): the destructor drains the queue and logs the error
-  EXPECT_EQ(done.load(), 3);
+    util::BackgroundJob job(2);
+    job.start([&done] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      done.store(true);
+      throw std::runtime_error("never collected");
+    });
+  }  // no wait(): the destructor joins and logs the error
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(done.load());
+  EXPECT_NE(log.find("uncollected job error: never collected"),
+            std::string::npos)
+      << log;
 }
 
 }  // namespace
